@@ -22,8 +22,7 @@ import numpy as np
 
 from . import ces, metrics
 from .errors import InvalidArgument, InvalidPrices, NumericFailure
-from .market import Market, softplus
-from .net import _sigmoid
+from .market import Market, softplus, softplus_and_slope
 from .trainer import EpochRecord, TrainHistory
 
 _RAW_AT_ONE = math.log(math.e - 1.0)  # softplus(_RAW_AT_ONE) = 1
@@ -126,26 +125,34 @@ def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
     else:
         raw, velocity, lam, epoch0 = state.raw, state.velocity, state.lam, state.epoch
     history = TrainHistory()
+    finite = np.empty(raw.shape, dtype=bool)
 
     for epoch in range(epoch0 + 1, epoch0 + config.epochs + 1):
         t_start = time.perf_counter()
         last_loss = float("nan")
         for _ in range(inner):
-            x_hat = softplus(raw)
+            x_hat, slope = softplus_and_slope(raw)
             resid = x_hat.mean(axis=0) - 1.0
             x_phys = x_hat * y_norm
             log_u = ces.log_utility(values, x_phys, spec)
             if not np.all(np.isfinite(log_u)):
                 raise NumericFailure("a buyer reached zero utility during descent", history=history)
-            dlog_u = ces.log_utility_gradient(values, x_phys, spec)
-            grad_x = (-(budgets[:, None] * dlog_u) * y_norm + (lam + config.rho * resid)[None, :]) / market.n
-            grad_raw = grad_x * _sigmoid(raw)
+            # grad_raw = (-(B * dlog_u) * y_norm + lam + rho * resid) / n * slope,
+            # formed in the gradient's own buffer
+            grad = ces.log_utility_gradient(values, x_phys, spec)
+            np.multiply(budgets[:, None], grad, out=grad)
+            np.negative(grad, out=grad)
+            grad *= y_norm
+            grad += (lam + config.rho * resid)[None, :]
+            grad /= market.n
+            grad *= slope
             if config.momentum:
-                velocity = config.momentum * velocity + grad_raw
-                raw -= eta * velocity
+                velocity *= config.momentum
+                velocity += grad
+                raw -= np.multiply(eta, velocity, out=grad)
             else:
-                raw -= eta * grad_raw
-            if not np.all(np.isfinite(raw)):
+                raw -= np.multiply(eta, grad, out=grad)
+            if not np.isfinite(raw, out=finite).all():
                 raise NumericFailure("parameters diverged; lower the step size", history=history)
         last_loss = float(
             -(budgets @ log_u) / market.n + lam @ resid + config.rho / 2.0 * resid @ resid

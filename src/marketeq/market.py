@@ -41,6 +41,24 @@ def softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def softplus_and_slope(z):
+    """(softplus(z), sigmoid(z)) from one shared e = exp(-|z|) pass.
+
+    The slope d softplus / dz is 1/(1+e) where z >= 0 and e/(1+e) elsewhere;
+    both results equal the separate stable forms bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    value = np.maximum(z, 0.0)
+    value += np.log1p(e)
+    one_plus = 1.0 + e
+    slope = np.divide(e, one_plus, out=e)
+    np.divide(1.0, one_plus, out=slope, where=z >= 0)
+    return value, slope
+
+
 def budget(b) -> float:
     """Euclidean norm of a buyer context; must be strictly positive."""
     b = np.asarray(b, dtype=float)
@@ -207,5 +225,6 @@ __all__ = [
     "budget",
     "valuation",
     "softplus",
+    "softplus_and_slope",
     "generate_market",
 ]

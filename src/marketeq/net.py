@@ -13,18 +13,65 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
-from .market import softplus
+from .market import softplus, softplus_and_slope
 
 CHECKPOINT_VERSION = 1
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _layer_views(flat: np.ndarray, dims):
+    """Per-layer (weights, biases) views of a flat buffer laid out like get_flat()."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[offset: offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset: offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def _fill_pairs(inputs: np.ndarray, buyers: np.ndarray, goods: np.ndarray, goods_too: bool = True):
+    """Write the rows [b_i; g_j], buyer-major, into `inputs` of shape (M*m, 2k)."""
+    k = buyers.shape[1]
+    pairs = inputs.reshape(buyers.shape[0], goods.shape[0], 2 * k)
+    pairs[:, :, :k] = buyers[:, None, :]
+    if goods_too:
+        pairs[:, :, k:] = goods
+
+
+class Gradients(tuple):
+    """(grad_weights, grad_biases) as returned by `AllocationNet.backward`.
+
+    Both lists are per-layer views of one flat buffer, `flat`, laid out like
+    `AllocationNet.get_flat()`.
+    """
+
+    def __new__(cls, grad_weights, grad_biases, flat):
+        obj = super().__new__(cls, (grad_weights, grad_biases))
+        obj.flat = flat
+        return obj
+
+
+class _StepWorkspace:
+    """Buffers of the training step for one row count: the pair inputs, each
+    layer's pre-activation, activation and finiteness mask, and backward's
+    two delta buffers."""
+
+    def __init__(self, dims, rows: int):
+        width = max(dims[1:])
+        self.rows = rows
+        self.inputs = np.empty((rows, dims[0]))
+        self.goods = None  # the goods currently filled into the inputs' right half
+        self.pre = [np.empty((rows, d)) for d in dims[1:]]
+        self.act = [np.empty((rows, d)) for d in dims[1:-1]]
+        self.finite = np.empty((rows, width), dtype=bool)
+        self.delta = (np.empty((rows, width)), np.empty((rows, width)))
+
+    def fill_pairs(self, buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
+        refill = self.goods is None or not np.array_equal(self.goods, goods)
+        _fill_pairs(self.inputs, buyers, goods, goods_too=refill)
+        if refill:
+            self.goods = goods.copy()
+        return self.inputs
 
 
 @dataclass
@@ -32,8 +79,12 @@ class AllocationNet:
     """Weights and biases of the allocation network.
 
     `weights[i]` has shape (fan_in, fan_out); layer order is input -> hidden
-    (depth of them, relu) -> scalar output (softplus).  Treat instances as
-    owned by one trainer; forward passes are safe to share read-only.
+    (depth of them, relu) -> scalar output (softplus).  All parameters live in
+    one flat buffer in `get_flat()` order, and `weights`/`biases` are views of
+    it; write them in place.  Treat instances as owned by one trainer:
+    `forward_pairs`/`forward_batch` are safe to share read-only, but the
+    training step's cached forward and `backward` use a workspace kept on the
+    net.
     """
 
     context_dim: int
@@ -41,6 +92,14 @@ class AllocationNet:
     hidden_width: int
     weights: list = field(repr=False)
     biases: list = field(repr=False)
+
+    def __post_init__(self):
+        self._params = np.concatenate(
+            [np.asarray(arr, dtype=float).ravel() for pair in zip(self.weights, self.biases)
+             for arr in pair])
+        self._dims = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        self.weights, self.biases = _layer_views(self._params, self._dims)
+        self._workspace = None
 
     @classmethod
     def initialize(cls, context_dim: int, hidden_depth: int = 5, hidden_width: int = 256,
@@ -64,7 +123,7 @@ class AllocationNet:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._params.size
 
     # ---- forward -----------------------------------------------------------
 
@@ -82,76 +141,102 @@ class AllocationNet:
             )
         return float(self.forward_pairs(np.concatenate([b, g])[None, :])[0])
 
-    def forward_batch(self, buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
-        """Allocation matrix for M buyer contexts against m good contexts, shape (M, m)."""
+    def _check_contexts(self, buyers, goods):
         buyers = np.atleast_2d(np.asarray(buyers, dtype=float))
         goods = np.atleast_2d(np.asarray(goods, dtype=float))
         if buyers.shape[1] != self.context_dim or goods.shape[1] != self.context_dim:
             raise InvalidArgument("context dimension mismatch with network input")
-        big, little = buyers.shape[0], goods.shape[0]
-        inputs = np.empty((big * little, 2 * self.context_dim))
-        inputs[:, : self.context_dim] = np.repeat(buyers, little, axis=0)
-        inputs[:, self.context_dim:] = np.tile(goods, (big, 1))
-        return self.forward_pairs(inputs).reshape(big, little)
+        return buyers, goods
+
+    def forward_batch(self, buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
+        """Allocation matrix for M buyer contexts against m good contexts, shape (M, m)."""
+        buyers, goods = self._check_contexts(buyers, goods)
+        inputs = np.empty((buyers.shape[0] * goods.shape[0], self.input_dim))
+        _fill_pairs(inputs, buyers, goods)
+        return self.forward_pairs(inputs).reshape(buyers.shape[0], goods.shape[0])
+
+    def forward_step(self, buyers: np.ndarray, goods: np.ndarray):
+        """Allocation matrix (M, m) plus the cache `backward` needs, for one
+        training step.  The pair inputs and every layer buffer live in the
+        net's workspace for this row count, so the cache stays valid until the
+        next cached forward pass with the same number of rows."""
+        buyers, goods = self._check_contexts(buyers, goods)
+        workspace = self._step_workspace(buyers.shape[0] * goods.shape[0])
+        y, cache = self._forward_cached(workspace.fill_pairs(buyers, goods))
+        return y.reshape(buyers.shape[0], goods.shape[0]), cache
+
+    def _step_workspace(self, rows: int) -> _StepWorkspace:
+        if self._workspace is None or self._workspace.rows != rows:
+            self._workspace = _StepWorkspace(self._dims, rows)
+        return self._workspace
 
     def _forward_cached(self, inputs, keep=True):
         if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
             raise InvalidArgument(f"inputs must be (rows, {self.input_dim})")
-        h = inputs
-        pre_acts = []
-        acts = [inputs]
+        rows = inputs.shape[0]
         last = len(self.weights) - 1
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            if not np.all(np.isfinite(z)):
-                raise NumericFailure(f"non-finite pre-activation in layer {li}")
-            if li == last:
-                y = softplus(z[:, 0])
-            else:
-                h = np.maximum(z, 0.0)
-                if keep:
-                    pre_acts.append(z)
-                    acts.append(h)
         if keep:
-            pre_acts.append(z)
-        return (y, (acts, pre_acts)) if keep else (y, None)
+            workspace = self._step_workspace(rows)
+            pre, act, finite = workspace.pre, workspace.act, workspace.finite
+        else:
+            # two transient buffers taking turns; relu overwrites z in place
+            width = max(self._dims[1:-1])
+            turns = (np.empty((rows, width)), np.empty((rows, width)))
+            act = [turns[li % 2] for li in range(last)]
+            pre = act + [np.empty((rows, self._dims[-1]))]
+            finite = np.empty((rows, max(self._dims[1:])), dtype=bool)
+        h = inputs
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(h, w, out=pre[li])
+            z += b
+            if not np.isfinite(z, out=finite[:, : z.shape[1]]).all():
+                raise NumericFailure(f"non-finite pre-activation in layer {li}")
+            if li < last:
+                h = np.maximum(z, 0.0, out=act[li])
+        if not keep:
+            return softplus(z[:, 0]), None
+        y, slope = softplus_and_slope(z[:, 0])
+        return y, ([inputs] + act, pre, slope)
 
     # ---- backward ----------------------------------------------------------
 
-    def backward(self, cache, grad_output: np.ndarray):
+    def backward(self, cache, grad_output: np.ndarray) -> Gradients:
         """Parameter gradients of sum(grad_output * output) for a cached forward pass.
 
-        Returns ([dW...], [db...]) matching self.weights / self.biases.
+        Returns (grad_weights, grad_biases) matching self.weights / self.biases,
+        as views of one fresh flat buffer (see `Gradients`).
         """
-        acts, pre_acts = cache
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
-        # d softplus(z) / dz = sigmoid(z)
-        delta = (grad_output * _sigmoid(pre_acts[-1][:, 0]))[:, None]
+        acts, pre_acts, slope = cache
+        workspace = self._step_workspace(acts[0].shape[0])
+        flat = np.empty(self.n_params)
+        grad_w, grad_b = _layer_views(flat, self._dims)
+        # d softplus(z) / dz = sigmoid(z), kept by the forward pass
+        delta = (grad_output * slope)[:, None]
         for li in range(len(self.weights) - 1, -1, -1):
-            grad_w[li] = acts[li].T @ delta
-            grad_b[li] = delta.sum(axis=0)
+            np.matmul(acts[li].T, delta, out=grad_w[li])
+            np.sum(delta, axis=0, out=grad_b[li])
             if li > 0:
-                delta = (delta @ self.weights[li].T) * (pre_acts[li - 1] > 0)
-        return grad_w, grad_b
+                w = self.weights[li]
+                out = workspace.delta[li % 2][:, : w.shape[0]]
+                if w.shape[1] == 1:  # a one-wide layer's delta @ w.T is an outer product
+                    np.multiply(delta, w.T, out=out)
+                else:
+                    np.matmul(delta, w.T, out=out)
+                mask = np.greater(pre_acts[li - 1], 0, out=workspace.finite[:, : w.shape[0]])
+                delta = np.multiply(out, mask, out=out)
+        return Gradients(grad_w, grad_b, flat)
 
     # ---- flat parameter view (checkpoints, finite differences) -------------
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [arr.ravel() for pair in zip(self.weights, self.biases) for arr in pair]
-        )
+        """A copy of all parameters, layer by layer (weights, then biases)."""
+        return self._params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
             raise InvalidArgument(f"expected {self.n_params} parameters, got {flat.shape}")
-        offset = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[offset: offset + w.size].reshape(w.shape)
-            offset += w.size
-            b[...] = flat[offset: offset + b.size]
-            offset += b.size
+        self._params[...] = flat
 
     # ---- checkpoints --------------------------------------------------------
 
@@ -216,6 +301,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_net(cls, net: AllocationNet, lr: float = 1e-4, beta1: float = 0.9,
@@ -225,19 +311,37 @@ class AdamState:
 
 
 def adam_step(state: AdamState, net: AllocationNet, grads) -> None:
-    """One adaptive-moment descent step with bias correction; updates in place."""
-    grad_w, grad_b = grads
-    flat = np.concatenate([arr.ravel() for pair in zip(grad_w, grad_b) for arr in pair])
+    """One adaptive-moment descent step with bias correction; updates in place.
+
+    `grads` is (grad_weights, grad_biases); the flat buffer behind a
+    `Gradients` from `backward` is used as is.
+    """
+    flat = getattr(grads, "flat", None)
+    if flat is None:
+        grad_w, grad_b = grads
+        flat = np.concatenate([arr.ravel() for pair in zip(grad_w, grad_b) for arr in pair])
     if flat.shape != state.m.shape:
         raise InvalidArgument("gradient shape does not match optimizer state")
+    if state._scratch is None or state._scratch.shape != (2,) + flat.shape:
+        state._scratch = np.empty((2,) + flat.shape)
+    update, denom = state._scratch
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * flat
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * flat * flat
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    params = net.get_flat()
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    net.set_flat(params)
+    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+    state.m *= state.beta1
+    state.m += np.multiply(1.0 - state.beta1, flat, out=update)
+    np.multiply(1.0 - state.beta2, flat, out=update)
+    update *= flat
+    state.v *= state.beta2
+    state.v += update
+    # params -= lr m_hat / (sqrt(v_hat) + eps), bias-corrected moments
+    np.divide(state.m, 1.0 - state.beta1 ** state.step, out=update)
+    update *= state.lr
+    np.divide(state.v, 1.0 - state.beta2 ** state.step, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update /= denom
+    net._params -= update
 
 
-__all__ = ["AllocationNet", "AdamState", "adam_step", "loss_gradient", "CHECKPOINT_VERSION"]
+__all__ = ["AllocationNet", "AdamState", "Gradients", "adam_step", "loss_gradient",
+           "CHECKPOINT_VERSION"]

@@ -446,11 +446,9 @@ def prop_estimator_gradient(rng, profile):
     rho = 0.3
     idx = rng.integers(0, market.n, size=16)
     contexts = market.buyers[idx]
-    from .trainer import _lagrangian_terms_from_outputs, _pair_inputs
+    from .trainer import _lagrangian_terms_from_outputs
 
-    inputs = _pair_inputs(contexts, market.goods)
-    outputs, cache = net._forward_cached(inputs)
-    x_hat = outputs.reshape(len(idx), market.m)
+    x_hat, cache = net.forward_step(contexts, market.goods)
     _, grad_x = _lagrangian_terms_from_outputs(x_hat, contexts, lam, rho, market, want_grad=True)
     grads = net.backward(cache, grad_x.reshape(-1))
     flat_grad = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])

@@ -196,15 +196,22 @@ def _full_allocation_normalized(net: AllocationNet, market: Market) -> np.ndarra
 
 
 def mean_allocation(net: AllocationNet, market: Market, batch_size: int | None = None,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+                    rng: np.random.Generator | None = None,
+                    allocation: np.ndarray | None = None) -> np.ndarray:
     """E_b[x(b, g_j)] per good: exact population average, or a Monte Carlo
     estimate on `batch_size` sampled buyers when given.  A batch of at least n
-    is the full batch, so it falls back to the exact pass."""
+    is the full batch, so it falls back to the exact pass.  `allocation`, the
+    (n, m) normalized allocation of this net over the whole population, saves
+    the exact pass its forward; the sampled estimate ignores it."""
     if batch_size is None or batch_size >= market.n:
+        if allocation is not None and allocation.shape != (market.n, market.m):
+            raise InvalidArgument("allocation must have shape (n, m)")
         total = np.zeros(market.m)
         for start in range(0, market.n, _EVAL_CHUNK):
             stop = min(start + _EVAL_CHUNK, market.n)
-            total += net.forward_batch(market.buyers[start:stop], market.goods).sum(axis=0)
+            chunk = (allocation[start:stop] if allocation is not None
+                     else net.forward_batch(market.buyers[start:stop], market.goods))
+            total += chunk.sum(axis=0)
         return total / market.n
     if rng is None:
         raise InvalidArgument("sampled multiplier update needs an rng")
@@ -214,12 +221,15 @@ def mean_allocation(net: AllocationNet, market: Market, batch_size: int | None =
 
 def multiplier_update(multipliers, net: AllocationNet, market: Market, rho: float,
                       beta_t: float, batch_size: int | None = None,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Dual ascent step: lambda_j += beta_t * rho * (E_b[x(b, g_j)] - 1)."""
+                      rng: np.random.Generator | None = None,
+                      allocation: np.ndarray | None = None) -> np.ndarray:
+    """Dual ascent step: lambda_j += beta_t * rho * (E_b[x(b, g_j)] - 1).
+
+    `allocation` is passed on to `mean_allocation`."""
     if beta_t <= 0:
         raise InvalidArgument("step size beta_t must be > 0")
     lam = np.asarray(multipliers, dtype=float)
-    resid = mean_allocation(net, market, batch_size, rng) - 1.0
+    resid = mean_allocation(net, market, batch_size, rng, allocation) - 1.0
     return lam + beta_t * rho * resid
 
 
@@ -241,16 +251,18 @@ def train(market: Market, config: TrainConfig, buyer_sampler=None):
     lam = np.ones(market.m)
     history = TrainHistory()
     half = config.batch_size_loss
+    # the exact multiplier pass and the evaluation sweep share one
+    # full-population forward per epoch
+    exact_pass = config.batch_size_multiplier is None or config.batch_size_multiplier >= market.n
+    share_forward = exact_pass and config.eval_each_epoch
 
     for epoch in range(1, config.epochs + 1):
         t_start = time.perf_counter()
         loss_sum = 0.0
         for _ in range(config.inner_iters):
             contexts = buyer_sampler(sampler, 2 * half)
-            inputs = _pair_inputs(contexts, market.goods)
             try:
-                outputs, cache = net._forward_cached(inputs)
-                x_hat = outputs.reshape(2 * half, market.m)
+                x_hat, cache = net.forward_step(contexts, market.goods)
                 terms, grad_x = _lagrangian_terms_from_outputs(
                     x_hat, contexts, lam, config.rho, market, want_grad=True)
             except NumericFailure as err:
@@ -262,15 +274,18 @@ def train(market: Market, config: TrainConfig, buyer_sampler=None):
 
         t_eval = time.perf_counter()
         beta_t = 1.0 / math.sqrt(epoch)
+        population = _full_allocation_normalized(net, market) if share_forward else None
         lam = multiplier_update(lam, net, market, config.rho, beta_t,
                                 config.batch_size_multiplier,
-                                sampler if config.batch_size_multiplier else None)
+                                sampler if config.batch_size_multiplier else None,
+                                allocation=population)
         exact = float("nan")
         if config.record_exact_lagrangian:
             exact = exact_lagrangian(net, lam, config.rho, market)
         ng = voa = vop = float("nan")
         if config.eval_each_epoch:
-            ng, voa, vop = _eval_candidate(net, lam, market)
+            ng, voa, vop = _eval_candidate(net, lam, market, population)
+        population = None
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir)
             path.mkdir(parents=True, exist_ok=True)
@@ -283,26 +298,22 @@ def train(market: Market, config: TrainConfig, buyer_sampler=None):
     return net, lam, history
 
 
-def _pair_inputs(buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
-    rows, little = buyers.shape[0], goods.shape[0]
-    k = buyers.shape[1]
-    inputs = np.empty((rows * little, 2 * k))
-    inputs[:, :k] = np.repeat(buyers, little, axis=0)
-    inputs[:, k:] = np.tile(goods, (rows, 1))
-    return inputs
-
-
-def _eval_candidate(net: AllocationNet, lam, market: Market):
+def _eval_candidate(net: AllocationNet, lam, market: Market, population=None):
+    """Projected (NG, VoA, VoP) of the net's candidate; consumes `population`,
+    the net's normalized full-population allocation, when given."""
     if np.any(lam <= 0):
         return float("nan"), float("nan"), float("nan")
-    x, p = _solution_arrays(net, lam, market)
+    x, p = _solution_arrays(net, lam, market, population)
     x_t, p_t, voa, vop = metrics.project(market, x, p)
     ng = metrics.lfw(market, p_t) - metrics.lnw(market, x_t)
     return float(ng), voa, vop
 
 
-def _solution_arrays(net: AllocationNet, lam, market: Market):
-    x = _full_allocation_normalized(net, market) * _norm_supply(market)
+def _solution_arrays(net: AllocationNet, lam, market: Market, population=None):
+    if population is None:
+        x = _full_allocation_normalized(net, market) * _norm_supply(market)
+    else:
+        x = np.multiply(population, _norm_supply(market), out=population)
     p = np.asarray(lam, dtype=float) / _norm_supply(market)
     return x, p
 

@@ -139,11 +139,9 @@ def test_criterion_3_gradient_correctness():
     rho = 0.2
     idx = rng.integers(0, market.n, size=32)
     contexts = market.buyers[idx]
-    from marketeq.trainer import _lagrangian_terms_from_outputs, _pair_inputs
+    from marketeq.trainer import _lagrangian_terms_from_outputs
 
-    inputs = _pair_inputs(contexts, market.goods)
-    outputs, cache = net._forward_cached(inputs)
-    x_hat = outputs.reshape(len(idx), market.m)
+    x_hat, cache = net.forward_step(contexts, market.goods)
     _, grad_x = _lagrangian_terms_from_outputs(x_hat, contexts, lam, rho, market, want_grad=True)
     grad_w, grad_b = net.backward(cache, grad_x.reshape(-1))
     flat_grad = np.concatenate([a.ravel() for pair in zip(grad_w, grad_b) for a in pair])

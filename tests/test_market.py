@@ -6,7 +6,15 @@ import pytest
 import marketeq as mq
 from marketeq.ces import CesSpec
 from marketeq.errors import DegenerateBudget, InvalidArgument
-from marketeq.market import ContextDistribution, Market, budget, generate_market, softplus, valuation
+from marketeq.market import (
+    ContextDistribution,
+    Market,
+    budget,
+    generate_market,
+    softplus,
+    softplus_and_slope,
+    valuation,
+)
 
 
 def test_budget_examples():
@@ -37,6 +45,29 @@ def test_softplus_stability_wide_range():
     got = softplus(z)
     np.testing.assert_allclose(got, reference, rtol=1e-12)
     assert np.all(got > 0)
+
+
+def _masked_sigmoid(z):
+    # the two-branch stable sigmoid the solvers used before the shared-e helper
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_softplus_and_slope_bitwise():
+    edges = np.array([0.0, 1e-300, 40.0, 745.0, 800.0])
+    z = np.concatenate([edges, -edges, np.random.default_rng(0).standard_normal(1000) * 50.0])
+    value, slope = softplus_and_slope(z)
+    np.testing.assert_array_equal(value, softplus(z))
+    np.testing.assert_array_equal(slope, _masked_sigmoid(z))
+    assert np.all(np.signbit(value) == np.signbit(softplus(z)))
+    grid = np.arange(12.0).reshape(3, 4) - 6.0
+    value, slope = softplus_and_slope(grid)
+    assert value.shape == slope.shape == (3, 4)
+    np.testing.assert_array_equal(slope, _masked_sigmoid(grid))
 
 
 def test_generate_deterministic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from marketeq.errors import InvalidArgument, NumericFailure
+from marketeq.market import softplus
 from marketeq.net import AdamState, AllocationNet, adam_step, loss_gradient
 
 
@@ -161,3 +162,109 @@ def test_parameter_count():
     dims = [10] + [256] * 5 + [1]
     expected = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
     assert net.n_params == expected
+
+
+def _plain_step(net, buyers, goods, grad_output):
+    """Allocating forward and backward pass, layer by layer, as first written."""
+    rows = buyers.shape[0] * goods.shape[0]
+    inputs = np.empty((rows, net.input_dim))
+    inputs[:, : net.context_dim] = np.repeat(buyers, goods.shape[0], axis=0)
+    inputs[:, net.context_dim:] = np.tile(goods, (buyers.shape[0], 1))
+    acts, pre_acts, h = [inputs], [], inputs
+    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre_acts.append(z)
+        if li < len(net.weights) - 1:
+            h = np.maximum(z, 0.0)
+            acts.append(h)
+    y = softplus(z[:, 0])
+    zl = pre_acts[-1][:, 0]
+    sig = np.where(zl >= 0, 1.0 / (1.0 + np.exp(-np.abs(zl))),
+                   np.exp(-np.abs(zl)) / (1.0 + np.exp(-np.abs(zl))))
+    delta = (grad_output * sig)[:, None]
+    grad_w, grad_b = [None] * len(net.weights), [None] * len(net.weights)
+    for li in range(len(net.weights) - 1, -1, -1):
+        grad_w[li] = acts[li].T @ delta
+        grad_b[li] = delta.sum(axis=0)
+        if li > 0:
+            delta = (delta @ net.weights[li].T) * (pre_acts[li - 1] > 0)
+    return y, grad_w, grad_b
+
+
+def test_workspace_step_matches_plain_passes():
+    net = AllocationNet.initialize(4, hidden_depth=3, hidden_width=16, seed=21)
+    rng = np.random.default_rng(6)
+    goods = rng.standard_normal((3, 4))
+    for rows in (7, 7, 5, 7):  # reuses, replaces and rebuilds the workspace
+        buyers = rng.standard_normal((rows, 4))
+        grad_output = rng.standard_normal(rows * 3)
+        x_hat, cache = net.forward_step(buyers, goods)
+        grad_w, grad_b = net.backward(cache, grad_output)
+        y, ref_w, ref_b = _plain_step(net, buyers, goods, grad_output)
+        np.testing.assert_array_equal(x_hat, y.reshape(rows, 3))
+        np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
+        for got, ref in zip(grad_w + grad_b, ref_w + ref_b):
+            np.testing.assert_array_equal(got, ref)
+    goods = rng.standard_normal((3, 4))  # new goods refill the goods half
+    x_hat, _ = net.forward_step(buyers, goods)
+    np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
+
+
+def test_backward_returns_fresh_flat_gradients():
+    net = small_net(seed=14)
+    rng = np.random.default_rng(7)
+    buyers, goods = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+    _, cache = net.forward_step(buyers, goods)
+    first = net.backward(cache, np.ones(8))
+    second = net.backward(cache, 2.0 * np.ones(8))
+    flat = np.concatenate([a.ravel() for pair in zip(*first) for a in pair])
+    np.testing.assert_array_equal(first.flat, flat)
+    np.testing.assert_array_equal(second.flat, 2.0 * first.flat)
+
+
+def test_get_flat_returns_a_copy():
+    net = small_net(seed=15)
+    flat = net.get_flat()
+    flat[:] = 7.0
+    assert not np.any(net.get_flat() == 7.0)
+    assert not np.shares_memory(flat, net.weights[0])
+
+
+def _assert_views(net):
+    flat = net._params
+    assert all(np.shares_memory(a, flat) for a in net.weights + net.biases)
+    assert net.get_flat().size == net.n_params == flat.size
+    net.weights[0][0, 0] = 123.0
+    assert net.get_flat()[0] == 123.0
+
+
+def test_parameters_stay_views(tmp_path):
+    net = small_net(seed=16)
+    _assert_views(net)
+    net.set_flat(np.arange(net.n_params, dtype=float))
+    _assert_views(net)
+    assert net.weights[0][0, 1] == 1.0
+    net.save(tmp_path / "net.npz")
+    loaded, _ = AllocationNet.load(tmp_path / "net.npz")
+    _assert_views(loaded)
+
+
+def test_adam_step_matches_allocating_update():
+    net = small_net(seed=17)
+    state = AdamState.for_net(net, lr=1e-2)
+    ref_m, ref_v = np.zeros(net.n_params), np.zeros(net.n_params)
+    ref_params = net.get_flat()
+    rng = np.random.default_rng(8)
+    for step in range(1, 4):
+        _, cache = net.forward_step(rng.standard_normal((3, 3)), rng.standard_normal((2, 3)))
+        grads = net.backward(cache, rng.standard_normal(6))
+        flat = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])
+        ref_m = 0.9 * ref_m + (1.0 - 0.9) * flat
+        ref_v = 0.999 * ref_v + (1.0 - 0.999) * flat * flat
+        m_hat = ref_m / (1.0 - 0.9 ** step)
+        v_hat = ref_v / (1.0 - 0.999 ** step)
+        ref_params = ref_params - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        adam_step(state, net, grads if step % 2 else tuple(grads))  # flat-backed and plain lists
+        np.testing.assert_array_equal(net.get_flat(), ref_params)
+        np.testing.assert_array_equal(state.m, ref_m)
+        np.testing.assert_array_equal(state.v, ref_v)

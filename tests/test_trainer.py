@@ -134,6 +134,25 @@ def test_multiplier_update_full_batch_equals_exact():
     np.testing.assert_allclose(sampled, exact, atol=1e-12)
 
 
+
+def test_shared_population_forward_is_bitwise():
+    # train() feeds one full-population forward to both the multiplier
+    # update and the evaluation sweep; both must match their own passes
+    from marketeq.trainer import _EVAL_CHUNK, _eval_candidate, _full_allocation_normalized
+
+    rng = np.random.default_rng(9)
+    market = random_market(rng, _EVAL_CHUNK + 37, 2, CesSpec.general(0.5))
+    net = AllocationNet.initialize(market.k, 2, 8, seed=7)
+    lam = np.array([0.8, 1.3])
+    population = _full_allocation_normalized(net, market)
+    np.testing.assert_array_equal(
+        multiplier_update(lam, net, market, 0.5, 0.7, allocation=population),
+        multiplier_update(lam, net, market, 0.5, 0.7))
+    assert _eval_candidate(net, lam, market, population) == _eval_candidate(net, lam, market)
+    with pytest.raises(InvalidArgument):
+        multiplier_update(lam, net, market, 0.5, 0.7, allocation=np.ones((3, 2)))
+
+
 def test_train_single_pair_market():
     market = market_from_values([[1.0]], [1.0], CesSpec.linear())
     config = TrainConfig(batch_size_loss=8, hidden_width=16, hidden_depth=2, rho=1.0,
