@@ -26,6 +26,7 @@ from .market import Market, softplus, softplus_and_slope
 from .trainer import EpochRecord, TrainHistory
 
 _RAW_AT_ONE = math.log(math.e - 1.0)  # softplus(_RAW_AT_ONE) = 1
+_ZERO_UTILITY = "a buyer reached zero utility during descent"
 
 
 def step_size_for(market: Market) -> float:
@@ -134,12 +135,18 @@ def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
             x_hat, slope = softplus_and_slope(raw)
             resid = x_hat.mean(axis=0) - 1.0
             x_phys = x_hat * y_norm
-            log_u = ces.log_utility(values, x_phys, spec)
+            try:
+                log_u, grad = ces.log_utility_and_gradient(values, x_phys, spec)
+            except InvalidArgument:
+                # a bundle reached the boundary; a buyer left with zero
+                # utility is reported first, as the descent's failure
+                if not np.all(np.isfinite(ces.log_utility(values, x_phys, spec))):
+                    raise NumericFailure(_ZERO_UTILITY, history=history) from None
+                raise
             if not np.all(np.isfinite(log_u)):
-                raise NumericFailure("a buyer reached zero utility during descent", history=history)
+                raise NumericFailure(_ZERO_UTILITY, history=history)
             # grad_raw = (-(B * dlog_u) * y_norm + lam + rho * resid) / n * slope,
             # formed in the gradient's own buffer
-            grad = ces.log_utility_gradient(values, x_phys, spec)
             np.multiply(budgets[:, None], grad, out=grad)
             np.negative(grad, out=grad)
             grad *= y_norm

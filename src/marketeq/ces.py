@@ -148,19 +148,61 @@ def log_utility(values, bundle, spec: CesSpec):
             weights = values / np.sum(values, axis=-1, keepdims=True)
             logs = np.where(bundle > 0, np.log(np.where(bundle > 0, bundle, 1.0)), -np.inf)
             return np.sum(weights * logs, axis=-1)
-        # general: (1/alpha) * logsumexp(alpha * log(v x)).  Zero components
-        # contribute -inf logs, which the inf arithmetic maps to u = 0 for
-        # alpha < 0 (limit convention) and simply drops for alpha > 0.
-        vx = values * bundle
-        logs = np.where(vx > 0, np.log(np.where(vx > 0, vx, 1.0)), -np.inf)
-        return _logsumexp(spec.alpha * logs) / spec.alpha
+        log_u, _, _ = _general_log_weights(values, bundle, spec.alpha)
+        return log_u
+
+
+def _general_log_weights(values, bundle, alpha):
+    """General-regime log u with the weights of its log-sum-exp, in one buffer.
+
+    log u = (1/alpha) * logsumexp(alpha * log(v x)).  Zero components
+    contribute -inf logs, which the inf arithmetic maps to u = 0 for alpha < 0
+    (limit convention) and simply drops for alpha > 0.  Returns (log u, w,
+    total) with w_j = exp(alpha log(v_j x_j) - hi), hi the largest exponent
+    (0 where it is not finite), and total = sum_j w_j kept as a last axis.
+    """
+    w = values * bundle
+    positive = w > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.log(w, out=w)
+        if not positive.all():
+            w[~positive] = -np.inf
+        w *= alpha
+        hi = _max_last(w)
+        hi = np.where(np.isfinite(hi), hi, 0.0)
+        w -= hi[..., None]
+        np.exp(w, out=w)
+        total = _sum_last(w)
+        log_u = (hi + np.log(total)) / alpha
+    return log_u, w, total[..., None]
+
+
+def _sum_last(a):
+    # np.sum(a, axis=-1).  Below eight terms numpy adds them in index order,
+    # so adding column by column gives the same sums, minus the per-row
+    # overhead of the reduction
+    if a.shape[-1] >= 8:
+        return np.sum(a, axis=-1)
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def _max_last(a):
+    # np.max(a, axis=-1), taken one column at a time: the same exact maxima,
+    # without a reduction's per-row overhead on a few goods
+    hi = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(hi, a[..., j], out=hi)
+    return hi
 
 
 def _logsumexp(a):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        hi = np.max(a, axis=-1, keepdims=True)
+        hi = _max_last(a)
         hi = np.where(np.isfinite(hi), hi, 0.0)
-        return np.squeeze(hi, axis=-1) + np.log(np.sum(np.exp(a - hi), axis=-1))
+        return hi + np.log(np.sum(np.exp(a - hi[..., None]), axis=-1))
 
 
 def utility(values, bundle, spec: CesSpec):
@@ -221,8 +263,36 @@ def log_utility_gradient(values, bundle, spec: CesSpec):
         return grad
     if np.any(bundle <= 0):
         raise InvalidArgument("gradient is singular at boundary bundles in this regime")
-    s = np.power(values * bundle, spec.alpha)
-    return s / (bundle * np.sum(s, axis=-1, keepdims=True))
+    _, grad = _general_log_and_gradient(values, bundle, spec.alpha)
+    return grad
+
+
+def _general_log_and_gradient(values, bundle, alpha):
+    # d log u / dx_j = s_j / (x_j sum_k s_k) with s = (v x)^alpha; the
+    # log-sum-exp weights are s scaled by exp(-hi), so they give it without
+    # overflow, normalized and divided by x in their own buffer
+    log_u, w, total = _general_log_weights(values, bundle, alpha)
+    w /= total
+    w /= bundle
+    return log_u, w
+
+
+def log_utility_and_gradient(values, bundle, spec: CesSpec):
+    """(log u, d log u / dx) from one validation and one pass over v x.
+
+    Each result equals `log_utility` / `log_utility_gradient` bit for bit,
+    and the errors are theirs: negative components are rejected, and so are
+    boundary bundles in the general and cobb-douglas regimes.
+    """
+    if spec.regime is Regime.LINEAR or spec.regime is Regime.LEONTIEF:
+        return log_utility(values, bundle, spec), log_utility_gradient(values, bundle, spec)
+    values, bundle = _check_bundle(values, bundle)
+    if np.any(bundle <= 0):
+        raise InvalidArgument("gradient is singular at boundary bundles in this regime")
+    if spec.regime is Regime.COBB_DOUGLAS:
+        weights = values / np.sum(values, axis=-1, keepdims=True)
+        return np.sum(weights * np.log(bundle), axis=-1), weights / bundle
+    return _general_log_and_gradient(values, bundle, spec.alpha)
 
 
 def fixed_price_log_utility(problem: BuyerProblem, spec: CesSpec) -> float:
@@ -306,6 +376,7 @@ __all__ = [
     "log_utility",
     "utility_gradient",
     "log_utility_gradient",
+    "log_utility_and_gradient",
     "fixed_price_log_utility",
     "fixed_price_log_utility_matrix",
     "demand",

@@ -53,9 +53,9 @@ def softplus_and_slope(z):
     np.exp(e, out=e)
     value = np.maximum(z, 0.0)
     value += np.log1p(e)
-    one_plus = 1.0 + e
-    slope = np.divide(e, one_plus, out=e)
-    np.divide(1.0, one_plus, out=slope, where=z >= 0)
+    # numerator 1 where z >= 0, else e; as e <= 1, a max with the mask picks it
+    slope = np.maximum(e, z >= 0)
+    slope /= 1.0 + e
     return value, slope
 
 

@@ -4,7 +4,7 @@ import pytest
 from marketeq import metrics
 from marketeq.baselines import EgConfig, eg_momentum_solve, eg_solve, naive, step_size_for
 from marketeq.ces import CesSpec
-from marketeq.errors import InvalidArgument, InvalidPrices
+from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.market import ContextDistribution, generate_market
 from marketeq.oracle import cobb_douglas_equilibrium
 
@@ -121,3 +121,17 @@ def test_eg_history_schema_matches_trainer():
     assert rec.epoch == 1
     assert np.isfinite(rec.loss)
     assert np.isfinite(rec.ng)
+
+
+@pytest.mark.parametrize("spec, error", [
+    (CesSpec.cobb_douglas(), NumericFailure),  # zero utility outranks the boundary
+    (CesSpec.general(-1.0), NumericFailure),
+    (CesSpec.general(0.5), InvalidArgument),  # a zero component alone is a boundary
+])
+def test_eg_boundary_error_precedence(spec, error):
+    market = generate_market(6, 3, 3, ContextDistribution.STANDARD_NORMAL, spec, 1)
+    config = EgConfig(step_size=1e3, inner_iters=50, epochs=2, ng_stop=None)
+    with pytest.raises(error) as info:
+        eg_solve(market, config)
+    if error is NumericFailure:
+        assert "zero utility" in str(info.value) and info.value.history is not None

@@ -205,3 +205,53 @@ def test_demand_consistency_and_optimality(spec):
         bundles = shares * budget / prices
         best = float(np.max(ces.utility(values, bundles, spec)))
         assert best <= np.exp(log_u_star) + 1e-9
+
+
+FUSED_SPECS = [CesSpec.linear(), CesSpec.general(0.5), CesSpec.general(-1.0),
+               CesSpec.general(-5.0), CesSpec.cobb_douglas(), CesSpec.leontief()]
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
+def test_fused_log_utility_and_gradient_bitwise(spec):
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0.01, 3.0, size=(40, 4))
+    bundle = rng.uniform(1e-3, 5.0, size=(40, 4))
+    bundle[0] = [1e-70, 1.0, 2.0, 3.0]  # (v x)^alpha overflows for alpha = -5
+    bundle[1, 0] = 1e200
+    for v, x in ((values, bundle), (values[0], bundle), (values[3], bundle[3])):
+        log_u, grad = ces.log_utility_and_gradient(v, x, spec)
+        np.testing.assert_array_equal(log_u, ces.log_utility(v, x, spec))
+        np.testing.assert_array_equal(grad, ces.log_utility_gradient(v, x, spec))
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
+def test_fused_kernel_raises_like_separate_calls(spec):
+    values = np.array([[1.0, 2.0, 0.5]])
+    for bundle in ([[1.0, 0.0, 2.0]], [[1.0, -1e-9, 2.0]]):
+        expected = None
+        with np.errstate(divide="ignore"):  # leontief's zero minimum
+            try:
+                ces.log_utility(values, bundle, spec)
+                ces.log_utility_gradient(values, bundle, spec)
+            except InvalidArgument as err:
+                expected = str(err)
+            if expected is None:
+                ces.log_utility_and_gradient(values, bundle, spec)
+            else:
+                with pytest.raises(InvalidArgument, match=expected):
+                    ces.log_utility_and_gradient(values, bundle, spec)
+
+
+@pytest.mark.parametrize("alpha", [-5.0, -1.0, 0.5])
+def test_general_gradient_finite_when_power_overflows(alpha):
+    # (1e-70)^-5 overflows; the gradient is still the normalized weights over x
+    spec = CesSpec.general(alpha)
+    values = np.ones(3)
+    bundle = np.array([1e-70, 1.0, 2.0])
+    grad = ces.log_utility_gradient(values, bundle, spec)
+    assert np.all(np.isfinite(grad))
+    log_s = alpha * np.log(bundle)
+    share = np.exp(log_s - log_s.max()) / np.sum(np.exp(log_s - log_s.max()))
+    np.testing.assert_allclose(grad, share / bundle, rtol=1e-14)
+    if alpha == -5.0:
+        np.testing.assert_allclose(grad, [1e70, 0.0, 0.0], rtol=1e-14, atol=1e-300)
