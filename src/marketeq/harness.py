@@ -79,12 +79,17 @@ class ExperimentConfig:
         if self.method in ("eg", "eg-m") and not isinstance(self.method_config, EgConfig):
             raise InvalidArgument("eg runs need an EgConfig")
 
-    def hash(self) -> str:
+    def hash(self, market: Market | None = None) -> str:
+        """Short digest of the configuration.  Given the market the run used,
+        it also covers that market's contexts and supplies, which the
+        MarketSpec alone does not pin down (a supply override, say)."""
         blob = {
             "market": asdict(self.market),
             "method": self.method,
             "method_config": None if self.method_config is None else asdict(self.method_config),
         }
+        if market is not None:
+            blob["market_sha256"] = market.digest()
         digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode())
         return digest.hexdigest()[:16]
 
@@ -149,7 +154,7 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
         artifacts["candidate"] = str(candidate_path)
 
     record = RunRecord(
-        config_hash=config.hash(),
+        config_hash=config.hash(market),
         method=config.method,
         report=report,
         train_seconds=train_seconds,

@@ -17,6 +17,7 @@ draws, which keeps the block property exact.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,6 +145,13 @@ class Market:
     @property
     def total_budget(self) -> float:
         return float(np.sum(self.budgets))
+
+    def digest(self) -> str:
+        """SHA-256 of the contexts and supplies, everything the solvers see."""
+        h = hashlib.sha256()
+        for array in (self.buyers, self.goods, self.supplies):
+            h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        return h.hexdigest()
 
     def supply(self, j: int) -> float:
         if not 0 <= j < self.m:

@@ -84,6 +84,25 @@ def test_config_hash_stable_and_sensitive():
     assert a.hash() != c.hash()
 
 
+def test_config_hash_covers_the_market_contents(tmp_path):
+    spec = toy_spec()
+    market = spec.build()
+    override = Market(n=market.n, m=market.m, k=market.k, buyers=market.buyers,
+                      goods=market.goods, ces=market.ces, dist=market.dist, seed=market.seed,
+                      supply_override=[1.0, 2.0, 3.0])
+    config = ExperimentConfig(market=spec, method="naive", method_config=None,
+                              out_dir=str(tmp_path / "a"))
+    assert config.hash(market) == config.hash(spec.build())
+    assert config.hash(market) != config.hash(override)
+    assert config.hash(market) != config.hash()  # the spec-only hash still works
+    default_run = run_experiment(config, market)
+    override_run = run_experiment(
+        ExperimentConfig(market=spec, method="naive", method_config=None,
+                         out_dir=str(tmp_path / "b")), override)
+    assert default_run.config_hash == config.hash(market)
+    assert override_run.config_hash != default_run.config_hash
+
+
 def test_evaluate_candidate_shape_mismatch(tmp_path):
     config = ExperimentConfig(market=toy_spec(), method="naive", method_config=None,
                               out_dir=str(tmp_path / "n"))
