@@ -101,6 +101,16 @@ class AllocationNet:
         self.weights, self.biases = _layer_views(self._params, self._dims)
         self._workspace = None
 
+    # copies and pickles carry the flat buffer and rebuild the views onto it
+    def __getstate__(self):
+        state = dict(self.__dict__, _workspace=None)
+        del state["weights"], state["biases"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.weights, self.biases = _layer_views(self._params, self._dims)
+
     @classmethod
     def initialize(cls, context_dim: int, hidden_depth: int = 5, hidden_width: int = 256,
                    seed: int | np.random.SeedSequence = 0) -> "AllocationNet":

@@ -311,9 +311,8 @@ def _eval_candidate(net: AllocationNet, lam, market: Market, population=None):
 
 def _solution_arrays(net: AllocationNet, lam, market: Market, population=None):
     if population is None:
-        x = _full_allocation_normalized(net, market) * _norm_supply(market)
-    else:
-        x = np.multiply(population, _norm_supply(market), out=population)
+        population = _full_allocation_normalized(net, market)
+    x = np.multiply(population, _norm_supply(market), out=population)
     p = np.asarray(lam, dtype=float) / _norm_supply(market)
     return x, p
 

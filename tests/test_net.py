@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,10 @@ def test_parameters_stay_views(tmp_path):
     net.save(tmp_path / "net.npz")
     loaded, _ = AllocationNet.load(tmp_path / "net.npz")
     _assert_views(loaded)
+    copied = copy.deepcopy(net)
+    _assert_views(copied)
+    assert not np.shares_memory(copied._params, net._params)
+    _assert_views(pickle.loads(pickle.dumps(net)))
 
 
 def test_adam_step_matches_allocating_update():
