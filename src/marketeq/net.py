@@ -311,7 +311,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _buffers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_net(cls, net: AllocationNet, lr: float = 1e-4, beta1: float = 0.9,
@@ -332,9 +332,9 @@ def adam_step(state: AdamState, net: AllocationNet, grads) -> None:
         flat = np.concatenate([arr.ravel() for pair in zip(grad_w, grad_b) for arr in pair])
     if flat.shape != state.m.shape:
         raise InvalidArgument("gradient shape does not match optimizer state")
-    if state._scratch is None or state._scratch.shape != (2,) + flat.shape:
-        state._scratch = np.empty((2,) + flat.shape)
-    update, denom = state._scratch
+    if state._buffers is None or state._buffers.shape != (2,) + flat.shape:
+        state._buffers = np.empty((2,) + flat.shape)
+    update, denom = state._buffers
     state.step += 1
     # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
     state.m *= state.beta1
