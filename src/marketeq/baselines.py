@@ -57,10 +57,8 @@ class EgConfig:
     beta_schedule: str = "inv_sqrt"
     beta_scale: float = 1.0
     ng_stop: float | None = 1e-3  # early stop once projected NG drops below
-    lambda_stop: float | None = None  # early stop once max|dlam|/max(lam) drops below
     eval_each_epoch: bool = True
     init: str = "ones"  # "ones": softplus(raw) = 1 everywhere; "demand": fixed-price demand at naive prices
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_size is not None and self.step_size <= 0:
@@ -168,20 +166,14 @@ def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
 
         t_eval = time.perf_counter()
         resid = softplus(raw).mean(axis=0) - 1.0
-        dlam = config.beta(epoch) * config.rho * resid
-        lam = lam + dlam
-        ng = voa = vop = float("nan")
-        if config.eval_each_epoch:
-            ng, voa, vop = _eval(market, raw, lam, y_norm)
+        lam = lam + config.beta(epoch) * config.rho * resid
+        gap = (metrics.projected_gap(market, softplus(raw) * y_norm, lam / y_norm)
+               if config.eval_each_epoch else metrics.NAN_GAP)
         history.append(EpochRecord(
-            epoch=epoch, loss=last_loss, exact_lagrangian=last_loss,
-            ng=ng, voa=voa, vop=vop,
+            epoch=epoch, loss=last_loss, ng=gap.ng, voa=gap.voa, vop=gap.vop,
             train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
         ))
-        if config.ng_stop is not None and np.isfinite(ng) and ng < config.ng_stop:
-            break
-        if (config.lambda_stop is not None
-                and np.max(np.abs(dlam)) < config.lambda_stop * max(np.max(np.abs(lam)), 1e-300)):
+        if config.ng_stop is not None and np.isfinite(gap.ng) and gap.ng < config.ng_stop:
             break
 
     if not keep_state and np.any(lam <= 0):
@@ -216,16 +208,6 @@ def _initial_raw(market: Market, config: EgConfig, y_norm) -> np.ndarray:
     x_hat = np.maximum(x_hat, floor)
     with np.errstate(over="ignore"):
         return np.where(x_hat > 30.0, x_hat, np.log(np.expm1(np.minimum(x_hat, 30.0))))
-
-
-def _eval(market: Market, raw, lam, y_norm):
-    if np.any(lam <= 0):
-        return float("nan"), float("nan"), float("nan")
-    x = softplus(raw) * y_norm
-    p = lam / y_norm
-    x_t, p_t, voa, vop = metrics.project(market, x, p)
-    ng = metrics.lfw(market, p_t) - metrics.lnw(market, x_t)
-    return float(ng), voa, vop
 
 
 __all__ = ["EgConfig", "SolverState", "naive", "eg_solve", "eg_momentum_solve", "step_size_for"]

@@ -87,6 +87,18 @@ class CesSpec:
             return cls.leontief()
         return cls.general(alpha)
 
+    @classmethod
+    def from_label(cls, alpha: float | str) -> "CesSpec":
+        """Inverse of `alpha_label`: a real (1, 0 and -inf are special), its
+        string form, or "leontief"."""
+        if alpha == "leontief":
+            return cls.leontief()
+        try:
+            value = float(alpha)
+        except (TypeError, ValueError) as err:
+            raise InvalidArgument(f"alpha must be a real number or -inf, got {alpha!r}") from err
+        return cls.from_alpha(value)
+
     @property
     def alpha_label(self) -> str:
         if self.regime is Regime.LINEAR:

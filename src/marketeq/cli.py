@@ -60,7 +60,8 @@ def _add_method_args(parser, with_method=True):
     parser.add_argument("--depth", type=int, default=None)
     parser.add_argument("--step-size", type=float, default=None)
     parser.add_argument("--ng-stop", type=float, default=None)
-    parser.add_argument("--method-seed", type=int, default=0)
+    parser.add_argument("--method-seed", type=int, default=0,
+                        help="fcnet initialization and sampling seed (EG is deterministic)")
 
 
 def _method_config(args, method):
@@ -83,7 +84,7 @@ def _method_config(args, method):
         if args.depth is not None:
             kwargs["hidden_depth"] = args.depth
         return TrainConfig(seed=args.method_seed, **kwargs)
-    kwargs = {"momentum": 0.9 if method == "eg-m" else 0.0, "seed": args.method_seed}
+    kwargs = {"momentum": 0.9 if method == "eg-m" else 0.0}
     if args.step_size is not None:
         kwargs["step_size"] = args.step_size
     if args.inner_iters is not None:
@@ -115,10 +116,8 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     market = Market.load(args.market)
     spec = MarketSpec(n=market.n, m=market.m, k=market.k,
-                      dist=market.dist.value if market.dist else "normal",
-                      alpha=market.ces.alpha if market.ces.alpha is not None
-                      else {"linear": 1, "cobb-douglas": 0, "leontief": "-inf"}[market.ces.regime.value],
-                      seed=market.seed if market.seed is not None else 0)
+                      dist=market.dist.value if market.dist else None,
+                      alpha=market.ces.alpha_label, seed=market.seed)
     config = ExperimentConfig(market=spec, method=args.method,
                               method_config=_method_config(args, args.method),
                               out_dir=args.outdir)

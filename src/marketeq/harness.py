@@ -21,45 +21,46 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, trainer
 from .baselines import EgConfig, eg_momentum_solve, eg_solve, naive
 from .ces import CesSpec
 from .errors import InvalidArgument, MarketEqError
 from .market import ContextDistribution, Market, generate_market
-from .trainer import TrainConfig, TrainHistory
+from .trainer import TrainConfig
 
 METHODS = ("naive", "eg", "eg-m", "fcnet")
 
 # dense candidate matrices are only materialized up to this many entries;
 # beyond it the checkpoint + lazy extraction path is the supported route
 DENSE_CANDIDATE_LIMIT = 10**7
+# KKT residuals are certified up to this many allocation entries
+KKT_CANDIDATE_LIMIT = 100_000
 
 SWEEP_COLUMNS = ("method", "n", "m", "alpha", "dist", "ng", "voa", "vop", "seconds", "error")
 
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """The generate_market arguments in serializable form."""
+    """The generate_market arguments in serializable form.  `alpha` is kept as
+    its canonical `CesSpec.alpha_label`; a market given by its contexts has no
+    `dist` and `seed`, and its spec cannot rebuild it."""
 
     n: int = 2**20
     m: int = 10
     k: int = 5
-    dist: str = "normal"
+    dist: str | None = "normal"
     alpha: float | str = 0.5
-    seed: int = 0
+    seed: int | None = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", CesSpec.from_label(self.alpha).alpha_label)
 
     def ces(self) -> CesSpec:
-        if self.alpha in ("-inf", "leontief"):
-            return CesSpec.leontief()
-        try:
-            alpha = float(self.alpha)
-        except ValueError as err:
-            raise InvalidArgument(f"alpha must be a real number or -inf, got {self.alpha!r}") from err
-        return CesSpec.from_alpha(alpha)
+        return CesSpec.from_label(self.alpha)
 
     def build(self) -> Market:
+        if self.dist is None or self.seed is None:
+            raise InvalidArgument("a spec without dist and seed cannot regenerate its market")
         return generate_market(self.n, self.m, self.k, ContextDistribution(self.dist),
                                self.ces(), self.seed)
 
@@ -141,7 +142,7 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
 
     t1 = time.perf_counter()
     report = metrics.evaluate(market, candidate.allocation, candidate.prices,
-                              kkt=market.n * market.m <= 100_000)
+                              kkt=market.n * market.m <= KKT_CANDIDATE_LIMIT)
     eval_seconds = time.perf_counter() - t1
 
     curve_path = None
@@ -178,7 +179,7 @@ def evaluate_candidate_file(market: Market, candidate_path=None, solution_path=N
     if candidate.allocation.shape != (market.n, market.m):
         raise InvalidArgument("candidate shape does not match the market")
     return metrics.evaluate(market, candidate.allocation, candidate.prices,
-                            kkt=market.n * market.m <= 100_000)
+                            kkt=market.n * market.m <= KKT_CANDIDATE_LIMIT)
 
 
 def sweep(market_specs, methods, method_config_factory, out_dir) -> list[dict]:
@@ -225,6 +226,7 @@ __all__ = [
     "METHODS",
     "SWEEP_COLUMNS",
     "DENSE_CANDIDATE_LIMIT",
+    "KKT_CANDIDATE_LIMIT",
     "MarketSpec",
     "ExperimentConfig",
     "RunRecord",

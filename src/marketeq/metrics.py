@@ -240,40 +240,71 @@ def _log_gradient_allowing_boundary(market: Market, x: np.ndarray) -> np.ndarray
     return np.where(x > 0, grad, np.inf)
 
 
+@dataclass(frozen=True)
+class ProjectedGap:
+    """The pair `project` makes of a candidate, with the distances it moved
+    (VoA, VoP) and the Nash gap NG = LFW - LNW measured on it."""
+
+    allocation: np.ndarray | None
+    prices: np.ndarray | None
+    voa: float
+    vop: float
+    lnw: float
+    lfw: float
+
+    @property
+    def ng(self) -> float:
+        return self.lfw - self.lnw
+
+
+# the score of a pair that is not projected
+NAN_GAP = ProjectedGap(None, None, float("nan"), float("nan"), float("nan"), float("nan"))
+
+
+def projected_gap(market: Market, x, p) -> ProjectedGap:
+    """`project` (x, p), then measure NG on the projected pair: the per-epoch
+    score of both solvers and the core of `evaluate`.  A pair with a
+    nonpositive price (a multiplier that cannot stand as a price) gets NAN_GAP."""
+    if np.any(np.asarray(p) <= 0):
+        return NAN_GAP
+    x_t, p_t, voa, vop = project(market, x, p)
+    return ProjectedGap(x_t, p_t, voa, vop, lnw(market, x_t), lfw(market, p_t))
+
+
 def evaluate(market: Market, x, p, kkt: bool = True) -> MetricsReport:
     """Full certification pipeline: project, then all metrics on the projected pair."""
-    x = _check_allocation(market, x)
     p = np.asarray(p, dtype=float)
-    raw_residual = price_residual(market, p)
-    x_t, p_t, voa, vop = project(market, x, p)
-    lnw_value = lnw(market, x_t)
-    lfw_value = lfw(market, p_t)
-    ng = lfw_value - lnw_value
+    if np.any(p <= 0):
+        raise InvalidPrices("prices must be strictly positive to certify a candidate")
+    gap = projected_gap(market, x, p)
     kkt_value = float("nan")
     if kkt and ces.regime_supports_gradient(market.ces):
-        kkt_value = kkt_residuals(market, EquilibriumCandidate(x_t, p_t))
+        kkt_value = kkt_residuals(market, EquilibriumCandidate(gap.allocation, gap.prices))
     return MetricsReport(
-        lnw=lnw_value,
-        lfw=lfw_value,
-        ng=ng,
-        voa=voa,
-        vop=vop,
-        wsw=wsw(market, x_t),
-        price_residual=raw_residual,
+        lnw=gap.lnw,
+        lfw=gap.lfw,
+        ng=gap.ng,
+        voa=gap.voa,
+        vop=gap.vop,
+        wsw=wsw(market, gap.allocation),
+        price_residual=price_residual(market, p),
         kkt_max_residual=kkt_value,
-        degenerate_lnw=not np.isfinite(lnw_value),
+        degenerate_lnw=not np.isfinite(gap.lnw),
     )
 
 
 __all__ = [
     "CSV_COLUMNS",
     "FEASIBILITY_RTOL",
+    "NAN_GAP",
     "EquilibriumCandidate",
     "MetricsReport",
+    "ProjectedGap",
     "lnw",
     "lfw",
     "nash_gap",
     "project",
+    "projected_gap",
     "wsw",
     "price_residual",
     "kkt_residuals",

@@ -251,39 +251,46 @@ class AllocationNet:
     # ---- checkpoints --------------------------------------------------------
 
     def save(self, path, optimizer: "AdamState | None" = None) -> None:
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "context_dim": self.context_dim,
-            "hidden_depth": self.hidden_depth,
-            "hidden_width": self.hidden_width,
-            "params": self.get_flat(),
-        }
-        if optimizer is not None:
-            payload.update(
-                opt_m=optimizer.m, opt_v=optimizer.v, opt_step=optimizer.step,
-                opt_lr=optimizer.lr, opt_beta1=optimizer.beta1,
-                opt_beta2=optimizer.beta2, opt_eps=optimizer.eps,
-            )
-        np.savez(path, **payload)
+        arrays = {} if optimizer is None else dict(
+            opt_m=optimizer.m, opt_v=optimizer.v, opt_step=optimizer.step,
+            opt_lr=optimizer.lr, opt_beta1=optimizer.beta1,
+            opt_beta2=optimizer.beta2, opt_eps=optimizer.eps,
+        )
+        save_checkpoint(path, self, **arrays)
 
     @classmethod
     def load(cls, path):
         """Returns (net, optimizer state or None)."""
-        with np.load(path) as blob:
-            if int(blob["version"]) != CHECKPOINT_VERSION:
-                raise InvalidArgument(f"unsupported checkpoint version {blob['version']}")
-            net = cls.initialize(
-                int(blob["context_dim"]), int(blob["hidden_depth"]), int(blob["hidden_width"])
+        net, arrays = load_checkpoint(path)
+        state = None
+        if "opt_m" in arrays:
+            state = AdamState(
+                m=arrays["opt_m"], v=arrays["opt_v"], step=int(arrays["opt_step"]),
+                lr=float(arrays["opt_lr"]), beta1=float(arrays["opt_beta1"]),
+                beta2=float(arrays["opt_beta2"]), eps=float(arrays["opt_eps"]),
             )
-            net.set_flat(blob["params"])
-            state = None
-            if "opt_m" in blob:
-                state = AdamState(
-                    m=blob["opt_m"].copy(), v=blob["opt_v"].copy(), step=int(blob["opt_step"]),
-                    lr=float(blob["opt_lr"]), beta1=float(blob["opt_beta1"]),
-                    beta2=float(blob["opt_beta2"]), eps=float(blob["opt_eps"]),
-                )
         return net, state
+
+
+def save_checkpoint(path, net: AllocationNet, **arrays) -> None:
+    """Write the net's architecture and parameters, then `arrays` by name,
+    as one versioned .npz file (the format of every marketeq checkpoint)."""
+    np.savez(path, version=CHECKPOINT_VERSION, context_dim=net.context_dim,
+             hidden_depth=net.hidden_depth, hidden_width=net.hidden_width,
+             params=net.get_flat(), **arrays)
+
+
+def load_checkpoint(path):
+    """Inverse of save_checkpoint: returns (net, every array in the file by name)."""
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    if int(arrays["version"]) != CHECKPOINT_VERSION:
+        raise InvalidArgument(f"unsupported checkpoint version {arrays['version']}")
+    net = AllocationNet.initialize(
+        int(arrays["context_dim"]), int(arrays["hidden_depth"]), int(arrays["hidden_width"])
+    )
+    net.set_flat(arrays["params"])
+    return net, arrays
 
 
 def loss_gradient(net: AllocationNet, inputs: np.ndarray, loss_fn):
@@ -354,4 +361,4 @@ def adam_step(state: AdamState, net: AllocationNet, grads) -> None:
 
 
 __all__ = ["AllocationNet", "AdamState", "Gradients", "adam_step", "loss_gradient",
-           "CHECKPOINT_VERSION"]
+           "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]

@@ -72,10 +72,6 @@ def _scaled(profile: str, full: int) -> int:
     return max(1, full // 10) if profile == "quick" else full
 
 
-def _spec_for(alpha):
-    return CesSpec.cobb_douglas() if alpha == 0.0 else CesSpec.general(alpha)
-
-
 def _witness_market(market: Market, **extra):
     doc = market.to_json()
     doc.update(extra)
@@ -216,7 +212,7 @@ def prop_nash_gap_nonnegative(rng, profile):
     check = _Check()
     per_regime = _scaled(profile, 1000)
     for alpha in (0.0, 0.5):
-        spec = _spec_for(alpha)
+        spec = CesSpec.from_alpha(alpha)
         for _ in range(per_regime):
             market = generate_market(int(rng.integers(2, 51)), int(rng.integers(2, 6)), 5,
                                      ContextDistribution.STANDARD_NORMAL, spec,
@@ -538,7 +534,7 @@ def prop_eg_oracle_agreement(rng, profile):
     for _ in range(_scaled(profile, 20)):
         alpha = float(rng.choice([0.0, 0.5]))
         market = generate_market(int(rng.integers(5, 101)), int(rng.integers(2, 6)), 5,
-                                 ContextDistribution.STANDARD_NORMAL, _spec_for(alpha),
+                                 ContextDistribution.STANDARD_NORMAL, CesSpec.from_alpha(alpha),
                                  int(rng.integers(2**31)))
         ok = True
         worst = 0.0

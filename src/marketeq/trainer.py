@@ -16,7 +16,6 @@ the exact multiplier pass and the evaluation sweep touch all n buyers.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ import numpy as np
 from . import ces, metrics
 from .errors import InvalidArgument, InvalidPrices, NumericFailure
 from .market import Market, softplus
-from .net import AdamState, AllocationNet, adam_step
+from .net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
 
 _EVAL_CHUNK = 8192  # buyers per forward chunk in full-population passes
 
@@ -48,7 +47,6 @@ class TrainConfig:
     hidden_width: int = 256
     seed: int = 0
     eval_each_epoch: bool = True
-    record_exact_lagrangian: bool = False
     checkpoint_dir: str | None = None  # when set, write net_epoch_###.npz after each epoch
 
     def __post_init__(self):
@@ -64,7 +62,6 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     loss: float  # mean minibatch Lagrangian estimate over the epoch
-    exact_lagrangian: float
     ng: float
     voa: float
     vop: float
@@ -96,15 +93,11 @@ class TrainHistory:
     def to_json(self) -> list:
         return [
             {
-                "epoch": rec.epoch, "loss": rec.loss, "exact_lagrangian": rec.exact_lagrangian,
-                "ng": rec.ng, "voa": rec.voa, "vop": rec.vop,
+                "epoch": rec.epoch, "loss": rec.loss, "ng": rec.ng, "voa": rec.voa, "vop": rec.vop,
                 "train_seconds": rec.train_seconds, "eval_seconds": rec.eval_seconds,
             }
             for rec in self.records
         ]
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
 
 def _norm_supply(market: Market) -> np.ndarray:
@@ -279,37 +272,23 @@ def train(market: Market, config: TrainConfig, buyer_sampler=None):
                                 config.batch_size_multiplier,
                                 sampler if config.batch_size_multiplier else None,
                                 allocation=population)
-        exact = float("nan")
-        if config.record_exact_lagrangian:
-            exact = exact_lagrangian(net, lam, config.rho, market)
-        ng = voa = vop = float("nan")
-        if config.eval_each_epoch:
-            ng, voa, vop = _eval_candidate(net, lam, market, population)
+        gap = (metrics.projected_gap(market, *_solution_arrays(net, lam, market, population))
+               if config.eval_each_epoch else metrics.NAN_GAP)
         population = None
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir)
             path.mkdir(parents=True, exist_ok=True)
             net.save(path / f"net_epoch_{epoch:03d}.npz", optimizer=adam)
         history.append(EpochRecord(
-            epoch=epoch, loss=loss_sum / config.inner_iters, exact_lagrangian=exact,
-            ng=ng, voa=voa, vop=vop,
+            epoch=epoch, loss=loss_sum / config.inner_iters, ng=gap.ng, voa=gap.voa, vop=gap.vop,
             train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
         ))
     return net, lam, history
 
 
-def _eval_candidate(net: AllocationNet, lam, market: Market, population=None):
-    """Projected (NG, VoA, VoP) of the net's candidate; consumes `population`,
-    the net's normalized full-population allocation, when given."""
-    if np.any(lam <= 0):
-        return float("nan"), float("nan"), float("nan")
-    x, p = _solution_arrays(net, lam, market, population)
-    x_t, p_t, voa, vop = metrics.project(market, x, p)
-    ng = metrics.lfw(market, p_t) - metrics.lnw(market, x_t)
-    return float(ng), voa, vop
-
-
 def _solution_arrays(net: AllocationNet, lam, market: Market, population=None):
+    """Physical (x, p) of the net's candidate; consumes `population`, the net's
+    normalized full-population allocation, when given."""
     if population is None:
         population = _full_allocation_normalized(net, market)
     x = np.multiply(population, _norm_supply(market), out=population)
@@ -319,25 +298,13 @@ def _solution_arrays(net: AllocationNet, lam, market: Market, population=None):
 
 def save_solution(path, net: AllocationNet, multipliers) -> None:
     """Checkpoint the trained pair (network, multipliers) as one .npz blob."""
-    payload = {
-        "version": 1,
-        "context_dim": net.context_dim,
-        "hidden_depth": net.hidden_depth,
-        "hidden_width": net.hidden_width,
-        "params": net.get_flat(),
-        "multipliers": np.asarray(multipliers, dtype=float),
-    }
-    np.savez(path, **payload)
+    save_checkpoint(path, net, multipliers=np.asarray(multipliers, dtype=float))
 
 
 def load_solution(path):
     """Inverse of save_solution; returns (net, multipliers)."""
-    with np.load(path) as blob:
-        net = AllocationNet.initialize(
-            int(blob["context_dim"]), int(blob["hidden_depth"]), int(blob["hidden_width"]))
-        net.set_flat(blob["params"])
-        lam = blob["multipliers"].copy()
-    return net, lam
+    net, arrays = load_checkpoint(path)
+    return net, arrays["multipliers"]
 
 
 def extract_solution(net: AllocationNet, multipliers, market: Market) -> metrics.EquilibriumCandidate:

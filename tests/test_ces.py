@@ -14,6 +14,19 @@ def test_spec_construction():
     assert CesSpec.from_alpha(0.0).regime is Regime.COBB_DOUGLAS
     assert CesSpec.from_alpha(-np.inf).regime is Regime.LEONTIEF
     assert CesSpec.from_alpha(0.5).alpha == 0.5
+    # from_label inverts alpha_label and takes reals in either form
+    for spec in ALL_SPECS:
+        assert CesSpec.from_label(spec.alpha_label) == spec
+    for label in (1, "1", 1.0, "1.0"):
+        assert CesSpec.from_label(label) == CesSpec.linear()
+    for label in (0, "0", 0.0, "0.0"):
+        assert CesSpec.from_label(label) == CesSpec.cobb_douglas()
+    for label in (-np.inf, "-inf", "leontief"):
+        assert CesSpec.from_label(label) == CesSpec.leontief()
+    assert CesSpec.from_label("0.5") == CesSpec.from_label(0.5) == CesSpec.general(0.5)
+    for bad in ("bogus", None, "inf", 2.0):
+        with pytest.raises(InvalidArgument):
+            CesSpec.from_label(bad)
     with pytest.raises(InvalidArgument):
         CesSpec.general(1.0)
     with pytest.raises(InvalidArgument):

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from marketeq import cli
 from marketeq.baselines import EgConfig
 from marketeq.cli import main
+from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument
 from marketeq.harness import (
     ExperimentConfig,
@@ -16,6 +18,8 @@ from marketeq.harness import (
 )
 from marketeq.market import Market
 from marketeq.trainer import TrainConfig
+
+from helpers import market_from_values
 
 
 def toy_spec(**overrides):
@@ -82,6 +86,17 @@ def test_config_hash_stable_and_sensitive():
     c = ExperimentConfig(market=toy_spec(seed=6), method="naive", method_config=None, out_dir="x")
     assert a.hash() == b.hash()  # output dir is not part of the identity
     assert a.hash() != c.hash()
+
+
+def test_market_spec_canonical_alpha():
+    assert MarketSpec(alpha=0.5) == MarketSpec(alpha="0.5")
+    assert hash(MarketSpec(alpha=0.5)) == hash(MarketSpec(alpha="0.5"))
+    a = ExperimentConfig(market=toy_spec(alpha=0.5), method="naive", method_config=None, out_dir="x")
+    b = ExperimentConfig(market=toy_spec(alpha="0.5"), method="naive", method_config=None, out_dir="x")
+    assert a.hash() == b.hash()
+    assert MarketSpec(alpha=1).alpha == "1" and MarketSpec(alpha="leontief").alpha == "-inf"
+    with pytest.raises(InvalidArgument):
+        MarketSpec(alpha="bogus")
 
 
 def test_config_hash_covers_the_market_contents(tmp_path):
@@ -160,6 +175,28 @@ def test_cli_generate_run_evaluate_roundtrip(tmp_path, capsys):
                  "--out", str(report_path)]) == 0
     doc = json.loads(report_path.read_text())
     assert doc["voa"] == 0.0
+
+
+def test_cli_run_keeps_a_context_market_unseeded(tmp_path, monkeypatch):
+    market = market_from_values([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]], [1.0, 2.0, 1.5],
+                                CesSpec.general(-1.0))
+    market_path = tmp_path / "market.json"
+    market.save(market_path)
+    configs = []
+
+    def recording_run(config, market):
+        configs.append(config)
+        return run_experiment(config, market)
+
+    monkeypatch.setattr(cli, "run_experiment", recording_run)
+    assert main(["run", "--market", str(market_path), "--method", "naive",
+                 "--outdir", str(tmp_path / "run")]) == 0
+    spec = configs[0].market
+    assert (spec.n, spec.m, spec.alpha, spec.dist, spec.seed) == (3, 2, "-1.0", None, None)
+    assert (tmp_path / "run" / "summary.json").exists()
+    # the spec must not regenerate some other market from an invented seed
+    with pytest.raises(InvalidArgument):
+        spec.build()
 
 
 def test_cli_sweep(tmp_path):

@@ -212,6 +212,30 @@ def test_evaluate_report_roundtrip():
     assert set(metrics.CSV_COLUMNS) <= set(doc)
 
 
+def test_projected_gap_is_the_evaluate_gap():
+    rng = np.random.default_rng(12)
+    mkt = random_market(rng, 6, 3, CesSpec.general(-1.0))
+    x = rng.uniform(0.1, 2.0, size=(6, 3))
+    p = rng.uniform(0.1, 2.0, size=3)
+    gap = metrics.projected_gap(mkt, x, p)
+    report = metrics.evaluate(mkt, x, p)
+    assert gap.ng == report.ng
+    assert (gap.lnw, gap.lfw, gap.voa, gap.vop) == (report.lnw, report.lfw, report.voa, report.vop)
+    x_t, p_t, _, _ = metrics.project(mkt, x, p)
+    np.testing.assert_array_equal(gap.allocation, x_t)
+    np.testing.assert_array_equal(gap.prices, p_t)
+    for bad in (0.0, -0.5):
+        q = p.copy()
+        q[1] = bad
+        nan_gap = metrics.projected_gap(mkt, x, q)
+        assert all(np.isnan(v) for v in (nan_gap.ng, nan_gap.voa, nan_gap.vop,
+                                          nan_gap.lnw, nan_gap.lfw))
+        assert nan_gap.allocation is None and nan_gap.prices is None
+        # a solver's NaN score is no certificate: evaluate rejects the pair
+        with pytest.raises(InvalidPrices):
+            metrics.evaluate(mkt, x, q)
+
+
 def test_candidate_validation_and_io(tmp_path):
     with pytest.raises(InvalidArgument):
         EquilibriumCandidate(np.array([[-0.1]]), np.array([1.0]))

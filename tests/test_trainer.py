@@ -16,7 +16,9 @@ from marketeq.trainer import (
     exact_lagrangian,
     exact_lagrangian_terms,
     extract_solution,
+    load_solution,
     multiplier_update,
+    save_solution,
     train,
 )
 
@@ -138,7 +140,7 @@ def test_multiplier_update_full_batch_equals_exact():
 def test_shared_population_forward_is_bitwise():
     # train() feeds one full-population forward to both the multiplier
     # update and the evaluation sweep; both must match their own passes
-    from marketeq.trainer import _EVAL_CHUNK, _eval_candidate, _full_allocation_normalized
+    from marketeq.trainer import _EVAL_CHUNK, _full_allocation_normalized, _solution_arrays
 
     rng = np.random.default_rng(9)
     market = random_market(rng, _EVAL_CHUNK + 37, 2, CesSpec.general(0.5))
@@ -148,7 +150,9 @@ def test_shared_population_forward_is_bitwise():
     np.testing.assert_array_equal(
         multiplier_update(lam, net, market, 0.5, 0.7, allocation=population),
         multiplier_update(lam, net, market, 0.5, 0.7))
-    assert _eval_candidate(net, lam, market, population) == _eval_candidate(net, lam, market)
+    shared = metrics.projected_gap(market, *_solution_arrays(net, lam, market, population))
+    own = metrics.projected_gap(market, *_solution_arrays(net, lam, market))
+    assert (shared.ng, shared.voa, shared.vop) == (own.ng, own.voa, own.vop)
     with pytest.raises(InvalidArgument):
         multiplier_update(lam, net, market, 0.5, 0.7, allocation=np.ones((3, 2)))
 
@@ -212,6 +216,23 @@ def test_extract_solution_contract():
             assert cand.allocation[i, j] == pytest.approx(
                 net.forward(market.buyers[i], market.goods[j]), rel=1e-12)
     np.testing.assert_array_equal(cand.prices, [1.0, 2.0])
+
+
+def test_solution_checkpoint_roundtrip_and_version(tmp_path):
+    net = AllocationNet.initialize(3, 2, 8, seed=8)
+    path = tmp_path / "solution.npz"
+    save_solution(path, net, [0.5, 2.0])
+    loaded, lam = load_solution(path)
+    np.testing.assert_array_equal(loaded.get_flat(), net.get_flat())
+    np.testing.assert_array_equal(lam, [0.5, 2.0])
+    with np.load(path) as blob:
+        assert blob.files == ["version", "context_dim", "hidden_depth", "hidden_width",
+                              "params", "multipliers"]
+        arrays = dict(blob)
+    arrays["version"] = 2
+    np.savez(path, **arrays)
+    with pytest.raises(InvalidArgument):
+        load_solution(path)
 
 
 def test_train_checkpoints_each_epoch(tmp_path):
