@@ -42,8 +42,9 @@ SWEEP_COLUMNS = ("method", "n", "m", "alpha", "dist", "ng", "voa", "vop", "secon
 @dataclass(frozen=True)
 class MarketSpec:
     """The generate_market arguments in serializable form.  `alpha` is kept as
-    its canonical `CesSpec.alpha_label`; a market given by its contexts has no
-    `dist` and `seed`, and its spec cannot rebuild it."""
+    its canonical `CesSpec.alpha_label` and `dist` as a `ContextDistribution`
+    value; a market given by its contexts has no `dist` and `seed`, and its
+    spec cannot rebuild it."""
 
     n: int = 2**20
     m: int = 10
@@ -54,6 +55,12 @@ class MarketSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", CesSpec.from_label(self.alpha).alpha_label)
+        if self.dist is not None:
+            try:
+                object.__setattr__(self, "dist", ContextDistribution(self.dist).value)
+            except ValueError as err:
+                names = [d.value for d in ContextDistribution]
+                raise InvalidArgument(f"dist must be one of {names}, got {self.dist!r}") from err
 
     def ces(self) -> CesSpec:
         return CesSpec.from_label(self.alpha)

@@ -138,7 +138,17 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_contexts, lam, rho, market, want
     x_phys = x_hat * y_norm  # physical bundles; identical to x_hat by default
     x1, x2 = x_hat[:half], x_hat[half:]
 
-    log_u = ces.log_utility(values[:half], x_phys[:half], market.ces)
+    utility_args = (values[:half], x_phys[:half], market.ces)
+    boundary = None
+    if want_grad:
+        try:
+            log_u, dlog_u = ces.log_utility_and_gradient(*utility_args)
+        except InvalidArgument as err:
+            # a bundle on the boundary: zero utility and overflow outrank it,
+            # so it is raised only after those checks
+            log_u, boundary = ces.log_utility(*utility_args), err
+    else:
+        log_u = ces.log_utility(*utility_args)
     if not np.all(np.isfinite(log_u)):
         raise NumericFailure("a sampled buyer has zero or non-finite utility")
     obj = -float(budgets[:half] @ log_u) / half
@@ -149,8 +159,9 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_contexts, lam, rho, market, want
         raise NumericFailure("the Lagrangian estimate overflowed")
     if not want_grad:
         return (obj, mult, quad), None
+    if boundary is not None:
+        raise boundary
 
-    dlog_u = ces.log_utility_gradient(values[:half], x_phys[:half], market.ces)
     grad = np.empty_like(x_hat)
     grad[:half] = (
         -(budgets[:half, None] * dlog_u) * y_norm / half

@@ -138,7 +138,10 @@ def test_homogeneity():
             x = np.exp(rng.uniform(-2, 2, m))
             u = ces.utility(v, x, spec)
             for lam in (0.5, 2.0, 10.0):
-                assert ces.utility(v, lam * x, spec) == pytest.approx(lam * u, rel=1e-12)
+                scaled = ces.utility(v, lam * x, spec)
+                assert scaled == pytest.approx(lam * u, rel=1e-12)
+                # relative, without approx's 1e-12 absolute floor
+                assert abs(scaled - lam * u) <= 1e-12 * lam * u
 
 
 def test_fixed_price_linear_best_bang():

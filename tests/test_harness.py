@@ -16,7 +16,7 @@ from marketeq.harness import (
     run_experiment,
     sweep,
 )
-from marketeq.market import Market
+from marketeq.market import ContextDistribution, Market
 from marketeq.trainer import TrainConfig
 
 from helpers import market_from_values
@@ -97,6 +97,9 @@ def test_market_spec_canonical_alpha():
     assert MarketSpec(alpha=1).alpha == "1" and MarketSpec(alpha="leontief").alpha == "-inf"
     with pytest.raises(InvalidArgument):
         MarketSpec(alpha="bogus")
+    assert MarketSpec(dist=ContextDistribution.UNIFORM01) == MarketSpec(dist="uniform")
+    with pytest.raises(InvalidArgument):
+        MarketSpec(dist="bogus")
 
 
 def test_config_hash_covers_the_market_contents(tmp_path):
@@ -245,7 +248,7 @@ def test_cli_evaluate_max_ng_exit_code(tmp_path):
                  "--max-ng", "1e-9"]) == 4
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--market", str(missing), "--method", "naive"]) == 3
     bad_market = tmp_path / "bad.json"
@@ -253,3 +256,7 @@ def test_cli_error_exit_codes(tmp_path):
                                       "dist": None, "regime": "linear",
                                       "alpha": None, "seed": None}))
     assert main(["run", "--market", str(bad_market), "--method", "naive"]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--methods", "naive", "--n-list", "8", "--m-list", "2",
+                 "--dist-list", "bogus", "--k", "3", "--outdir", str(tmp_path / "sw")]) == 2
+    assert "invalid arguments" in capsys.readouterr().err

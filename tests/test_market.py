@@ -72,10 +72,11 @@ def test_softplus_and_slope_bitwise():
 
 def test_generate_deterministic():
     spec = CesSpec.general(0.5)
-    a = generate_market(20, 4, 3, ContextDistribution.STANDARD_NORMAL, spec, 123)
-    b = generate_market(20, 4, 3, ContextDistribution.STANDARD_NORMAL, spec, 123)
-    assert np.array_equal(a.buyers, b.buyers)
-    assert np.array_equal(a.goods, b.goods)
+    for dist in ContextDistribution:
+        a = generate_market(20, 4, 3, dist, spec, 123)
+        b = generate_market(20, 4, 3, dist, spec, 123)
+        assert np.array_equal(a.buyers, b.buyers)
+        assert np.array_equal(a.goods, b.goods)
 
 
 def test_generate_entity_streams_independent_of_n():

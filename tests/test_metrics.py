@@ -148,6 +148,14 @@ def test_project_idempotent():
     np.testing.assert_allclose(x2, x1, atol=1e-12)
     np.testing.assert_allclose(p2, p1, atol=1e-12)
     assert voa2 <= 1e-12 and vop2 <= 1e-12
+    for _ in range(20):
+        mkt = random_market(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)),
+                            CesSpec.general(0.5), k=4)
+        x = rng.uniform(0.05, 3.0, size=(mkt.n, mkt.m))
+        p = rng.uniform(0.05, 3.0, size=mkt.m)
+        x1, p1, _, _ = metrics.project(mkt, x, p)
+        x2, p2, _, _ = metrics.project(mkt, x1, p1)
+        assert max(np.max(np.abs(x2 - x1)), np.max(np.abs(p2 - p1))) <= 1e-12
 
 
 def test_project_undefined_cases():
@@ -181,6 +189,38 @@ def test_kkt_residuals_at_oracle_and_perturbed():
     x[0, 0] *= 1.1
     x_t, p_t, _, _ = metrics.project(mkt, x, res.candidate.prices)
     assert metrics.kkt_residuals(mkt, EquilibriumCandidate(x_t, p_t)) > 1e-3
+
+    # NG is second order in the distance to equilibrium: a 1e-5 relative
+    # perturbation of the allocation keeps it below 1e-8, and stationarity
+    # must then still hold to 1e-3
+    for _ in range(30):
+        mkt = random_market(rng, int(rng.integers(2, 20)), int(rng.integers(2, 5)),
+                            CesSpec.cobb_douglas())
+        res = cobb_douglas_equilibrium(mkt)
+        x_star = res.candidate.allocation
+        x = x_star * (1.0 + 1e-5 * rng.standard_normal(x_star.shape))
+        x_t, p_t, _, _ = metrics.project(mkt, x, res.candidate.prices)
+        assert metrics.nash_gap(mkt, x_t, p_t) <= 1e-8
+        assert metrics.kkt_residuals(mkt, EquilibriumCandidate(x_t, p_t)) <= 1e-3
+
+
+def test_welfare_saddle_point():
+    # over projected pairs, LNW never exceeds and LFW never undercuts the
+    # optimum LNW(x*) = LFW(p*)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        mkt = random_market(rng, 8, 3, CesSpec.cobb_douglas())
+        opt = metrics.lnw(mkt, cobb_douglas_equilibrium(mkt).candidate.allocation)
+        best_lnw, worst_lfw = -np.inf, np.inf
+        for _ in range(400):
+            x = rng.uniform(0.05, 3.0, size=(mkt.n, mkt.m))
+            p = rng.uniform(0.05, 3.0, size=mkt.m)
+            x_t, p_t, _, _ = metrics.project(mkt, x, p)
+            best_lnw = max(best_lnw, metrics.lnw(mkt, x_t))
+            worst_lfw = min(worst_lfw, metrics.lfw(mkt, p_t))
+        assert worst_lfw >= best_lnw - 1e-9
+        assert best_lnw <= opt + 1e-9
+        assert worst_lfw >= opt - 1e-9
 
 
 def test_kkt_residuals_naive_positive():

@@ -4,7 +4,7 @@ import pytest
 from marketeq import metrics
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, UnsupportedRegime
-from marketeq.market import ContextDistribution, generate_market
+from marketeq.market import ContextDistribution, Market, generate_market
 from marketeq.oracle import (
     cobb_douglas_equilibrium,
     numeric_equilibrium,
@@ -40,6 +40,25 @@ def test_cobb_douglas_single_buyer():
     v_t = values.sum()
     expected = budgets[0] * values[0] / (v_t * mkt.supplies)
     np.testing.assert_allclose(res.candidate.prices, expected, rtol=1e-12)
+
+
+def test_equilibrium_scaling_covariance():
+    # scaling every budget by beta scales the equilibrium prices by beta and
+    # leaves the allocation fixed
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        n, m = int(rng.integers(2, 30)), int(rng.integers(2, 6))
+        mkt = random_market(rng, n, m, CesSpec.cobb_douglas())
+        beta = float(np.exp(rng.uniform(-1.5, 1.5)))
+        # same inner products, so the same values; budgets scale by beta
+        scaled = Market(n=n, m=m, k=mkt.k, buyers=mkt.buyers * beta, goods=mkt.goods / beta,
+                        ces=mkt.ces)
+        base = cobb_douglas_equilibrium(mkt).candidate
+        bumped = cobb_douglas_equilibrium(scaled).candidate
+        p_err = np.max(np.abs(bumped.prices - beta * base.prices) / (beta * base.prices))
+        x_err = np.max(np.abs(bumped.allocation - base.allocation)
+                       / np.maximum(base.allocation, 1e-300))
+        assert p_err <= 1e-10 and x_err <= 1e-10
 
 
 def test_cobb_douglas_regime_check():

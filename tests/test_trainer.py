@@ -157,6 +157,26 @@ def test_shared_population_forward_is_bitwise():
         multiplier_update(lam, net, market, 0.5, 0.7, allocation=np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("spec, error", [
+    (CesSpec.cobb_douglas(), NumericFailure),  # zero utility outranks the boundary
+    (CesSpec.general(-1.0), NumericFailure),
+    (CesSpec.general(0.5), InvalidArgument),  # a zero component alone is a boundary
+])
+def test_lagrangian_boundary_error_precedence(spec, error):
+    from marketeq.trainer import _lagrangian_terms_from_outputs
+
+    market = random_market(np.random.default_rng(10), 6, 3, spec)
+    contexts = market.buyers[:4]
+    x_hat = np.ones((4, 3))
+    x_hat[0, 1] = 0.0
+    with np.errstate(divide="ignore"), pytest.raises(error):
+        _lagrangian_terms_from_outputs(x_hat, contexts, np.ones(3), 0.2, market, want_grad=True)
+    if error is InvalidArgument:  # the value alone is defined there
+        terms, grad = _lagrangian_terms_from_outputs(x_hat, contexts, np.ones(3), 0.2, market,
+                                                     want_grad=False)
+        assert np.all(np.isfinite(terms)) and grad is None
+
+
 def test_train_single_pair_market():
     market = market_from_values([[1.0]], [1.0], CesSpec.linear())
     config = TrainConfig(batch_size_loss=8, hidden_width=16, hidden_depth=2, rho=1.0,
