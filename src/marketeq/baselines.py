@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class EgConfig:
     size" (the tuned table above; 1000 inner iterations when n > 1000, else
     100).  beta_schedule is "inv_sqrt" (beta_t = beta_scale/sqrt(t)) or
     "constant" (beta_t = beta_scale); the latter is what the high-precision
-    reference configuration uses.
+    reference configuration uses.  eg_solve takes momentum 0 and
+    eg_momentum_solve a positive momentum.
     """
 
     step_size: float | None = None
@@ -57,8 +58,6 @@ class EgConfig:
     beta_schedule: str = "inv_sqrt"
     beta_scale: float = 1.0
     ng_stop: float | None = 1e-3  # early stop once projected NG drops below
-    eval_each_epoch: bool = True
-    init: str = "ones"  # "ones": softplus(raw) = 1 everywhere; "demand": fixed-price demand at naive prices
 
     def __post_init__(self):
         if self.step_size is not None and self.step_size <= 0:
@@ -67,10 +66,10 @@ class EgConfig:
             raise InvalidArgument("momentum must lie in [0, 1)")
         if self.rho <= 0 or self.epochs < 1:
             raise InvalidArgument("rho must be > 0 and epochs >= 1")
+        if self.inner_iters is not None and self.inner_iters < 1:
+            raise InvalidArgument("inner iterations must be >= 1 when given")
         if self.beta_schedule not in ("inv_sqrt", "constant"):
             raise InvalidArgument("beta_schedule must be 'inv_sqrt' or 'constant'")
-        if self.init not in ("ones", "demand"):
-            raise InvalidArgument("init must be 'ones' or 'demand'")
 
     def beta(self, epoch: int) -> float:
         if self.beta_schedule == "constant":
@@ -102,12 +101,40 @@ def eg_momentum_solve(market: Market, config: EgConfig | None = None):
     """Heavy-ball variant; momentum defaults to 0.9."""
     config = config or EgConfig(momentum=0.9)
     if config.momentum == 0.0:
-        config = replace(config, momentum=0.9)
+        raise InvalidArgument("eg_momentum_solve needs momentum > 0; use eg_solve")
     return _solve(market, config)
 
 
-def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
-            keep_state: bool = False):
+def _solve(market: Market, config: EgConfig):
+    """Descend from the naive start, scoring every epoch by its projected NG."""
+    y_norm = market.supplies / market.n
+    history = TrainHistory()
+    epochs = descend(market, config, np.full((market.n, market.m), _RAW_AT_ONE))
+    try:
+        for epoch, raw, lam, loss, train_seconds in epochs:
+            t_eval = time.perf_counter()
+            x = softplus(raw) * y_norm
+            gap = metrics.projected_gap(market, x, lam / y_norm)
+            history.append(EpochRecord(
+                epoch=epoch, loss=loss, ng=gap.ng, voa=gap.voa, vop=gap.vop,
+                train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
+            ))
+            if config.ng_stop is not None and np.isfinite(gap.ng) and gap.ng < config.ng_stop:
+                break
+    except NumericFailure as err:
+        raise NumericFailure(f"epoch {len(history) + 1}: {err}", history=history) from err
+    if np.any(lam <= 0):
+        raise InvalidPrices("a multiplier ended nonpositive; the run cannot stand as prices")
+    return metrics.EquilibriumCandidate(x, lam / y_norm), history
+
+
+def descend(market: Market, config: EgConfig, raw: np.ndarray):
+    """The EG descent loop from the raw parameters `raw`, which it updates in
+    place.  Each epoch runs `inner_iters` gradient steps on the penalized
+    Lagrangian and one dual step on the multipliers, then yields
+    (epoch, raw, multipliers, loss, train_seconds) for epochs 1..config.epochs.
+    `ng_stop` is left to the caller; a buyer reaching zero utility or diverging
+    parameters raise NumericFailure."""
     eta = config.step_size if config.step_size is not None else step_size_for(market)
     inner = config.inner_iters if config.inner_iters is not None else (
         1000 if market.n > 1000 else 100)
@@ -115,20 +142,12 @@ def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
     budgets = market.budgets
     values = market.values
     spec = market.ces
-
-    if state is None:
-        raw = _initial_raw(market, config, y_norm)
-        velocity = np.zeros_like(raw)
-        lam = np.ones(market.m)
-        epoch0 = 0
-    else:
-        raw, velocity, lam, epoch0 = state.raw, state.velocity, state.lam, state.epoch
-    history = TrainHistory()
+    velocity = np.zeros_like(raw)
+    lam = np.ones(market.m)
     finite = np.empty(raw.shape, dtype=bool)
 
-    for epoch in range(epoch0 + 1, epoch0 + config.epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         t_start = time.perf_counter()
-        last_loss = float("nan")
         for _ in range(inner):
             x_hat, slope = softplus_and_slope(raw)
             resid = x_hat.mean(axis=0) - 1.0
@@ -139,10 +158,10 @@ def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
                 # a bundle reached the boundary; a buyer left with zero
                 # utility is reported first, as the descent's failure
                 if not np.all(np.isfinite(ces.log_utility(values, x_phys, spec))):
-                    raise NumericFailure(_ZERO_UTILITY, history=history) from None
+                    raise NumericFailure(_ZERO_UTILITY) from None
                 raise
             if not np.all(np.isfinite(log_u)):
-                raise NumericFailure(_ZERO_UTILITY, history=history)
+                raise NumericFailure(_ZERO_UTILITY)
             # grad_raw = (-(B * dlog_u) * y_norm + lam + rho * resid) / n * slope,
             # formed in the gradient's own buffer
             np.multiply(budgets[:, None], grad, out=grad)
@@ -158,56 +177,13 @@ def _solve(market: Market, config: EgConfig, state: "SolverState | None" = None,
             else:
                 raw -= np.multiply(eta, grad, out=grad)
             if not np.isfinite(raw, out=finite).all():
-                raise NumericFailure("parameters diverged; lower the step size", history=history)
-        last_loss = float(
+                raise NumericFailure("parameters diverged; lower the step size")
+        loss = float(
             -(budgets @ log_u) / market.n + lam @ resid + config.rho / 2.0 * resid @ resid
         )
-        train_seconds = time.perf_counter() - t_start
-
-        t_eval = time.perf_counter()
         resid = softplus(raw).mean(axis=0) - 1.0
         lam = lam + config.beta(epoch) * config.rho * resid
-        gap = (metrics.projected_gap(market, softplus(raw) * y_norm, lam / y_norm)
-               if config.eval_each_epoch else metrics.NAN_GAP)
-        history.append(EpochRecord(
-            epoch=epoch, loss=last_loss, ng=gap.ng, voa=gap.voa, vop=gap.vop,
-            train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
-        ))
-        if config.ng_stop is not None and np.isfinite(gap.ng) and gap.ng < config.ng_stop:
-            break
-
-    if not keep_state and np.any(lam <= 0):
-        raise InvalidPrices("a multiplier ended nonpositive; the run cannot stand as prices")
-    x = softplus(raw) * y_norm
-    p = lam / y_norm
-    candidate = metrics.EquilibriumCandidate(x, p)
-    if keep_state:
-        return candidate, history, SolverState(raw=raw, velocity=velocity, lam=lam, epoch=epoch)
-    return candidate, history
+        yield epoch, raw, lam, loss, time.perf_counter() - t_start
 
 
-@dataclass
-class SolverState:
-    """Resumable mid-run solver state (used by the segmented reference solves)."""
-
-    raw: np.ndarray
-    velocity: np.ndarray
-    lam: np.ndarray
-    epoch: int
-
-
-def _initial_raw(market: Market, config: EgConfig, y_norm) -> np.ndarray:
-    if config.init == "ones":
-        # softplus(raw) = 1 everywhere: the naive warm start
-        return np.full((market.n, market.m), _RAW_AT_ONE)
-    # each buyer's fixed-price demand at the naive prices; floored so that a
-    # coordinate parked near zero can still climb back if the duals move
-    p0 = market.total_budget / (market.m * market.supplies)
-    x_hat = ces.demand_matrix(market.values, market.budgets, p0, market.ces) / y_norm
-    floor = 1e-4 * market.budgets[:, None] / (market.m * p0[None, :] * y_norm)
-    x_hat = np.maximum(x_hat, floor)
-    with np.errstate(over="ignore"):
-        return np.where(x_hat > 30.0, x_hat, np.log(np.expm1(np.minimum(x_hat, 30.0))))
-
-
-__all__ = ["EgConfig", "SolverState", "naive", "eg_solve", "eg_momentum_solve", "step_size_for"]
+__all__ = ["EgConfig", "naive", "eg_solve", "eg_momentum_solve", "descend", "step_size_for"]

@@ -40,10 +40,6 @@ class NumericFailure(MarketEqError):
         self.history = history
 
 
-class SolverFailure(MarketEqError):
-    """A solver finished without producing a usable candidate."""
-
-
 class OracleFailure(MarketEqError):
     """Reference-equilibrium computation could not certify its result."""
 

@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise InvalidArgument("fcnet runs need a TrainConfig")
         if self.method in ("eg", "eg-m") and not isinstance(self.method_config, EgConfig):
             raise InvalidArgument("eg runs need an EgConfig")
+        if self.method == "eg" and self.method_config.momentum != 0.0:
+            raise InvalidArgument("eg runs take momentum 0; use eg-m")
+        if self.method == "eg-m" and self.method_config.momentum == 0.0:
+            raise InvalidArgument("eg-m runs need momentum > 0")
 
     def hash(self, market: Market | None = None) -> str:
         """Short digest of the configuration.  Given the market the run used,

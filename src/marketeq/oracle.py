@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ces, metrics
-from .baselines import EgConfig, _solve
+from .baselines import _RAW_AT_ONE, EgConfig, descend
 from .errors import (
     InvalidArgument,
     NumericFailure,
@@ -23,10 +23,12 @@ from .errors import (
     ProjectionUndefined,
     UnsupportedRegime,
 )
-from .market import Market
+from .market import Market, softplus
 
 MAX_NUMERIC_BUYERS = 200
 MAX_NUMERIC_GOODS = 10
+_SEGMENT_EPOCHS = 100  # certification is tried once per segment
+_MAX_SEGMENTS = 30
 
 
 @dataclass(frozen=True)
@@ -108,32 +110,46 @@ def numeric_equilibrium(market: Market, tol: float = 1e-6, kkt_tol: float = 1e-4
         rho=2.0,
         beta_schedule="constant",
         beta_scale=1.0,
-        epochs=100,  # one segment; certification decides whether to continue
+        epochs=_MAX_SEGMENTS * _SEGMENT_EPOCHS,
         inner_iters=300,
-        ng_stop=None,
-        eval_each_epoch=False,
-        init="ones" if linear else "demand",
     )
+    y_norm = market.supplies / market.n
     last_error = None
     for _ in range(3):  # divergence retries at halved step size
-        state = None
         try:
-            for _segment in range(30):
-                candidate, _, state = _solve(market, config, state, keep_state=True)
-                if np.any(candidate.prices <= 0):
+            for epoch, raw, lam, _, _ in descend(market, config, _warm_start(market)):
+                if epoch % _SEGMENT_EPOCHS:
                     continue
-                x = candidate.allocation
+                p = lam / y_norm
+                if np.any(p <= 0):
+                    continue
+                x = softplus(raw) * y_norm
                 if linear:
-                    x = _snap_dominated(market, x, candidate.prices, kkt_tol)
+                    x = _snap_dominated(market, x, p, kkt_tol)
                 try:
-                    return _certify(market, x, candidate.prices, ng_tol=tol,
-                                    kkt_tol=kkt_tol, method="numeric")
+                    return _certify(market, x, p, ng_tol=tol, kkt_tol=kkt_tol, method="numeric")
                 except (OracleFailure, ProjectionUndefined) as err:
                     last_error = err
         except NumericFailure as err:
             last_error = err
             config = replace(config, step_size=config.step_size / 2.0)
     raise OracleFailure(f"numeric oracle failed to certify: {last_error}")
+
+
+def _warm_start(market: Market) -> np.ndarray:
+    """Raw parameters the oracle's descent starts from: the naive allocation
+    (softplus(raw) = 1) for linear markets, else each buyer's fixed-price demand
+    at the naive prices, floored so that a coordinate parked near zero can
+    still climb back if the duals move."""
+    if market.ces.regime is ces.Regime.LINEAR:
+        return np.full((market.n, market.m), _RAW_AT_ONE)
+    y_norm = market.supplies / market.n
+    p0 = market.total_budget / (market.m * market.supplies)
+    x_hat = ces.demand_matrix(market.values, market.budgets, p0, market.ces) / y_norm
+    floor = 1e-4 * market.budgets[:, None] / (market.m * p0[None, :] * y_norm)
+    x_hat = np.maximum(x_hat, floor)
+    with np.errstate(over="ignore"):
+        return np.where(x_hat > 30.0, x_hat, np.log(np.expm1(np.minimum(x_hat, 30.0))))
 
 
 def _snap_dominated(market: Market, x: np.ndarray, p: np.ndarray, kkt_tol: float) -> np.ndarray:

@@ -65,7 +65,7 @@ class EpochRecord:
     ng: float
     voa: float
     vop: float
-    train_seconds: float  # inner-loop time only; excludes multiplier pass and eval
+    train_seconds: float  # inner loop (EG: plus dual step); excludes fcnet's multiplier pass, eval
     eval_seconds: float
 
 

@@ -239,7 +239,7 @@ def test_criterion_8_scaling_trend():
     started = time.perf_counter()
     fc_config = TrainConfig(batch_size_loss=128, hidden_width=64, hidden_depth=3,
                             inner_iters=20, epochs=3, eval_each_epoch=False, seed=3)
-    eg_config = EgConfig(inner_iters=100, epochs=3, ng_stop=None, eval_each_epoch=False)
+    eg_config = EgConfig(inner_iters=100, epochs=3, ng_stop=None)
     fc_secs = {}
     eg_secs = {}
     for n in (2**12, 2**16):

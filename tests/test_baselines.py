@@ -83,7 +83,7 @@ def test_eg_descent_property():
     for trial in range(3):
         mkt = random_market(rng, 20, 3, CesSpec.general(0.5))
         config = EgConfig(inner_iters=1, epochs=150, beta_schedule="constant",
-                          beta_scale=0.0, ng_stop=None, eval_each_epoch=False)
+                          beta_scale=0.0, ng_stop=None)
         _, history = eg_solve(mkt, config)
         losses = np.array([rec.loss for rec in history])
         drops = np.diff(losses) <= 1e-12
@@ -103,6 +103,10 @@ def test_eg_rejects_momentum_mismatch():
     mkt = market_from_values([[1.0]], [1.0], CesSpec.linear())
     with pytest.raises(InvalidArgument):
         eg_solve(mkt, EgConfig(momentum=0.5))
+    with pytest.raises(InvalidArgument):
+        eg_momentum_solve(mkt, EgConfig(epochs=2))
+    with pytest.raises(InvalidArgument):
+        EgConfig(inner_iters=0)
 
 
 def test_eg_nonpositive_multiplier_raises():
@@ -111,7 +115,7 @@ def test_eg_nonpositive_multiplier_raises():
     mkt = market_from_values([[1.0, 1e-3], [1.0, 1e-3]], [1.0, 1.0], CesSpec.cobb_douglas())
     with pytest.raises(InvalidPrices):
         eg_solve(mkt, EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
-                               ng_stop=None, eval_each_epoch=False))
+                               ng_stop=None))
 
 
 def test_eg_history_schema_matches_trainer():

@@ -78,6 +78,15 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(InvalidArgument):
         ExperimentConfig(market=toy_spec(), method="simplex", method_config=None,
                          out_dir=str(tmp_path))
+    # the config must name the momentum the method runs, so its hash does too
+    with pytest.raises(InvalidArgument):
+        ExperimentConfig(market=toy_spec(), method="eg", method_config=EgConfig(momentum=0.9),
+                         out_dir=str(tmp_path))
+    with pytest.raises(InvalidArgument):
+        ExperimentConfig(market=toy_spec(), method="eg-m", method_config=EgConfig(epochs=2),
+                         out_dir=str(tmp_path))
+    ExperimentConfig(market=toy_spec(), method="eg-m", method_config=EgConfig(momentum=0.9),
+                     out_dir=str(tmp_path))
 
 
 def test_config_hash_stable_and_sensitive():
@@ -139,7 +148,7 @@ def test_sweep_records_cells_and_errors(tmp_path):
         if method == "eg":
             # absurd dual step: the run fails and the sweep must continue
             return EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
-                            ng_stop=None, eval_each_epoch=False)
+                            ng_stop=None)
         return None
 
     rows = sweep(specs, ["naive", "eg"], factory, tmp_path / "sweep")
@@ -256,6 +265,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                       "dist": None, "regime": "linear",
                                       "alpha": None, "seed": None}))
     assert main(["run", "--market", str(bad_market), "--method", "naive"]) == 2
+    market_path = tmp_path / "market.json"
+    assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
+    assert main(["run", "--market", str(market_path), "--method", "eg", "--inner-iters", "0",
+                 "--outdir", str(tmp_path / "eg")]) == 2
     capsys.readouterr()
     assert main(["sweep", "--methods", "naive", "--n-list", "8", "--m-list", "2",
                  "--dist-list", "bogus", "--k", "3", "--outdir", str(tmp_path / "sw")]) == 2

@@ -1,10 +1,15 @@
 """The benchmark's span tracer names marketeq entry points by string; a rename
-would leave a per-layer metric silently at zero.  Check every name resolves."""
+would leave a per-layer metric silently at zero.  Check every name resolves,
+and that an installed tracer sees the EG and oracle entry points called."""
 
 import functools
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -28,3 +33,39 @@ def test_every_traced_entry_point_exists():
         target = owner.__dict__.get(leaf) if path else getattr(owner, leaf, None)
         assert inspect.isfunction(target) or isinstance(target, functools.cached_property), (
             f"perfbench traces {module_name}.{attr}, which is not a function or cached property")
+
+
+# run in a child process: installing the tracer rebinds names across marketeq;
+# -B keeps the child from writing bytecode next to spans.py
+_TRACED_RUN = """
+import importlib.util, json, sys, tempfile
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+from marketeq import harness, oracle
+from marketeq.baselines import EgConfig
+from marketeq.ces import CesSpec
+from marketeq.market import ContextDistribution, generate_market
+market = harness.MarketSpec(n=16, m=2, k=3, seed=1)
+with tempfile.TemporaryDirectory() as out:
+    harness.run_experiment(harness.ExperimentConfig(
+        market=market, method="eg-m", method_config=EgConfig(momentum=0.9, epochs=2), out_dir=out))
+oracle.numeric_equilibrium(generate_market(4, 2, 3, ContextDistribution.STANDARD_NORMAL,
+                                           CesSpec.cobb_douglas(), 2))
+print(json.dumps({"names": sorted({span[0] for span in tracer.spans}), "absent": tracer.absent}))
+"""
+
+
+def test_installed_tracer_sees_the_eg_and_oracle_entry_points():
+    src = str(SPANS.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-B", "-c", _TRACED_RUN, str(SPANS)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.strip().splitlines()[-1])
+    for name in ("baselines.eg_momentum_solve", "oracle.numeric_equilibrium", "metrics.nash_gap"):
+        assert name in traced["names"]
+    assert traced["absent"] == []

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_estimator_unbiased_by_enumeration(n):
     rho = 0.7
     mean_terms = enumeration_mean_terms(net, lam, rho, market)
     exact_terms = np.array(exact_lagrangian_terms(net, lam, rho, market))
-    np.testing.assert_allclose(mean_terms, exact_terms, atol=1e-12)
+    np.testing.assert_allclose(mean_terms, exact_terms, rtol=0, atol=1e-12)
 
 
 def test_estimator_clearance_exact_net():
@@ -134,7 +135,21 @@ def test_multiplier_update_full_batch_equals_exact():
     sampled = multiplier_update(lam, net, market, 0.5, 0.7, batch_size=3,
                                 rng=np.random.default_rng(0))
     np.testing.assert_allclose(sampled, exact, atol=1e-12)
-
+    # below n the update averages the rows a same-seeded rng draws
+    sampled = multiplier_update(lam, net, market, 0.5, 0.7, batch_size=2,
+                                rng=np.random.default_rng(1))
+    rows = market.buyers[np.random.default_rng(1).integers(0, market.n, size=2)]
+    resid = net.forward_batch(rows, market.goods).mean(axis=0) - 1.0
+    np.testing.assert_array_equal(sampled, lam + 0.7 * 0.5 * resid)
+    # a sampled run reproduces its multipliers, with or without evaluation
+    market = random_market(rng, 64, 2, CesSpec.general(0.5))
+    config = TrainConfig(batch_size_loss=8, batch_size_multiplier=8, hidden_width=8,
+                         hidden_depth=2, inner_iters=5, epochs=3, seed=0)
+    _, first, _ = train(market, config)
+    _, rerun, _ = train(market, config)
+    _, unevaluated, _ = train(market, replace(config, eval_each_epoch=False))
+    np.testing.assert_array_equal(first, rerun)
+    np.testing.assert_array_equal(first, unevaluated)
 
 
 def test_shared_population_forward_is_bitwise():
