@@ -23,7 +23,7 @@ import numpy as np
 from . import ces, metrics
 from .errors import InvalidArgument, InvalidPrices, NumericFailure
 from .market import Market, softplus, softplus_and_slope
-from .trainer import EpochRecord, TrainHistory
+from .trainer import EpochRecord, TrainHistory, epoch_scores
 
 _RAW_AT_ONE = math.log(math.e - 1.0)  # softplus(_RAW_AT_ONE) = 1
 _ZERO_UTILITY = "a buyer reached zero utility during descent"
@@ -114,12 +114,12 @@ def _solve(market: Market, config: EgConfig):
         for epoch, raw, lam, loss, train_seconds in epochs:
             t_eval = time.perf_counter()
             x = softplus(raw) * y_norm
-            gap = metrics.projected_gap(market, x, lam / y_norm)
+            ng, voa, vop = epoch_scores(market, x, lam / y_norm)
             history.append(EpochRecord(
-                epoch=epoch, loss=loss, ng=gap.ng, voa=gap.voa, vop=gap.vop,
+                epoch=epoch, loss=loss, ng=ng, voa=voa, vop=vop,
                 train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
             ))
-            if config.ng_stop is not None and np.isfinite(gap.ng) and gap.ng < config.ng_stop:
+            if config.ng_stop is not None and np.isfinite(ng) and ng < config.ng_stop:
                 break
     except NumericFailure as err:
         raise NumericFailure(f"epoch {len(history) + 1}: {err}", history=history) from err

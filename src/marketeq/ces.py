@@ -160,8 +160,7 @@ def log_utility(values, bundle, spec: CesSpec):
             weights = values / np.sum(values, axis=-1, keepdims=True)
             logs = np.where(bundle > 0, np.log(np.where(bundle > 0, bundle, 1.0)), -np.inf)
             return np.sum(weights * logs, axis=-1)
-        log_u, _, _ = _general_log_weights(values, bundle, spec.alpha)
-        return log_u
+        return _general_log_weights(values, bundle, spec.alpha)[0]
 
 
 def _general_log_weights(values, bundle, alpha):
@@ -170,15 +169,12 @@ def _general_log_weights(values, bundle, alpha):
     log u = (1/alpha) * logsumexp(alpha * log(v x)).  Zero components
     contribute -inf logs, which the inf arithmetic maps to u = 0 for alpha < 0
     (limit convention) and simply drops for alpha > 0.  Returns (log u, w,
-    total) with w_j = exp(alpha log(v_j x_j) - hi), hi the largest exponent
+    total, hi): w_j = exp(alpha log(v_j x_j) - hi), hi the largest exponent
     (0 where it is not finite), and total = sum_j w_j kept as a last axis.
     """
     w = values * bundle
-    positive = w > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.log(w, out=w)
-        if not positive.all():
-            w[~positive] = -np.inf
         w *= alpha
         hi = _max_last(w)
         hi = np.where(np.isfinite(hi), hi, 0.0)
@@ -186,7 +182,7 @@ def _general_log_weights(values, bundle, alpha):
         np.exp(w, out=w)
         total = _sum_last(w)
         log_u = (hi + np.log(total)) / alpha
-    return log_u, w, total[..., None]
+    return log_u, w, total[..., None], hi
 
 
 def _sum_last(a):
@@ -211,10 +207,13 @@ def _max_last(a):
 
 
 def _logsumexp(a):
+    # consumes `a`: it is shifted and exponentiated in its own buffer
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi = _max_last(a)
         hi = np.where(np.isfinite(hi), hi, 0.0)
-        return hi + np.log(np.sum(np.exp(a - hi[..., None]), axis=-1))
+        a -= hi[..., None]
+        np.exp(a, out=a)
+        return hi + np.log(np.sum(a, axis=-1))
 
 
 def utility(values, bundle, spec: CesSpec):
@@ -282,10 +281,17 @@ def log_utility_gradient(values, bundle, spec: CesSpec):
 def _general_log_and_gradient(values, bundle, alpha):
     # d log u / dx_j = s_j / (x_j sum_k s_k) with s = (v x)^alpha; the
     # log-sum-exp weights are s scaled by exp(-hi), so they give it without
-    # overflow, normalized and divided by x in their own buffer
-    log_u, w, total = _general_log_weights(values, bundle, alpha)
+    # overflow, normalized and divided by x in their own buffer.  Weights
+    # below the smallest normal lost digits, yet w_j / x_j can be large: those
+    # entries are exp(alpha log(v_j x_j) - hi - log sum_k w_k - log x_j)
+    log_u, w, total, hi = _general_log_weights(values, bundle, alpha)
+    lost = w < np.finfo(float).tiny
     w /= total
     w /= bundle
+    if lost.any():
+        v, x, shift = (np.broadcast_to(a, w.shape)[lost]
+                       for a in (values, bundle, hi[..., None] + np.log(total)))
+        w[lost] = np.exp(alpha * np.log(v * x) - shift - np.log(x))
     return log_u, w
 
 

@@ -12,7 +12,7 @@ NG >= 0 always, with equality exactly at market equilibrium.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ from .market import Market
 
 # relative feasibility tolerance for nash_gap preconditions
 FEASIBILITY_RTOL = 1e-9
+
+# buyers per chunk of the scoring pass; the desk market (n = 4096) is one chunk
+_CHUNK_ROWS = 2**14
 
 # CSV column order is part of the external interface; keep stable.
 CSV_COLUMNS = ("lnw", "lfw", "ng", "voa", "vop", "wsw", "price_residual", "kkt_max_residual")
@@ -114,17 +117,76 @@ def _check_allocation(market: Market, x) -> np.ndarray:
     return x
 
 
+def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
+           active_rtol: float = 1e-8) -> MetricsReport:
+    """The one pass that scores a pair, in fixed order over buyer chunks: LNW
+    and WSW of the validated `x` times the per-good `scale`, LFW at `prices`
+    and, with `kkt`, the KKT residual of the two.  Scores without their input
+    are meaningless; VoA, VoP and the price residual are left NaN."""
+    values, budgets = market.values, market.budgets
+    sums = np.zeros(3)  # B_i times: log u_i, u_i, fixed-price log u_i
+    peaks = np.full(3, -np.inf)  # one-sided, active-set and budget KKT residuals
+    zero_utility = False
+    for lo in range(0, market.n, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        b = budgets[rows]
+        if prices is not None:
+            sums[2] += np.dot(b, ces.fixed_price_log_utility_matrix(values[rows], b, prices, market.ces))
+        if x is not None:
+            log_u = _chunk_log_utility(market.ces, values[rows], b, x[rows] * scale,
+                                       prices if kkt else None, active_rtol, peaks)
+            sums[0] += np.dot(b, log_u)
+            sums[1] += np.dot(b, np.exp(log_u))
+            zero_utility = zero_utility or bool(np.any(np.isneginf(log_u)))
+    log_sum, util_sum, fixed_sum = (float(s) for s in sums / market.total_budget)
+    if zero_utility:
+        log_sum = float("-inf")
+    nan = float("nan")
+    return MetricsReport(lnw=log_sum, lfw=fixed_sum, ng=fixed_sum - log_sum, voa=nan, vop=nan,
+                         wsw=util_sum, price_residual=nan,
+                         kkt_max_residual=float(max(peaks)) if kkt else nan,
+                         degenerate_lnw=not np.isfinite(log_sum))
+
+
+def _chunk_log_utility(spec, values, budgets, bundle, prices, active_rtol, peaks):
+    # log u_i of one chunk's bundles (a copy that this may overwrite) from one
+    # CES kernel call; given `prices`, the chunk's KKT maxima go into `peaks`
+    if prices is None:
+        return ces.log_utility(values, bundle, spec)
+    budget_res = (np.abs(bundle @ prices - budgets) / budgets).max()
+    threshold = budgets[:, None] / prices
+    threshold *= active_rtol
+    active = bundle > threshold
+    del threshold  # not kept alive through the kernel call
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            log_u, gap = ces.log_utility_and_gradient(values, bundle, spec)
+        except InvalidArgument:
+            # a zero component where the gradient is singular: its residual
+            # is an honest +inf instead of an error
+            log_u = ces.log_utility(values, bundle, spec)
+            boundary = bundle <= 0
+            bundle[boundary] = 1.0
+            gap = ces.log_utility_gradient(values, bundle, spec)
+            gap[boundary] = np.inf
+    # (B_i/u_i) du/dx = B_i dlog(u)/dx; dividing its gap to p_j by p_j > 0 is
+    # monotone, so the maxima are taken per good first
+    gap *= budgets[:, None]
+    gap -= prices
+    one_sided = (np.maximum(gap.max(axis=0), 0.0) / prices).max()
+    np.abs(gap, out=gap)
+    gap[~active] = 0.0
+    np.maximum(peaks, (one_sided, (gap.max(axis=0) / prices).max(), budget_res), out=peaks)
+    return log_u
+
+
 def lnw(market: Market, x) -> float:
     """Log Nash welfare: budget-weighted mean of log u_i(x_i).
 
     Returns -inf when some buyer has zero utility (log undefined); callers that
     need a hard error should check `np.isfinite` on the result.
     """
-    x = _check_allocation(market, x)
-    log_u = ces.log_utility(market.values, x, market.ces)
-    if np.any(np.isneginf(log_u)):
-        return float("-inf")
-    return float(np.dot(market.budgets, log_u) / market.total_budget)
+    return _score(market, _check_allocation(market, x)).lnw
 
 
 def lfw(market: Market, p) -> float:
@@ -134,8 +196,7 @@ def lfw(market: Market, p) -> float:
         raise InvalidArgument("price vector length must equal m")
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         raise InvalidPrices("prices must be finite and strictly positive")
-    log_fixed = ces.fixed_price_log_utility_matrix(market.values, market.budgets, p, market.ces)
-    return float(np.dot(market.budgets, log_fixed) / market.total_budget)
+    return _score(market, prices=p).lfw
 
 
 def nash_gap(market: Market, x, p) -> float:
@@ -168,6 +229,13 @@ def project(market: Market, x, p):
     beta = sum_i B_i / sum_j Y_j p_j, with VoA = mean_j |log alpha_j| and
     VoP = |log beta|.
     """
+    x, alpha, beta, voa, vop = _projection(market, x, p)
+    return x * alpha, beta * np.asarray(p, dtype=float), voa, vop
+
+
+def _projection(market: Market, x, p):
+    # `project` without forming the projected allocation: the validated x,
+    # then alpha, beta, VoA and VoP
     x = _check_allocation(market, x)
     p = np.asarray(p, dtype=float)
     if p.shape != (market.m,) or np.any(p < 0) or not np.all(np.isfinite(p)):
@@ -181,18 +249,14 @@ def project(market: Market, x, p):
         raise ProjectionUndefined("priced supply is zero; price scaling undefined")
     alpha = supplies / col
     beta = market.total_budget / priced_supply
-    x_t = x * alpha
-    p_t = beta * p
     voa = float(np.mean(np.abs(np.log(alpha))))
     vop = float(abs(np.log(beta)))
-    return x_t, p_t, voa, vop
+    return x, alpha, beta, voa, vop
 
 
 def wsw(market: Market, x) -> float:
     """Budget-weighted arithmetic mean of utilities; no feasibility requirement."""
-    x = _check_allocation(market, x)
-    u = ces.utility(market.values, x, market.ces)
-    return float(np.dot(market.budgets, u) / market.total_budget)
+    return _score(market, _check_allocation(market, x)).wsw
 
 
 def price_residual(market: Market, p) -> float:
@@ -216,95 +280,30 @@ def kkt_residuals(market: Market, candidate: EquilibriumCandidate, active_rtol: 
     p = np.asarray(candidate.prices, dtype=float)
     if np.any(p <= 0):
         raise InvalidPrices("KKT residuals need strictly positive prices")
-    budgets = market.budgets
-    # (B_i/u_i) du/dx = B_i dlog(u)/dx; singular entries (x_ij = 0 off the
-    # linear regime) legitimately produce +inf residuals.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        marginal = _log_gradient_allowing_boundary(market, x) * budgets[:, None]
-    gap = marginal - p[None, :]
-    one_sided = np.maximum(gap, 0.0) / p[None, :]
-    active = x > active_rtol * (budgets[:, None] / p[None, :])
-    equality = np.where(active, np.abs(gap) / p[None, :], 0.0)
-    budget_res = np.abs(x @ p - budgets) / budgets
-    return float(max(one_sided.max(), equality.max(), budget_res.max()))
-
-
-def _log_gradient_allowing_boundary(market: Market, x: np.ndarray) -> np.ndarray:
-    # like ces.log_utility_gradient but maps boundary singularities to +inf
-    # instead of raising, so bad candidates get an honest (infinite) residual
-    spec = market.ces
-    if spec.regime is ces.Regime.LINEAR or np.all(x > 0):
-        return ces.log_utility_gradient(market.values, x, spec)
-    safe = np.where(x > 0, x, 1.0)
-    grad = ces.log_utility_gradient(market.values, safe, spec)
-    return np.where(x > 0, grad, np.inf)
-
-
-@dataclass(frozen=True)
-class ProjectedGap:
-    """The pair `project` makes of a candidate, with the distances it moved
-    (VoA, VoP) and the Nash gap NG = LFW - LNW measured on it."""
-
-    allocation: np.ndarray | None
-    prices: np.ndarray | None
-    voa: float
-    vop: float
-    lnw: float
-    lfw: float
-
-    @property
-    def ng(self) -> float:
-        return self.lfw - self.lnw
-
-
-# the score of a pair that is not projected
-NAN_GAP = ProjectedGap(None, None, float("nan"), float("nan"), float("nan"), float("nan"))
-
-
-def projected_gap(market: Market, x, p) -> ProjectedGap:
-    """`project` (x, p), then measure NG on the projected pair: the per-epoch
-    score of both solvers and the core of `evaluate`.  A pair with a
-    nonpositive price (a multiplier that cannot stand as a price) gets NAN_GAP."""
-    if np.any(np.asarray(p) <= 0):
-        return NAN_GAP
-    x_t, p_t, voa, vop = project(market, x, p)
-    return ProjectedGap(x_t, p_t, voa, vop, lnw(market, x_t), lfw(market, p_t))
+    return _score(market, x, prices=p, kkt=True, active_rtol=active_rtol).kkt_max_residual
 
 
 def evaluate(market: Market, x, p, kkt: bool = True) -> MetricsReport:
-    """Full certification pipeline: project, then all metrics on the projected pair."""
+    """Certify a pair: project it, then score the projected pair, in one
+    validation of `x` and one `_score` pass that never forms the projected
+    allocation.  KKT is NaN without `kkt` and in the leontief regime."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise InvalidPrices("prices must be strictly positive to certify a candidate")
-    gap = projected_gap(market, x, p)
-    kkt_value = float("nan")
-    if kkt and ces.regime_supports_gradient(market.ces):
-        kkt_value = kkt_residuals(market, EquilibriumCandidate(gap.allocation, gap.prices))
-    return MetricsReport(
-        lnw=gap.lnw,
-        lfw=gap.lfw,
-        ng=gap.ng,
-        voa=gap.voa,
-        vop=gap.vop,
-        wsw=wsw(market, gap.allocation),
-        price_residual=price_residual(market, p),
-        kkt_max_residual=kkt_value,
-        degenerate_lnw=not np.isfinite(gap.lnw),
-    )
+    x, alpha, beta, voa, vop = _projection(market, x, p)
+    report = _score(market, x, alpha, beta * p, kkt and ces.regime_supports_gradient(market.ces))
+    return replace(report, voa=voa, vop=vop, price_residual=price_residual(market, p))
 
 
 __all__ = [
     "CSV_COLUMNS",
     "FEASIBILITY_RTOL",
-    "NAN_GAP",
     "EquilibriumCandidate",
     "MetricsReport",
-    "ProjectedGap",
     "lnw",
     "lfw",
     "nash_gap",
     "project",
-    "projected_gap",
     "wsw",
     "price_residual",
     "kkt_residuals",

@@ -283,18 +283,27 @@ def train(market: Market, config: TrainConfig, buyer_sampler=None):
                                 config.batch_size_multiplier,
                                 sampler if config.batch_size_multiplier else None,
                                 allocation=population)
-        gap = (metrics.projected_gap(market, *_solution_arrays(net, lam, market, population))
-               if config.eval_each_epoch else metrics.NAN_GAP)
+        ng, voa, vop = (epoch_scores(market, *_solution_arrays(net, lam, market, population))
+                        if config.eval_each_epoch else (math.nan,) * 3)
         population = None
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir)
             path.mkdir(parents=True, exist_ok=True)
             net.save(path / f"net_epoch_{epoch:03d}.npz", optimizer=adam)
         history.append(EpochRecord(
-            epoch=epoch, loss=loss_sum / config.inner_iters, ng=gap.ng, voa=gap.voa, vop=gap.vop,
+            epoch=epoch, loss=loss_sum / config.inner_iters, ng=ng, voa=voa, vop=vop,
             train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
         ))
     return net, lam, history
+
+
+def epoch_scores(market: Market, x, p):
+    """(NG, VoA, VoP) of an epoch's pair, from `metrics.evaluate` without KKT;
+    NaN while a multiplier is nonpositive and cannot stand as a price."""
+    if np.any(np.asarray(p) <= 0):
+        return math.nan, math.nan, math.nan
+    report = metrics.evaluate(market, x, p, kkt=False)
+    return report.ng, report.voa, report.vop
 
 
 def _solution_arrays(net: AllocationNet, lam, market: Market, population=None):

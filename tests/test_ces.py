@@ -271,3 +271,25 @@ def test_general_gradient_finite_when_power_overflows(alpha):
     np.testing.assert_allclose(grad, share / bundle, rtol=1e-14)
     if alpha == -5.0:
         np.testing.assert_allclose(grad, [1e70, 0.0, 0.0], rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [-5.0, -3.0, -1.0, -0.2, 0.3, 0.5, 0.9])
+def test_general_gradient_matches_long_double_on_wide_bundles(alpha):
+    # on bundles spanning 1e+-80 the weights exp(alpha log(v x) - max) fall
+    # below the smallest normal where s_j / (x_j sum_k s_k) is still large
+    spec = CesSpec.general(alpha)
+    rng = np.random.default_rng(17)
+    values = rng.uniform(0.1, 3.0, size=(200, 6))
+    bundle = 10.0 ** rng.uniform(-80.0, 80.0, size=(200, 6))
+    grad = ces.log_utility_gradient(values, bundle, spec)
+    _, fused = ces.log_utility_and_gradient(values, bundle, spec)
+    np.testing.assert_array_equal(fused, grad)
+
+    v, x = values.astype(np.longdouble), bundle.astype(np.longdouble)
+    log_s = alpha * (np.log(v) + np.log(x))
+    s = np.exp(log_s - log_s.max(axis=-1, keepdims=True))
+    reference = s / (x * s.sum(axis=-1, keepdims=True))
+    normal = reference >= np.finfo(float).tiny
+    assert normal.sum() > normal.size // 2
+    rel = np.abs((grad[normal] - reference[normal]) / reference[normal])
+    assert rel.max() <= 1e-12

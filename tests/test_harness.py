@@ -40,6 +40,16 @@ def test_run_naive_writes_artifacts(tmp_path):
     assert (tmp_path / "naive" / "candidate.json").exists()
 
 
+def test_run_certifies_kkt_beyond_100k_entries(tmp_path):
+    # KKT is certified at every size: n * m = 131072 entries here
+    config = ExperimentConfig(market=toy_spec(n=2**15, m=4), method="naive",
+                              method_config=None, out_dir=str(tmp_path / "naive"))
+    record = run_experiment(config)
+    summary = json.loads((tmp_path / "naive" / "summary.json").read_text())
+    assert np.isfinite(summary["report"]["kkt_max_residual"])
+    assert summary["report"]["kkt_max_residual"] == record.report.kkt_max_residual > 0
+
+
 def test_run_fcnet_roundtrips_through_solution(tmp_path):
     config = ExperimentConfig(
         market=toy_spec(n=64, seed=7),

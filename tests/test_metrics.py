@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from marketeq.errors import (
 )
 from marketeq.metrics import EquilibriumCandidate, MetricsReport
 from marketeq.oracle import cobb_douglas_equilibrium
+from marketeq.trainer import epoch_scores
 
 from helpers import market_from_values, random_market
 
@@ -252,28 +255,116 @@ def test_evaluate_report_roundtrip():
     assert set(metrics.CSV_COLUMNS) <= set(doc)
 
 
-def test_projected_gap_is_the_evaluate_gap():
+def test_epoch_scores_are_the_evaluate_gap():
+    # the solvers' per-epoch score is evaluate's; a nonpositive price gets a
+    # NaN score, and evaluate refuses it as a certificate
     rng = np.random.default_rng(12)
     mkt = random_market(rng, 6, 3, CesSpec.general(-1.0))
     x = rng.uniform(0.1, 2.0, size=(6, 3))
     p = rng.uniform(0.1, 2.0, size=3)
-    gap = metrics.projected_gap(mkt, x, p)
-    report = metrics.evaluate(mkt, x, p)
-    assert gap.ng == report.ng
-    assert (gap.lnw, gap.lfw, gap.voa, gap.vop) == (report.lnw, report.lfw, report.voa, report.vop)
-    x_t, p_t, _, _ = metrics.project(mkt, x, p)
-    np.testing.assert_array_equal(gap.allocation, x_t)
-    np.testing.assert_array_equal(gap.prices, p_t)
+    report = metrics.evaluate(mkt, x, p, kkt=False)
+    assert epoch_scores(mkt, x, p) == (report.ng, report.voa, report.vop)
+    assert np.isnan(report.kkt_max_residual)
+    x_t, p_t, voa, vop = metrics.project(mkt, x, p)
+    assert (report.lnw, report.lfw, report.voa, report.vop) == (
+        metrics.lnw(mkt, x_t), metrics.lfw(mkt, p_t), voa, vop)
+    assert report.ng == metrics.nash_gap(mkt, x_t, p_t)
     for bad in (0.0, -0.5):
         q = p.copy()
         q[1] = bad
-        nan_gap = metrics.projected_gap(mkt, x, q)
-        assert all(np.isnan(v) for v in (nan_gap.ng, nan_gap.voa, nan_gap.vop,
-                                          nan_gap.lnw, nan_gap.lfw))
-        assert nan_gap.allocation is None and nan_gap.prices is None
-        # a solver's NaN score is no certificate: evaluate rejects the pair
+        assert all(np.isnan(v) for v in epoch_scores(mkt, x, q))
         with pytest.raises(InvalidPrices):
             metrics.evaluate(mkt, x, q)
+
+
+# three full buyer chunks of the scoring pass plus a remainder
+MULTI_CHUNK_N = 3 * metrics._CHUNK_ROWS + 4096
+
+
+def _chunked_pair(spec, n):
+    rng = np.random.default_rng(21)
+    mkt = random_market(rng, n, 10, spec)
+    x = rng.uniform(0.1, 2.0, size=(n, 10))
+    # zero entries in a later chunk and in the last one: KKT is +inf at
+    # alpha = 0.5, where the gradient is singular there
+    x[min(2 * metrics._CHUNK_ROWS + 7, n - 2), 3] = 0.0
+    x[n - 1, 0] = 0.0
+    return mkt, x, rng.uniform(0.5, 2.0, size=10)
+
+
+def _whole_array_report(mkt, x_t, p_t):
+    # the projected pair's scores from whole-array ces kernels, unchunked
+    budgets, total = mkt.budgets, mkt.total_budget
+    log_u = ces.log_utility(mkt.values, x_t, mkt.ces)
+    inner = x_t > 0
+    with np.errstate(divide="ignore"):
+        grad = ces.log_utility_gradient(mkt.values, np.where(inner, x_t, 1.0), mkt.ces)
+    gap = np.where(inner, grad, np.inf) * budgets[:, None] - p_t
+    active = x_t > 1e-8 * (budgets[:, None] / p_t)
+    kkt = max((np.maximum(gap, 0.0) / p_t).max(),
+              np.where(active, np.abs(gap) / p_t, 0.0).max(),
+              (np.abs(x_t @ p_t - budgets) / budgets).max())
+    lnw = budgets @ log_u / total
+    lfw = budgets @ ces.fixed_price_log_utility_matrix(mkt.values, budgets, p_t, mkt.ces) / total
+    return {"lnw": lnw, "lfw": lfw, "ng": lfw - lnw, "kkt_max_residual": kkt,
+            "wsw": budgets @ ces.utility(mkt.values, x_t, mkt.ces) / total}
+
+
+@pytest.mark.parametrize("n", [MULTI_CHUNK_N, 1000])
+@pytest.mark.parametrize("spec", [CesSpec.linear(), CesSpec.general(0.5)],
+                         ids=lambda s: s.alpha_label)
+def test_evaluate_matches_public_functions_across_chunks(spec, n):
+    mkt, x, p = _chunked_pair(spec, n)
+    report = metrics.evaluate(mkt, x, p)
+    x_t, p_t, voa, vop = metrics.project(mkt, x, p)
+    public = {
+        "lnw": metrics.lnw(mkt, x_t), "lfw": metrics.lfw(mkt, p_t),
+        "ng": metrics.nash_gap(mkt, x_t, p_t), "voa": voa, "vop": vop,
+        "wsw": metrics.wsw(mkt, x_t), "price_residual": metrics.price_residual(mkt, p),
+        "kkt_max_residual": metrics.kkt_residuals(mkt, EquilibriumCandidate(x_t, p_t)),
+    }
+    for name, value in public.items():
+        assert getattr(report, name) == value, name
+    whole = _whole_array_report(mkt, x_t, p_t)
+    for name, value in whole.items():
+        got = getattr(report, name)
+        assert got == value or abs(got - value) <= 1e-12 * abs(value), name
+    if n <= metrics._CHUNK_ROWS:
+        # one chunk: the pass makes exactly the whole-array sums
+        assert (report.lnw, report.lfw) == (whole["lnw"], whole["lfw"])
+    assert np.isfinite(report.lnw) and not report.degenerate_lnw
+    if spec.regime is ces.Regime.LINEAR:
+        assert np.isfinite(report.kkt_max_residual)
+    else:
+        assert report.kkt_max_residual == np.inf
+
+
+def test_evaluate_validates_the_allocation_once(monkeypatch):
+    mkt, x, p = _chunked_pair(CesSpec.general(0.5), MULTI_CHUNK_N)
+    check = metrics._check_allocation
+    calls = []
+    monkeypatch.setattr(metrics, "_check_allocation",
+                        lambda market, a: calls.append(1) or check(market, a))
+    metrics.evaluate(mkt, x, p)
+    assert len(calls) == 1
+    calls.clear()
+    metrics.evaluate(mkt, x, p, kkt=False)
+    assert len(calls) == 1
+
+
+def test_evaluate_peak_memory_below_one_allocation():
+    # the pass never forms the projected n-by-m allocation; its temporaries
+    # are a few chunk-by-m arrays
+    mkt, x, p = _chunked_pair(CesSpec.general(0.5), MULTI_CHUNK_N)
+    metrics.evaluate(mkt, x, p)  # fills the market's cached values
+    tracemalloc.start()
+    try:
+        report = metrics.evaluate(mkt, x, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.kkt_max_residual == np.inf
+    assert peak < x.nbytes
 
 
 def test_candidate_validation_and_io(tmp_path):
