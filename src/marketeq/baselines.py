@@ -60,12 +60,12 @@ class EgConfig:
     ng_stop: float | None = 1e-3  # early stop once projected NG drops below
 
     def __post_init__(self):
-        if self.step_size is not None and self.step_size <= 0:
-            raise InvalidArgument("step size must be > 0")
+        if self.step_size is not None and not 0.0 < self.step_size < math.inf:
+            raise InvalidArgument("step size must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidArgument("momentum must lie in [0, 1)")
-        if self.rho <= 0 or self.epochs < 1:
-            raise InvalidArgument("rho must be > 0 and epochs >= 1")
+        if not 0.0 < self.rho < math.inf or self.epochs < 1:
+            raise InvalidArgument("rho must be finite and > 0 and epochs >= 1")
         if self.inner_iters is not None and self.inner_iters < 1:
             raise InvalidArgument("inner iterations must be >= 1 when given")
         if self.beta_schedule not in ("inv_sqrt", "constant"):

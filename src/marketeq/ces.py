@@ -158,8 +158,9 @@ def log_utility(values, bundle, spec: CesSpec):
             return np.log(np.min(values * bundle, axis=-1))
         if spec.regime is Regime.COBB_DOUGLAS:
             weights = values / np.sum(values, axis=-1, keepdims=True)
-            logs = np.where(bundle > 0, np.log(np.where(bundle > 0, bundle, 1.0)), -np.inf)
-            return np.sum(weights * logs, axis=-1)
+            logs = np.log(bundle)  # -inf on zero components
+            logs *= weights
+            return np.sum(logs, axis=-1)
         return _general_log_weights(values, bundle, spec.alpha)[0]
 
 
@@ -375,10 +376,16 @@ def demand_matrix(values, budgets, prices, spec: CesSpec):
     alpha = spec.alpha
     r = alpha / (1.0 - alpha)
     log_v, log_p = np.log(values), np.log(prices)
-    log_c0 = _logsumexp(r * (log_v - log_p))
-    # x_j = v_j^r / p_j^(r+1) * B / c0, with 1/(1-alpha) = r + 1
-    log_x = r * log_v - (r + 1.0) * log_p + np.log(budgets)[:, None] - log_c0[:, None]
-    return np.exp(log_x)
+    shifted = log_v - log_p
+    shifted *= r
+    log_c0 = _logsumexp(shifted)
+    # x_j = v_j^r / p_j^(r+1) * B / c0, with 1/(1-alpha) = r + 1; log_v turns
+    # into log x in place, in the order r log_v - (r+1) log_p + log B - log c0
+    log_v *= r
+    log_v -= (r + 1.0) * log_p
+    log_v += np.log(budgets)[:, None]
+    log_v -= log_c0[:, None]
+    return np.exp(log_v, out=log_v)
 
 
 def regime_supports_gradient(spec: CesSpec) -> bool:

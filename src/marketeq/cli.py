@@ -37,12 +37,11 @@ def _default_outdir() -> str:
     return os.environ.get("MARKETEQ_OUTDIR", "marketeq_out")
 
 
-def _add_market_args(parser, with_defaults=True):
-    parser.add_argument("--n", type=int, default=2**20 if with_defaults else None)
-    parser.add_argument("--m", type=int, default=10 if with_defaults else None)
-    parser.add_argument("--k", type=int, default=5 if with_defaults else None)
-    parser.add_argument("--dist", choices=["normal", "uniform", "exponential"],
-                        default="normal" if with_defaults else None)
+def _add_market_args(parser):
+    parser.add_argument("--n", type=int, default=2**20)
+    parser.add_argument("--m", type=int, default=10)
+    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--dist", choices=["normal", "uniform", "exponential"], default="normal")
     parser.add_argument("--alpha", default="0.5",
                         help="CES parameter: a real < 1, or 1 (linear), 0 (cobb-douglas), -inf (leontief)")
     parser.add_argument("--seed", type=int, default=0)

@@ -38,19 +38,6 @@ def _fill_pairs(inputs: np.ndarray, buyers: np.ndarray, goods: np.ndarray, goods
         pairs[:, :, k:] = goods
 
 
-class Gradients(tuple):
-    """(grad_weights, grad_biases) as returned by `AllocationNet.backward`.
-
-    Both lists are per-layer views of one flat buffer, `flat`, laid out like
-    `AllocationNet.get_flat()`.
-    """
-
-    def __new__(cls, grad_weights, grad_biases, flat):
-        obj = super().__new__(cls, (grad_weights, grad_biases))
-        obj.flat = flat
-        return obj
-
-
 class _StepWorkspace:
     """Buffers of the training step for one row count: the pair inputs, each
     layer's pre-activation, activation and finiteness mask, and backward's
@@ -210,12 +197,9 @@ class AllocationNet:
 
     # ---- backward ----------------------------------------------------------
 
-    def backward(self, cache, grad_output: np.ndarray) -> Gradients:
-        """Parameter gradients of sum(grad_output * output) for a cached forward pass.
-
-        Returns (grad_weights, grad_biases) matching self.weights / self.biases,
-        as views of one fresh flat buffer (see `Gradients`).
-        """
+    def backward(self, cache, grad_output: np.ndarray) -> np.ndarray:
+        """Parameter gradient of sum(grad_output * output) for a cached forward
+        pass, as one fresh flat array laid out like `get_flat()`."""
         acts, pre_acts, slope = cache
         workspace = self._step_workspace(acts[0].shape[0])
         flat = np.empty(self.n_params)
@@ -234,7 +218,7 @@ class AllocationNet:
                     np.matmul(delta, w.T, out=out)
                 mask = np.greater(pre_acts[li - 1], 0, out=workspace.finite[:, : w.shape[0]])
                 delta = np.multiply(out, mask, out=out)
-        return Gradients(grad_w, grad_b, flat)
+        return flat
 
     # ---- flat parameter view (checkpoints, finite differences) -------------
 
@@ -298,7 +282,7 @@ def loss_gradient(net: AllocationNet, inputs: np.ndarray, loss_fn):
 
     `loss_fn(outputs) -> (value, dvalue_doutputs)` closes over whatever market
     data it needs; this routine only owns the network part of the chain.
-    Returns (value, (grad_weights, grad_biases)).
+    Returns (value, flat gradient laid out like `get_flat()`).
     """
     outputs, cache = net._forward_cached(np.asarray(inputs, dtype=float))
     value, grad_out = loss_fn(outputs)
@@ -327,16 +311,9 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(state: AdamState, net: AllocationNet, grads) -> None:
-    """One adaptive-moment descent step with bias correction; updates in place.
-
-    `grads` is (grad_weights, grad_biases); the flat buffer behind a
-    `Gradients` from `backward` is used as is.
-    """
-    flat = getattr(grads, "flat", None)
-    if flat is None:
-        grad_w, grad_b = grads
-        flat = np.concatenate([arr.ravel() for pair in zip(grad_w, grad_b) for arr in pair])
+def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
+    """One adaptive-moment descent step with bias correction on the flat
+    gradient `flat` (laid out like `get_flat()`); updates in place."""
     if flat.shape != state.m.shape:
         raise InvalidArgument("gradient shape does not match optimizer state")
     if state._buffers is None or state._buffers.shape != (2,) + flat.shape:
@@ -360,5 +337,5 @@ def adam_step(state: AdamState, net: AllocationNet, grads) -> None:
     net._params -= update
 
 
-__all__ = ["AllocationNet", "AdamState", "Gradients", "adam_step", "loss_gradient",
+__all__ = ["AllocationNet", "AdamState", "adam_step", "loss_gradient",
            "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]

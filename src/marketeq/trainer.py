@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ces, metrics
 from .errors import InvalidArgument, InvalidPrices, NumericFailure
-from .market import Market, softplus
+from .market import Market
 from .net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
 
 _EVAL_CHUNK = 8192  # buyers per forward chunk in full-population passes
@@ -52,8 +52,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size_loss < 1 or self.inner_iters < 1 or self.epochs < 1:
             raise InvalidArgument("batch size, inner iterations and epochs must be >= 1")
-        if self.rho <= 0:
-            raise InvalidArgument("quadratic penalty rho must be > 0")
+        if not 0.0 < self.rho < math.inf:
+            raise InvalidArgument("quadratic penalty rho must be finite and > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InvalidArgument("learning rate must be finite and > 0")
         if self.batch_size_multiplier is not None and self.batch_size_multiplier < 1:
             raise InvalidArgument("multiplier batch size must be >= 1 when given")
 
@@ -106,39 +108,46 @@ def _norm_supply(market: Market) -> np.ndarray:
 
 
 def estimate_lagrangian_terms(net: AllocationNet, multipliers, rho: float,
-                              buyer_sample: np.ndarray, market: Market):
+                              buyer_idx: np.ndarray, market: Market):
     """(objective, multiplier, quadratic) terms of the minibatch Lagrangian estimate.
 
-    `buyer_sample` holds 2M buyer contexts; the two halves must be independent
-    draws.  Only the first half feeds the objective and multiplier terms.
+    `buyer_idx` holds the market indices of 2M sampled buyers; the two halves
+    must be independent draws.  Only the first half feeds the objective and
+    multiplier terms.
     """
-    buyer_sample = np.atleast_2d(np.asarray(buyer_sample, dtype=float))
-    if buyer_sample.shape[0] % 2 != 0 or buyer_sample.shape[0] == 0:
-        raise InvalidArgument("buyer sample must contain 2M contexts")
-    x_hat = net.forward_batch(buyer_sample, market.goods)
-    terms, _ = _lagrangian_terms_from_outputs(x_hat, buyer_sample, np.asarray(multipliers, float),
+    buyer_idx = np.asarray(buyer_idx)
+    if buyer_idx.ndim != 1 or buyer_idx.size == 0 or buyer_idx.size % 2 != 0:
+        raise InvalidArgument("buyer sample must be a 1-D array of 2M buyer indices")
+    if not np.issubdtype(buyer_idx.dtype, np.integer):
+        raise InvalidArgument(f"buyer indices must be integers, got dtype {buyer_idx.dtype}")
+    if buyer_idx.min() < 0 or buyer_idx.max() >= market.n:
+        raise InvalidArgument(f"buyer indices must lie in [0, {market.n})")
+    x_hat = net.forward_batch(market.buyers[buyer_idx], market.goods)
+    terms, _ = _lagrangian_terms_from_outputs(x_hat, buyer_idx, np.asarray(multipliers, float),
                                               rho, market, want_grad=False)
     return terms
 
 
 def estimate_lagrangian(net: AllocationNet, multipliers, rho: float,
-                        buyer_sample: np.ndarray, market: Market) -> float:
+                        buyer_idx: np.ndarray, market: Market) -> float:
     """Unbiased minibatch estimate of the penalized Lagrangian."""
-    obj, mult, quad = estimate_lagrangian_terms(net, multipliers, rho, buyer_sample, market)
+    obj, mult, quad = estimate_lagrangian_terms(net, multipliers, rho, buyer_idx, market)
     return obj + mult + quad
 
 
-def _lagrangian_terms_from_outputs(x_hat, buyer_contexts, lam, rho, market, want_grad):
-    """Shared core: terms (and optionally d/dx_hat) of the 2M-sample estimate."""
+def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad):
+    """Shared core: terms (and optionally d/dx_hat) of the 2M-sample estimate
+    on the outputs `x_hat` of the buyers `buyer_idx`."""
     two_m = x_hat.shape[0]
     half = two_m // 2
-    budgets = np.linalg.norm(buyer_contexts, axis=1)
-    values = softplus(buyer_contexts @ market.goods.T)
+    # only the first half's budgets and values enter the estimate
+    budgets = market.budgets[buyer_idx[:half]]
+    values = market.values[buyer_idx[:half]]
     y_norm = _norm_supply(market)
     x_phys = x_hat * y_norm  # physical bundles; identical to x_hat by default
     x1, x2 = x_hat[:half], x_hat[half:]
 
-    utility_args = (values[:half], x_phys[:half], market.ces)
+    utility_args = (values, x_phys[:half], market.ces)
     boundary = None
     if want_grad:
         try:
@@ -151,7 +160,7 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_contexts, lam, rho, market, want
         log_u = ces.log_utility(*utility_args)
     if not np.all(np.isfinite(log_u)):
         raise NumericFailure("a sampled buyer has zero or non-finite utility")
-    obj = -float(budgets[:half] @ log_u) / half
+    obj = -float(budgets @ log_u) / half
     resid1 = x1.mean(axis=0) - 1.0
     mult = float(lam @ resid1)
     quad = rho / (2.0 * half) * float(np.sum((x1 - 1.0) * (x2 - 1.0)))
@@ -164,7 +173,7 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_contexts, lam, rho, market, want
 
     grad = np.empty_like(x_hat)
     grad[:half] = (
-        -(budgets[:half, None] * dlog_u) * y_norm / half
+        -(budgets[:, None] * dlog_u) * y_norm / half
         + lam[None, :] / half
         + rho / (2.0 * half) * (x2 - 1.0)
     )
@@ -237,21 +246,16 @@ def multiplier_update(multipliers, net: AllocationNet, market: Market, rho: floa
     return lam + beta_t * rho * resid
 
 
-def train(market: Market, config: TrainConfig, buyer_sampler=None):
+def train(market: Market, config: TrainConfig):
     """Run the full training loop; returns (net, multipliers, history).
 
-    Deterministic given the config seed: network init, buyer sampling and all
-    reductions are fixed-order.  `buyer_sampler(rng, count) -> (count, k)` can
-    replace the default uniform-with-replacement draw over the market's
-    buyers (the hook for non-finite buyer populations; the exact multiplier
-    pass and the evaluation sweep still enumerate the finite market).
+    Deterministic given the config seed: network init, the uniform
+    with-replacement draw of buyer indices and all reductions are fixed-order.
     """
     init_ss, sample_ss = np.random.SeedSequence(config.seed).spawn(2)
     net = AllocationNet.initialize(market.k, config.hidden_depth, config.hidden_width, init_ss)
     adam = AdamState.for_net(net, lr=config.learning_rate)
     sampler = np.random.Generator(np.random.Philox(sample_ss))
-    if buyer_sampler is None:
-        buyer_sampler = lambda rng, count: market.buyers[rng.integers(0, market.n, size=count)]
     lam = np.ones(market.m)
     history = TrainHistory()
     half = config.batch_size_loss
@@ -264,16 +268,15 @@ def train(market: Market, config: TrainConfig, buyer_sampler=None):
         t_start = time.perf_counter()
         loss_sum = 0.0
         for _ in range(config.inner_iters):
-            contexts = buyer_sampler(sampler, 2 * half)
+            idx = sampler.integers(0, market.n, size=2 * half)
             try:
-                x_hat, cache = net.forward_step(contexts, market.goods)
+                x_hat, cache = net.forward_step(market.buyers[idx], market.goods)
                 terms, grad_x = _lagrangian_terms_from_outputs(
-                    x_hat, contexts, lam, config.rho, market, want_grad=True)
+                    x_hat, idx, lam, config.rho, market, want_grad=True)
             except NumericFailure as err:
                 raise NumericFailure(f"epoch {epoch}: {err}", history=history) from err
             loss_sum += sum(terms)
-            grads = net.backward(cache, grad_x.reshape(-1))
-            adam_step(adam, net, grads)
+            adam_step(adam, net, net.backward(cache, grad_x.reshape(-1)))
         train_seconds = time.perf_counter() - t_start
 
         t_eval = time.perf_counter()

@@ -121,7 +121,7 @@ def test_criterion_2_estimator_unbiasedness():
         total = np.zeros(3)
         count = 0
         for i, j in itertools.product(range(n), repeat=2):
-            total += estimate_lagrangian_terms(net, lam, rho, market.buyers[[i, j]], market)
+            total += estimate_lagrangian_terms(net, lam, rho, np.array([i, j]), market)
             count += 1
         exact = np.array(exact_lagrangian_terms(net, lam, rho, market))
         worst_err = max(worst_err, float(np.max(np.abs(total / count - exact))))
@@ -138,13 +138,11 @@ def test_criterion_3_gradient_correctness():
     lam = rng.uniform(0.5, 2.0, size=market.m)
     rho = 0.2
     idx = rng.integers(0, market.n, size=32)
-    contexts = market.buyers[idx]
     from marketeq.trainer import _lagrangian_terms_from_outputs
 
-    x_hat, cache = net.forward_step(contexts, market.goods)
-    _, grad_x = _lagrangian_terms_from_outputs(x_hat, contexts, lam, rho, market, want_grad=True)
-    grad_w, grad_b = net.backward(cache, grad_x.reshape(-1))
-    flat_grad = np.concatenate([a.ravel() for pair in zip(grad_w, grad_b) for a in pair])
+    x_hat, cache = net.forward_step(market.buyers[idx], market.goods)
+    _, grad_x = _lagrangian_terms_from_outputs(x_hat, idx, lam, rho, market, want_grad=True)
+    flat_grad = net.backward(cache, grad_x.reshape(-1))
 
     params = net.get_flat()
     h = 1e-5
@@ -154,10 +152,10 @@ def test_criterion_3_gradient_correctness():
         bumped = params.copy()
         bumped[pick] += h
         net.set_flat(bumped)
-        up = estimate_lagrangian(net, lam, rho, contexts, market)
+        up = estimate_lagrangian(net, lam, rho, idx, market)
         bumped[pick] -= 2 * h
         net.set_flat(bumped)
-        down = estimate_lagrangian(net, lam, rho, contexts, market)
+        down = estimate_lagrangian(net, lam, rho, idx, market)
         net.set_flat(params)
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(flat_grad[pick] - fd) / max(1e-6, abs(flat_grad[pick]), abs(fd)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -221,6 +223,55 @@ def test_demand_consistency_and_optimality(spec):
         bundles = shares * budget / prices
         best = float(np.max(ces.utility(values, bundles, spec)))
         assert best <= np.exp(log_u_star) + 1e-9
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_demand_matrix_general_in_place():
+    rng = np.random.default_rng(12)
+    for alpha in (0.9, 0.5, 0.2, -0.3, -1.0, -3.0):
+        for _ in range(20):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            values = np.exp(rng.uniform(-3.0, 3.0, size=(n, m)))
+            budgets = np.exp(rng.uniform(-1.0, 1.0, size=n))
+            prices = np.exp(rng.uniform(-2.0, 2.0, size=m))
+            # the explicit formula, evaluated in the same order
+            r = alpha / (1.0 - alpha)
+            log_v, log_p = np.log(values), np.log(prices)
+            log_c0 = ces._logsumexp(r * (log_v - log_p))
+            ref = np.exp(r * log_v - (r + 1.0) * log_p + np.log(budgets)[:, None]
+                         - log_c0[:, None])
+            got = ces.demand_matrix(values, budgets, prices, CesSpec.general(alpha))
+            np.testing.assert_array_equal(got, ref)
+    # log v, its shifted copy and nothing else n-by-m: the result is log v's buffer
+    n, m = 2**16, 10
+    values = np.exp(rng.uniform(-3.0, 3.0, size=(n, m)))
+    budgets, prices = np.ones(n), np.exp(rng.uniform(-2.0, 2.0, size=m))
+    peak = _peak_bytes(ces.demand_matrix, values, budgets, prices, CesSpec.general(0.5))
+    assert peak <= 2.5 * values.nbytes
+
+
+def test_cobb_douglas_log_utility_in_place():
+    rng = np.random.default_rng(13)
+    spec = CesSpec.cobb_douglas()
+    values = rng.uniform(0.01, 3.0, size=(200, 6))
+    bundle = rng.uniform(1e-3, 5.0, size=(200, 6))
+    bundle[rng.random(bundle.shape) < 0.1] = 0.0
+    weights = values / np.sum(values, axis=-1, keepdims=True)
+    logs = np.where(bundle > 0, np.log(np.where(bundle > 0, bundle, 1.0)), -np.inf)
+    np.testing.assert_array_equal(ces.log_utility(values, bundle, spec),
+                                  np.sum(weights * logs, axis=-1))
+    n, m = 2**16, 10
+    values = rng.uniform(0.01, 3.0, size=(n, m))
+    bundle = rng.uniform(1e-3, 5.0, size=(n, m))
+    assert _peak_bytes(ces.log_utility, values, bundle, spec) <= 2.5 * values.nbytes
 
 
 FUSED_SPECS = [CesSpec.linear(), CesSpec.general(0.5), CesSpec.general(-1.0),

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ def test_experiment_config_validation(tmp_path):
                          out_dir=str(tmp_path))
     ExperimentConfig(market=toy_spec(), method="eg-m", method_config=EgConfig(momentum=0.9),
                      out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (TrainConfig, "learning_rate", 0.0),
+    (TrainConfig, "learning_rate", -0.5),
+    (TrainConfig, "learning_rate", math.nan),
+    (TrainConfig, "learning_rate", math.inf),
+    (TrainConfig, "rho", 0.0),
+    (TrainConfig, "rho", math.nan),
+    (TrainConfig, "rho", math.inf),
+    (EgConfig, "step_size", 0.0),
+    (EgConfig, "step_size", -1.0),
+    (EgConfig, "step_size", math.nan),
+    (EgConfig, "step_size", math.inf),
+    (EgConfig, "rho", 0.0),
+    (EgConfig, "rho", math.nan),
+    (EgConfig, "rho", math.inf),
+])
+def test_configs_reject_unusable_step_sizes(make, field, value):
+    with pytest.raises(InvalidArgument):
+        make(**{field: value})
 
 
 def test_config_hash_stable_and_sensitive():
@@ -278,6 +300,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     market_path = tmp_path / "market.json"
     assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
     assert main(["run", "--market", str(market_path), "--method", "eg", "--inner-iters", "0",
+                 "--outdir", str(tmp_path / "eg")]) == 2
+    assert main(["run", "--market", str(market_path), "--method", "fcnet", "--learning-rate", "-0.5",
+                 "--outdir", str(tmp_path / "fcnet")]) == 2
+    assert main(["run", "--market", str(market_path), "--method", "eg", "--step-size", "nan",
                  "--outdir", str(tmp_path / "eg")]) == 2
     capsys.readouterr()
     assert main(["sweep", "--methods", "naive", "--n-list", "8", "--m-list", "2",

@@ -79,8 +79,8 @@ def test_loss_gradient_matches_finite_differences():
     def loss_fn(y):
         return float(np.sum((y - target) ** 2)), 2.0 * (y - target)
 
-    value, (grad_w, grad_b) = loss_gradient(net, inputs, loss_fn)
-    flat_grad = np.concatenate([a.ravel() for pair in zip(grad_w, grad_b) for a in pair])
+    value, flat_grad = loss_gradient(net, inputs, loss_fn)
+    assert flat_grad.shape == (net.n_params,)
     params = net.get_flat()
     h = 1e-5
     picks = rng.choice(params.size, size=min(120, params.size), replace=False)
@@ -101,17 +101,17 @@ def test_loss_gradient_matches_finite_differences():
 def test_zero_loss_zero_gradient():
     net = small_net(seed=6)
     inputs = np.random.default_rng(4).standard_normal((5, 6))
-    _, (grad_w, grad_b) = loss_gradient(net, inputs, lambda y: (0.0, np.zeros_like(y)))
-    assert all(np.all(g == 0) for g in grad_w)
-    assert all(np.all(g == 0) for g in grad_b)
+    _, grad = loss_gradient(net, inputs, lambda y: (0.0, np.zeros_like(y)))
+    assert grad.shape == (net.n_params,)
+    assert np.all(grad == 0)
 
 
 def test_saturated_output_kills_gradient():
     net = small_net(seed=7)
     net.biases[-1][...] = -60.0  # softplus'(-60) ~ 8.8e-27
     inputs = np.zeros((4, 6))
-    _, (grad_w, _) = loss_gradient(net, inputs, lambda y: (float(np.sum(y)), np.ones_like(y)))
-    assert max(np.max(np.abs(g)) for g in grad_w) < 1e-20
+    _, grad = loss_gradient(net, inputs, lambda y: (float(np.sum(y)), np.ones_like(y)))
+    assert np.max(np.abs(grad)) < 1e-20  # weights and biases alike
 
 
 def test_loss_gradient_rejects_nonfinite():
@@ -125,8 +125,7 @@ def test_adam_first_step_moves_by_lr():
     net = small_net(seed=9)
     state = AdamState.for_net(net, lr=1e-3)
     before = net.get_flat()
-    grads = ([np.full_like(w, 3.0) for w in net.weights], [np.full_like(b, 3.0) for b in net.biases])
-    adam_step(state, net, grads)
+    adam_step(state, net, np.full(net.n_params, 3.0))
     delta = net.get_flat() - before
     # first bias-corrected step is -lr * g/(|g| + eps) ~ -lr
     np.testing.assert_allclose(delta, -1e-3, rtol=1e-6)
@@ -137,11 +136,13 @@ def test_adam_zero_gradient_no_move():
     net = small_net(seed=10)
     state = AdamState.for_net(net)
     before = net.get_flat()
-    grads = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
-    adam_step(state, net, grads)
-    adam_step(state, net, grads)
+    grad = np.zeros(net.n_params)
+    adam_step(state, net, grad)
+    adam_step(state, net, grad)
     np.testing.assert_array_equal(net.get_flat(), before)
     assert state.step == 2
+    with pytest.raises(InvalidArgument):
+        adam_step(state, net, np.zeros(net.n_params - 1))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -202,12 +203,13 @@ def test_workspace_step_matches_plain_passes():
         buyers = rng.standard_normal((rows, 4))
         grad_output = rng.standard_normal(rows * 3)
         x_hat, cache = net.forward_step(buyers, goods)
-        grad_w, grad_b = net.backward(cache, grad_output)
+        grad = net.backward(cache, grad_output)
         y, ref_w, ref_b = _plain_step(net, buyers, goods, grad_output)
         np.testing.assert_array_equal(x_hat, y.reshape(rows, 3))
         np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
-        for got, ref in zip(grad_w + grad_b, ref_w + ref_b):
-            np.testing.assert_array_equal(got, ref)
+        # get_flat() order: each layer's weights, then its biases
+        ref = np.concatenate([a.ravel() for pair in zip(ref_w, ref_b) for a in pair])
+        np.testing.assert_array_equal(grad, ref)
     goods = rng.standard_normal((3, 4))  # new goods refill the goods half
     x_hat, _ = net.forward_step(buyers, goods)
     np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
@@ -220,9 +222,9 @@ def test_backward_returns_fresh_flat_gradients():
     _, cache = net.forward_step(buyers, goods)
     first = net.backward(cache, np.ones(8))
     second = net.backward(cache, 2.0 * np.ones(8))
-    flat = np.concatenate([a.ravel() for pair in zip(*first) for a in pair])
-    np.testing.assert_array_equal(first.flat, flat)
-    np.testing.assert_array_equal(second.flat, 2.0 * first.flat)
+    assert type(first) is np.ndarray and first.shape == (net.n_params,)
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(second, 2.0 * first)
 
 
 def test_get_flat_returns_a_copy():
@@ -264,14 +266,13 @@ def test_adam_step_matches_allocating_update():
     rng = np.random.default_rng(8)
     for step in range(1, 4):
         _, cache = net.forward_step(rng.standard_normal((3, 3)), rng.standard_normal((2, 3)))
-        grads = net.backward(cache, rng.standard_normal(6))
-        flat = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])
+        flat = net.backward(cache, rng.standard_normal(6))
         ref_m = 0.9 * ref_m + (1.0 - 0.9) * flat
         ref_v = 0.999 * ref_v + (1.0 - 0.999) * flat * flat
         m_hat = ref_m / (1.0 - 0.9 ** step)
         v_hat = ref_v / (1.0 - 0.999 ** step)
         ref_params = ref_params - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        adam_step(state, net, grads if step % 2 else tuple(grads))  # flat-backed and plain lists
+        adam_step(state, net, flat)
         np.testing.assert_array_equal(net.get_flat(), ref_params)
         np.testing.assert_array_equal(state.m, ref_m)
         np.testing.assert_array_equal(state.v, ref_v)

@@ -1,6 +1,6 @@
 """The benchmark's span tracer names marketeq entry points by string; a rename
 would leave a per-layer metric silently at zero.  Check every name resolves,
-and that an installed tracer sees the EG and oracle entry points called."""
+and that an installed tracer sees the EG, oracle and fcnet entry points called."""
 
 import functools
 import importlib
@@ -48,10 +48,13 @@ from marketeq import harness, oracle
 from marketeq.baselines import EgConfig
 from marketeq.ces import CesSpec
 from marketeq.market import ContextDistribution, generate_market
+from marketeq.trainer import TrainConfig
 market = harness.MarketSpec(n=16, m=2, k=3, seed=1)
-with tempfile.TemporaryDirectory() as out:
-    harness.run_experiment(harness.ExperimentConfig(
-        market=market, method="eg-m", method_config=EgConfig(momentum=0.9, epochs=2), out_dir=out))
+fcnet = TrainConfig(batch_size_loss=4, hidden_width=4, hidden_depth=1, inner_iters=2, epochs=2)
+for method, config in (("eg-m", EgConfig(momentum=0.9, epochs=2)), ("fcnet", fcnet)):
+    with tempfile.TemporaryDirectory() as out:
+        harness.run_experiment(harness.ExperimentConfig(
+            market=market, method=method, method_config=config, out_dir=out))
 oracle.numeric_equilibrium(generate_market(4, 2, 3, ContextDistribution.STANDARD_NORMAL,
                                            CesSpec.cobb_douglas(), 2))
 print(json.dumps({"names": sorted({span[0] for span in tracer.spans}), "absent": tracer.absent}))
@@ -66,6 +69,8 @@ def test_installed_tracer_sees_the_eg_and_oracle_entry_points():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     traced = json.loads(done.stdout.strip().splitlines()[-1])
-    for name in ("baselines.eg_momentum_solve", "oracle.numeric_equilibrium", "metrics.nash_gap"):
+    for name in ("baselines.eg_momentum_solve", "oracle.numeric_equilibrium", "metrics.nash_gap",
+                 "net.backward", "net.adam_step", "trainer.multiplier_update",
+                 "net.forward_batch"):
         assert name in traced["names"]
     assert traced["absent"] == []

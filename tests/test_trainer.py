@@ -41,8 +41,7 @@ def enumeration_mean_terms(net, lam, rho, market):
     sums = np.zeros(3)
     count = 0
     for i, j in itertools.product(range(market.n), repeat=2):
-        sample = market.buyers[[i, j]]
-        sums += estimate_lagrangian_terms(net, lam, rho, sample, market)
+        sums += estimate_lagrangian_terms(net, lam, rho, np.array([i, j]), market)
         count += 1
     return sums / count
 
@@ -64,12 +63,12 @@ def test_estimator_clearance_exact_net():
     market = random_market(rng, 6, 3, CesSpec.cobb_douglas())
     net = constant_net(market.k, 1.0)
     lam = rng.uniform(0.5, 2.0, size=3)
-    sample = market.buyers[rng.integers(0, 6, size=8)]
+    sample = rng.integers(0, 6, size=8)
     obj, mult, quad = estimate_lagrangian_terms(net, lam, 0.4, sample, market)
     assert mult == pytest.approx(0.0, abs=1e-12)
     assert quad == pytest.approx(0.0, abs=1e-12)
     # objective is -(mean of B log u(ones)) over the first half
-    half = sample[:4]
+    half = market.buyers[sample[:4]]
     budgets = np.linalg.norm(half, axis=1)
     from marketeq import ces
     from marketeq.market import softplus
@@ -83,7 +82,7 @@ def test_estimator_rho_zero_drops_quadratic():
     market = random_market(rng, 5, 2, CesSpec.linear())
     net = AllocationNet.initialize(market.k, 2, 8, seed=1)
     lam = np.ones(2)
-    sample = market.buyers[rng.integers(0, 5, size=6)]
+    sample = rng.integers(0, 5, size=6)
     obj, mult, quad = estimate_lagrangian_terms(net, lam, 1e-12, sample, market)
     full = estimate_lagrangian(net, lam, 1e-12, sample, market)
     assert quad == pytest.approx(0.0, abs=1e-10)
@@ -91,11 +90,20 @@ def test_estimator_rho_zero_drops_quadratic():
 
 
 def test_estimator_rejects_odd_sample():
+    # and every other malformed array of buyer indices
     rng = np.random.default_rng(2)
     market = random_market(rng, 4, 2, CesSpec.linear())
     net = AllocationNet.initialize(market.k, 2, 4, seed=0)
-    with pytest.raises(InvalidArgument):
-        estimate_lagrangian(net, np.ones(2), 0.2, market.buyers[:3], market)
+    for sample in (
+        np.arange(3),  # odd count
+        np.arange(0),  # empty
+        np.zeros((2, 5), dtype=int),  # 2-D (k = 5 wide)
+        np.array([0.0, 1.0]),  # not integers
+        np.array([0, 4]),  # index n
+        np.array([-1, 0]),  # negative: numpy would wrap it to n - 1
+    ):
+        with pytest.raises(InvalidArgument):
+            estimate_lagrangian_terms(net, np.ones(2), 0.2, sample, market)
 
 
 def test_estimator_monte_carlo_sanity():
@@ -109,7 +117,7 @@ def test_estimator_monte_carlo_sanity():
     m_half = 50
     for t in range(draws.size):
         idx = rng.integers(0, market.n, size=2 * m_half)
-        draws[t] = estimate_lagrangian(net, lam, rho, market.buyers[idx], market)
+        draws[t] = estimate_lagrangian(net, lam, rho, idx, market)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) < 4 * se + 1e-12
 
@@ -181,13 +189,13 @@ def test_lagrangian_boundary_error_precedence(spec, error):
     from marketeq.trainer import _lagrangian_terms_from_outputs
 
     market = random_market(np.random.default_rng(10), 6, 3, spec)
-    contexts = market.buyers[:4]
+    idx = np.arange(4)
     x_hat = np.ones((4, 3))
     x_hat[0, 1] = 0.0
     with np.errstate(divide="ignore"), pytest.raises(error):
-        _lagrangian_terms_from_outputs(x_hat, contexts, np.ones(3), 0.2, market, want_grad=True)
+        _lagrangian_terms_from_outputs(x_hat, idx, np.ones(3), 0.2, market, want_grad=True)
     if error is InvalidArgument:  # the value alone is defined there
-        terms, grad = _lagrangian_terms_from_outputs(x_hat, contexts, np.ones(3), 0.2, market,
+        terms, grad = _lagrangian_terms_from_outputs(x_hat, idx, np.ones(3), 0.2, market,
                                                      want_grad=False)
         assert np.all(np.isfinite(terms)) and grad is None
 
@@ -281,22 +289,6 @@ def test_train_checkpoints_each_epoch(tmp_path):
     last, opt = AllocationNet.load(tmp_path / "ckpts" / "net_epoch_003.npz")
     assert np.array_equal(last.get_flat(), net.get_flat())
     assert opt is not None
-
-
-def test_train_accepts_custom_buyer_sampler():
-    market = generate_market(32, 2, 3, ContextDistribution.STANDARD_NORMAL,
-                             CesSpec.general(0.5), 6)
-    config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=2,
-                         inner_iters=5, epochs=2, seed=0, eval_each_epoch=False)
-    calls = []
-
-    def sampler(rng, count):
-        calls.append(count)
-        return market.buyers[rng.integers(0, market.n, size=count)]
-
-    _, _, history = train(market, config, buyer_sampler=sampler)
-    assert len(history) == 2
-    assert calls == [16] * 10
 
 
 def test_history_curve_csv(tmp_path):
