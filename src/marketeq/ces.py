@@ -21,11 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, InvalidArgument, InvalidPrices, UnsupportedRegime
+from .errors import ConditioningWarning, InvalidArgument, InvalidPrices
 
 # Below this distance from the removable singularities at alpha=0 / alpha=1 the
 # general-regime closed forms lose precision; callers should pick the exact regime.
 _ALPHA_CONDITIONING_TOL = 1e-6
+
+# buyers per chunk of the n-by-m passes that build, check and score a market's
+# arrays; the desk market (n = 4096) is one chunk
+_CHUNK_ROWS = 2**14
+
+
+def _row_chunks(n: int):
+    """Slices of at most `_CHUNK_ROWS` consecutive rows that cover range(n)."""
+    for lo in range(0, n, _CHUNK_ROWS):
+        yield slice(lo, min(lo + _CHUNK_ROWS, n))
 
 
 class Regime(enum.Enum):
@@ -355,12 +365,23 @@ def demand(problem: BuyerProblem, spec: CesSpec) -> np.ndarray:
 
 
 def demand_matrix(values, budgets, prices, spec: CesSpec):
-    """Vectorized demand: values (n, m), budgets (n,), prices (m,) -> (n, m)."""
+    """Vectorized demand: values (n, m), budgets (n,), prices (m,) -> (n, m).
+
+    Every regime's formula is row-independent, so it runs over buyer chunks
+    into one output array: the only n-by-m array this allocates.
+    """
     values = np.asarray(values, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
     prices = np.asarray(prices, dtype=float)
     if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
         raise InvalidPrices("prices must be finite and strictly positive")
+    x = np.empty_like(values)
+    for rows in _row_chunks(values.shape[0]):
+        x[rows] = _demand_rows(values[rows], budgets[rows], prices, spec)
+    return x
+
+
+def _demand_rows(values, budgets, prices, spec: CesSpec):
     if spec.regime is Regime.LINEAR:
         j_star = np.argmax(values / prices, axis=-1)
         x = np.zeros_like(values)

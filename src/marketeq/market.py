@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .ces import CesSpec, Regime
+from .ces import CesSpec, Regime, _row_chunks
 from .errors import DegenerateBudget, InvalidArgument
 
 
@@ -83,18 +83,27 @@ def valuation(b, g) -> float:
 def _sample_contexts(seed_seq: np.random.SeedSequence, count: int, k: int, dist: ContextDistribution):
     gen = np.random.Generator(np.random.Philox(seed_seq))
     u = gen.random((count, k))  # one Philox word per component -> per-entity blocks
+    # each transform runs in u's own buffer, the one count-by-k array
     if dist is ContextDistribution.UNIFORM01:
         return u
     if dist is ContextDistribution.EXPONENTIAL_UNIT_RATE:
-        return -np.log1p(-u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)
     # keep u strictly inside (0, 1) so ndtri stays finite (the shift alone
     # could round the largest representable u up to exactly 1)
-    return ndtri(np.clip(u + 2.0**-54, 2.0**-54, np.nextafter(1.0, 0.0)))
+    u += 2.0**-54
+    np.clip(u, 2.0**-54, np.nextafter(1.0, 0.0), out=u)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
 class Market:
-    """Immutable problem instance; share freely across threads."""
+    """Immutable problem instance; share freely across threads.
+
+    The derived budgets, values and default supplies are cached read-only
+    arrays; an explicit `supply_override` is kept as given.
+    """
 
     n: int
     m: int
@@ -129,18 +138,27 @@ class Market:
         norms = np.linalg.norm(self.buyers, axis=1)
         if np.any(norms <= 0.0):
             raise DegenerateBudget("market contains a zero buyer context")
-        return norms
+        return _read_only(norms)
 
     @cached_property
     def values(self) -> np.ndarray:
-        """v_ij = softplus(<b_i, g_j>), shape (n, m); strictly positive."""
-        return softplus(self.buyers @ self.goods.T)
+        """v_ij = softplus(<b_i, g_j>), shape (n, m); strictly positive.
+
+        One whole matrix product, then softplus in its buffer chunk by chunk,
+        so no temporary is larger than a chunk of rows.  The product itself
+        is not chunked: a one-row chunk would go through a matrix-vector
+        kernel that can round differently in the last bit.
+        """
+        values = self.buyers @ self.goods.T
+        for rows in _row_chunks(self.n):
+            values[rows] = softplus(values[rows])
+        return _read_only(values)
 
     @cached_property
     def supplies(self) -> np.ndarray:
         if self.supply_override is not None:
             return self.supply_override
-        return np.full(self.m, float(self.n))
+        return _read_only(np.full(self.m, float(self.n)))
 
     @property
     def total_budget(self) -> float:
@@ -206,6 +224,11 @@ class Market:
     @classmethod
     def load(cls, path) -> "Market":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def generate_market(

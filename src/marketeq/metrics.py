@@ -30,9 +30,6 @@ from .market import Market
 # relative feasibility tolerance for nash_gap preconditions
 FEASIBILITY_RTOL = 1e-9
 
-# buyers per chunk of the scoring pass; the desk market (n = 4096) is one chunk
-_CHUNK_ROWS = 2**14
-
 # CSV column order is part of the external interface; keep stable.
 CSV_COLUMNS = ("lnw", "lfw", "ng", "voa", "vop", "wsw", "price_residual", "kkt_max_residual")
 
@@ -112,8 +109,11 @@ def _check_allocation(market: Market, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (market.n, market.m):
         raise InvalidArgument(f"allocation shape {x.shape} does not match market ({market.n}, {market.m})")
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise InvalidArgument("allocation must be finite and nonnegative")
+    # chunk by chunk, so the masks are never n-by-m
+    for rows in ces._row_chunks(market.n):
+        chunk = x[rows]
+        if np.any(chunk < 0) or not np.all(np.isfinite(chunk)):
+            raise InvalidArgument("allocation must be finite and nonnegative")
     return x
 
 
@@ -127,8 +127,7 @@ def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
     sums = np.zeros(3)  # B_i times: log u_i, u_i, fixed-price log u_i
     peaks = np.full(3, -np.inf)  # one-sided, active-set and budget KKT residuals
     zero_utility = False
-    for lo in range(0, market.n, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
+    for rows in ces._row_chunks(market.n):
         b = budgets[rows]
         if prices is not None:
             sums[2] += np.dot(b, ces.fixed_price_log_utility_matrix(values[rows], b, prices, market.ces))

@@ -1,5 +1,7 @@
 """Shared test fixtures: hand-built markets with exact value/budget matrices."""
 
+import tracemalloc
+
 import numpy as np
 
 from marketeq.ces import CesSpec
@@ -29,6 +31,16 @@ def market_from_values(values, budgets, spec, supplies=None):
 
 def random_market(rng, n, m, spec, dist=ContextDistribution.STANDARD_NORMAL, k=5):
     return generate_market(n, m, k, dist, spec, int(rng.integers(2**31)))
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc's peak of the allocations made while `fn(*args)` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_problem(rng, m):

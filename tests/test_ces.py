@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,7 +6,7 @@ from marketeq import ces
 from marketeq.ces import BuyerProblem, CesSpec, Regime
 from marketeq.errors import ConditioningWarning, InvalidArgument, InvalidPrices
 
-from helpers import ALL_SPECS, random_problem
+from helpers import ALL_SPECS, peak_bytes, random_problem
 
 
 def test_spec_construction():
@@ -225,15 +223,6 @@ def test_demand_consistency_and_optimality(spec):
         assert best <= np.exp(log_u_star) + 1e-9
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_demand_matrix_general_in_place():
     rng = np.random.default_rng(12)
     for alpha in (0.9, 0.5, 0.2, -0.3, -1.0, -3.0):
@@ -250,12 +239,53 @@ def test_demand_matrix_general_in_place():
                          - log_c0[:, None])
             got = ces.demand_matrix(values, budgets, prices, CesSpec.general(alpha))
             np.testing.assert_array_equal(got, ref)
-    # log v, its shifted copy and nothing else n-by-m: the result is log v's buffer
+    # the result and a few chunk-by-m temporaries
     n, m = 2**16, 10
     values = np.exp(rng.uniform(-3.0, 3.0, size=(n, m)))
     budgets, prices = np.ones(n), np.exp(rng.uniform(-2.0, 2.0, size=m))
-    peak = _peak_bytes(ces.demand_matrix, values, budgets, prices, CesSpec.general(0.5))
+    peak = peak_bytes(ces.demand_matrix, values, budgets, prices, CesSpec.general(0.5))
     assert peak <= 2.5 * values.nbytes
+
+
+CHUNK = ces._CHUNK_ROWS
+# two full buyer chunks and a one-row remainder, and the rows around each edge
+EDGE_N = 2 * CHUNK + 1
+EDGE_ROWS = (0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.alpha_label)
+def test_demand_matrix_rows_at_chunk_edges(spec):
+    rng = np.random.default_rng(14)
+    values = np.exp(rng.uniform(-3.0, 3.0, size=(EDGE_N, 6)))
+    budgets = np.exp(rng.uniform(-1.0, 1.0, size=EDGE_N))
+    prices = np.exp(rng.uniform(-2.0, 2.0, size=6))
+    got = ces.demand_matrix(values, budgets, prices, spec)
+    # the regime's formula on the whole array at once, unchunked
+    np.testing.assert_array_equal(got, ces._demand_rows(values, budgets, prices, spec))
+    for i in EDGE_ROWS:
+        one = ces.demand(BuyerProblem(values[i], float(budgets[i]), prices), spec)
+        np.testing.assert_array_equal(got[i], one)
+
+
+def test_demand_matrix_peak_memory_one_output():
+    rng = np.random.default_rng(15)
+    n, m = 2**17, 10
+    values = np.exp(rng.uniform(-3.0, 3.0, size=(n, m)))
+    budgets, prices = np.ones(n), np.exp(rng.uniform(-2.0, 2.0, size=m))
+    peak = peak_bytes(ces.demand_matrix, values, budgets, prices, CesSpec.general(0.5))
+    assert peak <= values.nbytes + 4 * CHUNK * m * values.itemsize
+
+
+def test_demand_matrix_checks_prices_before_any_chunk(monkeypatch):
+    def no_chunks(n):
+        raise AssertionError("chunk work before the price check")
+
+    monkeypatch.setattr(ces, "_row_chunks", no_chunks)
+    values, budgets = np.ones((EDGE_N, 3)), np.ones(EDGE_N)
+    for prices in ([1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+        for spec in ALL_SPECS:
+            with pytest.raises(InvalidPrices):
+                ces.demand_matrix(values, budgets, np.array(prices), spec)
 
 
 def test_cobb_douglas_log_utility_in_place():
@@ -271,7 +301,7 @@ def test_cobb_douglas_log_utility_in_place():
     n, m = 2**16, 10
     values = rng.uniform(0.01, 3.0, size=(n, m))
     bundle = rng.uniform(1e-3, 5.0, size=(n, m))
-    assert _peak_bytes(ces.log_utility, values, bundle, spec) <= 2.5 * values.nbytes
+    assert peak_bytes(ces.log_utility, values, bundle, spec) <= 2.5 * values.nbytes
 
 
 FUSED_SPECS = [CesSpec.linear(), CesSpec.general(0.5), CesSpec.general(-1.0),

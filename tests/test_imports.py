@@ -1,0 +1,48 @@
+"""Every top-level import in `src/` and `tests/` is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module body's imports that the module never reads.
+
+    A name listed in `__all__` counts as read; `from __future__` imports and
+    star imports bind nothing checked.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+
+
+def test_detector_flags_unused_and_keeps_used_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom math import pi, tau\nfrom a import b\n"
+        "__all__ = ['b']\nprint(os.path, pi)\n"
+    )
+    assert unused_imports(source) == ["line 3: js", "line 4: tau"]
+
+
+def test_no_unused_top_level_imports():
+    offenders = []
+    for path in sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")]):
+        offenders += [f"{path.relative_to(ROOT)} {entry}"
+                      for entry in unused_imports(path.read_text())]
+    assert offenders == []

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-import marketeq as mq
+from marketeq import ces
 from marketeq.ces import CesSpec
 from marketeq.errors import DegenerateBudget, InvalidArgument
 from marketeq.market import (
@@ -14,7 +15,10 @@ from marketeq.market import (
     softplus,
     softplus_and_slope,
     valuation,
+    _sample_contexts,
 )
+
+from helpers import peak_bytes
 
 
 def test_budget_examples():
@@ -162,3 +166,45 @@ def test_market_values_match_pointwise():
     for i in (0, 5):
         for j in (0, 3):
             assert mkt.values[i, j] == pytest.approx(valuation(mkt.buyers[i], mkt.goods[j]))
+
+
+def test_sample_contexts_in_place():
+    n, k = 2**16, 5
+    for dist in ContextDistribution:
+        seed = np.random.SeedSequence(31)
+        u = np.random.Generator(np.random.Philox(seed)).random((n, k))
+        # the transforms written as whole expressions
+        expected = {
+            ContextDistribution.UNIFORM01: u,
+            ContextDistribution.EXPONENTIAL_UNIT_RATE: -np.log1p(-u),
+            ContextDistribution.STANDARD_NORMAL:
+                ndtri(np.clip(u + 2.0**-54, 2.0**-54, np.nextafter(1.0, 0.0))),
+        }[dist]
+        np.testing.assert_array_equal(_sample_contexts(seed, n, k, dist), expected)
+        peak = peak_bytes(_sample_contexts, seed, n, k, dist)
+        assert peak <= 1.5 * u.nbytes, dist
+
+
+@pytest.mark.parametrize("n", [ces._CHUNK_ROWS + 1, 3 * ces._CHUNK_ROWS + 4097])
+def test_values_bitwise_across_chunks(n):
+    mkt = generate_market(n, 10, 5, ContextDistribution.STANDARD_NORMAL, CesSpec.linear(), 13)
+    np.testing.assert_array_equal(mkt.values, softplus(mkt.buyers @ mkt.goods.T))
+
+
+def test_values_peak_memory_one_output():
+    n, m = 2**17, 10
+    mkt = generate_market(n, m, 5, ContextDistribution.STANDARD_NORMAL, CesSpec.linear(), 14)
+    peak = peak_bytes(lambda: mkt.values)
+    assert peak <= (n + 4 * ces._CHUNK_ROWS) * m * 8
+
+
+def test_cached_arrays_are_read_only():
+    mkt = generate_market(5, 2, 2, ContextDistribution.UNIFORM01, CesSpec.linear(), 3)
+    for array in (mkt.budgets, mkt.values, mkt.supplies):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # an explicit supply is the caller's array, kept as given
+    supplies = np.array([2.0, 3.0])
+    override = Market(n=mkt.n, m=mkt.m, k=mkt.k, buyers=mkt.buyers, goods=mkt.goods,
+                      ces=mkt.ces, supply_override=supplies)
+    assert override.supplies is supplies and supplies.flags.writeable

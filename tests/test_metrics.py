@@ -278,7 +278,7 @@ def test_epoch_scores_are_the_evaluate_gap():
 
 
 # three full buyer chunks of the scoring pass plus a remainder
-MULTI_CHUNK_N = 3 * metrics._CHUNK_ROWS + 4096
+MULTI_CHUNK_N = 3 * ces._CHUNK_ROWS + 4096
 
 
 def _chunked_pair(spec, n):
@@ -287,7 +287,7 @@ def _chunked_pair(spec, n):
     x = rng.uniform(0.1, 2.0, size=(n, 10))
     # zero entries in a later chunk and in the last one: KKT is +inf at
     # alpha = 0.5, where the gradient is singular there
-    x[min(2 * metrics._CHUNK_ROWS + 7, n - 2), 3] = 0.0
+    x[min(2 * ces._CHUNK_ROWS + 7, n - 2), 3] = 0.0
     x[n - 1, 0] = 0.0
     return mkt, x, rng.uniform(0.5, 2.0, size=10)
 
@@ -329,7 +329,7 @@ def test_evaluate_matches_public_functions_across_chunks(spec, n):
     for name, value in whole.items():
         got = getattr(report, name)
         assert got == value or abs(got - value) <= 1e-12 * abs(value), name
-    if n <= metrics._CHUNK_ROWS:
+    if n <= ces._CHUNK_ROWS:
         # one chunk: the pass makes exactly the whole-array sums
         assert (report.lnw, report.lfw) == (whole["lnw"], whole["lfw"])
     assert np.isfinite(report.lnw) and not report.degenerate_lnw
@@ -350,6 +350,19 @@ def test_evaluate_validates_the_allocation_once(monkeypatch):
     calls.clear()
     metrics.evaluate(mkt, x, p, kkt=False)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+def test_invalid_entry_in_last_chunk_rejected(bad):
+    rng = np.random.default_rng(22)
+    n = 2 * ces._CHUNK_ROWS + 5
+    mkt = random_market(rng, n, 3, CesSpec.general(0.5))
+    x, p = np.ones((n, 3)), np.ones(3)
+    x[n - 1, 2] = bad
+    with pytest.raises(InvalidArgument):
+        metrics.evaluate(mkt, x, p)
+    with pytest.raises(InvalidArgument):
+        metrics.lnw(mkt, x)
 
 
 def test_evaluate_peak_memory_below_one_allocation():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from marketeq import metrics
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, UnsupportedRegime
 from marketeq.market import ContextDistribution, Market, generate_market
