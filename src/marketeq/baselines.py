@@ -113,7 +113,7 @@ def _solve(market: Market, config: EgConfig):
     try:
         for epoch, raw, lam, loss, train_seconds in epochs:
             t_eval = time.perf_counter()
-            x = softplus(raw) * y_norm
+            x = softplus(np.ascontiguousarray(raw)) * y_norm
             ng, voa, vop = epoch_scores(market, x, lam / y_norm)
             history.append(EpochRecord(
                 epoch=epoch, loss=loss, ng=ng, voa=voa, vop=vop,
@@ -129,22 +129,27 @@ def _solve(market: Market, config: EgConfig):
 
 
 def descend(market: Market, config: EgConfig, raw: np.ndarray):
-    """The EG descent loop from the raw parameters `raw`, which it updates in
-    place.  Each epoch runs `inner_iters` gradient steps on the penalized
-    Lagrangian and one dual step on the multipliers, then yields
-    (epoch, raw, multipliers, loss, train_seconds) for epochs 1..config.epochs.
-    `ng_stop` is left to the caller; a buyer reaching zero utility or diverging
-    parameters raise NumericFailure."""
+    """The EG descent loop from the raw parameters `raw`.  Each epoch runs
+    `inner_iters` gradient steps on the penalized Lagrangian and one dual step
+    on the multipliers, then yields (epoch, raw, multipliers, loss,
+    train_seconds) for epochs 1..config.epochs.  The yielded `raw` is a
+    column-major copy of the input that the loop owns and updates in place;
+    the caller's array is never written.  Every n-by-m array of the loop is
+    buyer-contiguous, so each element-wise pass, per-buyer reduction over goods
+    and per-good mean runs along n-long vectors.  `ng_stop` is left to the
+    caller; a buyer reaching zero utility or diverging parameters raise
+    NumericFailure."""
     eta = config.step_size if config.step_size is not None else step_size_for(market)
     inner = config.inner_iters if config.inner_iters is not None else (
         1000 if market.n > 1000 else 100)
     y_norm = market.supplies / market.n
     budgets = market.budgets
-    values = market.values
+    values = np.asfortranarray(market.values)
     spec = market.ces
+    raw = np.array(raw, dtype=float, order="F")
     velocity = np.zeros_like(raw)
     lam = np.ones(market.m)
-    finite = np.empty(raw.shape, dtype=bool)
+    finite = np.empty_like(raw, dtype=bool)
 
     for epoch in range(1, config.epochs + 1):
         t_start = time.perf_counter()
@@ -162,12 +167,11 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
                 raise
             if not np.all(np.isfinite(log_u)):
                 raise NumericFailure(_ZERO_UTILITY)
-            # grad_raw = (-(B * dlog_u) * y_norm + lam + rho * resid) / n * slope,
+            # grad_raw = (lam + rho * resid - (B * dlog_u) * y_norm) / n * slope,
             # formed in the gradient's own buffer
             np.multiply(budgets[:, None], grad, out=grad)
-            np.negative(grad, out=grad)
             grad *= y_norm
-            grad += (lam + config.rho * resid)[None, :]
+            np.subtract((lam + config.rho * resid)[None, :], grad, out=grad)
             grad /= market.n
             grad *= slope
             if config.momentum:

@@ -106,7 +106,9 @@ class MetricsReport:
 
 
 def _check_allocation(market: Market, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    # C order, so that column sums and chunk reductions (and their rounding)
+    # do not depend on the caller's memory layout; no copy for C input
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (market.n, market.m):
         raise InvalidArgument(f"allocation shape {x.shape} does not match market ({market.n}, {market.m})")
     # chunk by chunk, so the masks are never n-by-m

@@ -123,7 +123,7 @@ def numeric_equilibrium(market: Market, tol: float = 1e-6, kkt_tol: float = 1e-4
                 p = lam / y_norm
                 if np.any(p <= 0):
                     continue
-                x = softplus(raw) * y_norm
+                x = softplus(np.ascontiguousarray(raw)) * y_norm
                 if linear:
                     x = _snap_dominated(market, x, p, kkt_tol)
                 try:

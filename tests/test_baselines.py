@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from marketeq import metrics
-from marketeq.baselines import EgConfig, eg_momentum_solve, eg_solve, naive, step_size_for
+from marketeq import ces, metrics
+from marketeq.baselines import (
+    _RAW_AT_ONE,
+    EgConfig,
+    descend,
+    eg_momentum_solve,
+    eg_solve,
+    naive,
+    step_size_for,
+)
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
-from marketeq.market import ContextDistribution, generate_market
+from marketeq.market import ContextDistribution, generate_market, softplus, softplus_and_slope
 from marketeq.oracle import cobb_douglas_equilibrium
 
 from helpers import market_from_values, random_market
@@ -139,3 +147,72 @@ def test_eg_boundary_error_precedence(spec, error):
         eg_solve(market, config)
     if error is NumericFailure:
         assert "zero utility" in str(info.value) and info.value.history is not None
+
+
+LAYOUT_CONFIG = EgConfig(step_size=1.0, momentum=0.9, inner_iters=20, epochs=3, ng_stop=None)
+
+
+def _epochs(mkt, raw):
+    return [(epoch, r.copy(), lam, loss)
+            for epoch, r, lam, loss, _ in descend(mkt, LAYOUT_CONFIG, raw)]
+
+
+def test_descend_owns_a_column_major_copy():
+    rng = np.random.default_rng(31)
+    mkt = random_market(rng, 40, 10, CesSpec.general(0.5))
+    raw = _RAW_AT_ONE + rng.uniform(-0.1, 0.1, size=(mkt.n, mkt.m))
+    before = raw.copy()
+    for _, r, _, _, _ in descend(mkt, LAYOUT_CONFIG, raw):
+        assert r.flags.f_contiguous and not np.shares_memory(r, raw)
+    assert np.array_equal(raw, before)
+
+
+@pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.linear(), CesSpec.cobb_douglas()],
+                         ids=lambda s: s.alpha_label)
+def test_descend_epochs_do_not_depend_on_input_layout(spec):
+    rng = np.random.default_rng(32)
+    mkt = random_market(rng, 40, 10, spec)
+    raw = _RAW_AT_ONE + rng.uniform(-0.1, 0.1, size=(mkt.n, mkt.m))
+    from_c, from_f = _epochs(mkt, raw), _epochs(mkt, np.asfortranarray(raw))
+    for (epoch, r_c, lam_c, loss_c), (_, r_f, lam_f, loss_f) in zip(from_c, from_f):
+        assert np.array_equal(r_c, r_f) and np.array_equal(lam_c, lam_f), epoch
+        assert loss_c == loss_f, epoch
+
+
+def test_eg_solvers_return_c_contiguous_allocations():
+    mkt = generate_market(40, 10, 5, ContextDistribution.STANDARD_NORMAL, CesSpec.general(0.5), 33)
+    for solver, momentum in ((eg_solve, 0.0), (eg_momentum_solve, 0.9)):
+        cand, _ = solver(mkt, EgConfig(momentum=momentum, inner_iters=10, epochs=2, ng_stop=None))
+        assert cand.allocation.flags.c_contiguous
+
+
+def _row_mean(a):
+    # a per-good mean summed one buyer row at a time
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total / len(a)
+
+
+@pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.cobb_douglas()],
+                         ids=lambda s: s.alpha_label)
+def test_small_market_multipliers_match_row_by_row_reference(spec):
+    # below eight buyers the per-good means of the column-major loop add in
+    # buyer order, so a C-ordered reference loop gives the same bits
+    rng = np.random.default_rng(34)
+    mkt = random_market(rng, 7, 3, spec)
+    config = LAYOUT_CONFIG
+    y_norm = mkt.supplies / mkt.n
+    raw = np.full((mkt.n, mkt.m), _RAW_AT_ONE)
+    velocity, lam = np.zeros_like(raw), np.ones(mkt.m)
+    for epoch, got_raw, got_lam, _, _ in descend(mkt, config, raw):
+        for _ in range(config.inner_iters):
+            x_hat, slope = softplus_and_slope(raw)
+            resid = _row_mean(x_hat) - 1.0
+            _, grad = ces.log_utility_and_gradient(mkt.values, x_hat * y_norm, mkt.ces)
+            grad = (lam + config.rho * resid - mkt.budgets[:, None] * grad * y_norm) / mkt.n * slope
+            velocity = config.momentum * velocity + grad
+            raw = raw - config.step_size * velocity
+        lam = lam + config.beta(epoch) * config.rho * (_row_mean(softplus(raw)) - 1.0)
+        assert np.array_equal(got_lam, lam), epoch
+        assert np.array_equal(got_raw, raw), epoch

@@ -391,3 +391,39 @@ def test_candidate_validation_and_io(tmp_path):
     again = EquilibriumCandidate.load(path)
     np.testing.assert_array_equal(again.allocation, cand.allocation)
     np.testing.assert_array_equal(again.prices, cand.prices)
+
+
+def _layouts(x):
+    # the same entries as a Fortran-ordered copy and as a strided view
+    strided = np.zeros((x.shape[0], 2 * x.shape[1]))
+    strided[:, ::2] = x
+    return {"fortran": np.asfortranarray(x), "strided": strided[:, ::2]}
+
+
+@pytest.mark.parametrize("m", [5, 10])
+@pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.linear(), CesSpec.cobb_douglas()],
+                         ids=lambda s: s.alpha_label)
+def test_results_do_not_depend_on_memory_order(spec, m):
+    rng = np.random.default_rng(23)
+    mkt = random_market(rng, 5000, m, spec)
+    x = rng.uniform(0.1, 2.0, size=(mkt.n, m))
+    p = rng.uniform(0.5, 2.0, size=m)
+    x_t, p_t, voa, vop = metrics.project(mkt, x, p)
+    assert x_t.flags.c_contiguous
+    expected = {
+        "evaluate": metrics.evaluate(mkt, x, p).to_json(),
+        "lnw": metrics.lnw(mkt, x), "wsw": metrics.wsw(mkt, x),
+        "nash_gap": metrics.nash_gap(mkt, x_t, p_t),
+        "kkt": metrics.kkt_residuals(mkt, EquilibriumCandidate(x_t, p_t)),
+    }
+    for (layout, x_other), x_t_other in zip(_layouts(x).items(), _layouts(x_t).values()):
+        got_t, got_p, got_voa, got_vop = metrics.project(mkt, x_other, p)
+        assert np.array_equal(got_t, x_t) and np.array_equal(got_p, p_t), layout
+        assert (got_voa, got_vop) == (voa, vop), layout
+        got = {
+            "evaluate": metrics.evaluate(mkt, x_other, p).to_json(),
+            "lnw": metrics.lnw(mkt, x_other), "wsw": metrics.wsw(mkt, x_other),
+            "nash_gap": metrics.nash_gap(mkt, x_t_other, p_t),
+            "kkt": metrics.kkt_residuals(mkt, EquilibriumCandidate(x_t_other, p_t)),
+        }
+        assert got == expected, layout

@@ -114,6 +114,7 @@ def test_numeric_linear_with_zero_allocations():
     assert res.certified_ng <= 1e-6
     assert res.kkt_residual <= 1e-4
     assert np.sum(res.candidate.allocation == 0.0) >= 2
+    assert res.candidate.allocation.flags.c_contiguous
 
 
 def test_numeric_certified_results_satisfy_price_identity():
@@ -124,6 +125,7 @@ def test_numeric_certified_results_satisfy_price_identity():
         identity = abs(res.candidate.prices @ mkt.supplies - mkt.total_budget)
         assert identity <= 1e-8 * mkt.total_budget
         assert np.all(res.candidate.prices > 0)
+        assert res.candidate.allocation.flags.c_contiguous  # the descent's state is not
 
 
 def test_numeric_size_guard():
