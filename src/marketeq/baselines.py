@@ -23,7 +23,7 @@ import numpy as np
 from . import ces, metrics
 from .errors import InvalidArgument, InvalidPrices, NumericFailure
 from .market import Market, softplus, softplus_and_slope
-from .trainer import EpochRecord, TrainHistory, epoch_scores
+from .trainer import EpochRecord, TrainHistory, epoch_scores, multiplier_update, solution_pair
 
 _RAW_AT_ONE = math.log(math.e - 1.0)  # softplus(_RAW_AT_ONE) = 1
 _ZERO_UTILITY = "a buyer reached zero utility during descent"
@@ -70,6 +70,8 @@ class EgConfig:
             raise InvalidArgument("inner iterations must be >= 1 when given")
         if self.beta_schedule not in ("inv_sqrt", "constant"):
             raise InvalidArgument("beta_schedule must be 'inv_sqrt' or 'constant'")
+        if not 0.0 <= self.beta_scale < math.inf:
+            raise InvalidArgument("beta_scale must be finite and >= 0")
 
     def beta(self, epoch: int) -> float:
         if self.beta_schedule == "constant":
@@ -107,14 +109,13 @@ def eg_momentum_solve(market: Market, config: EgConfig | None = None):
 
 def _solve(market: Market, config: EgConfig):
     """Descend from the naive start, scoring every epoch by its projected NG."""
-    y_norm = market.supplies / market.n
     history = TrainHistory()
     epochs = descend(market, config, np.full((market.n, market.m), _RAW_AT_ONE))
     try:
         for epoch, raw, lam, loss, train_seconds in epochs:
             t_eval = time.perf_counter()
-            x = softplus(np.ascontiguousarray(raw)) * y_norm
-            ng, voa, vop = epoch_scores(market, x, lam / y_norm)
+            x, p = solution_pair(softplus(np.ascontiguousarray(raw)), lam, market)
+            ng, voa, vop = epoch_scores(market, x, p)
             history.append(EpochRecord(
                 epoch=epoch, loss=loss, ng=ng, voa=voa, vop=vop,
                 train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
@@ -125,7 +126,7 @@ def _solve(market: Market, config: EgConfig):
         raise NumericFailure(f"epoch {len(history) + 1}: {err}", history=history) from err
     if np.any(lam <= 0):
         raise InvalidPrices("a multiplier ended nonpositive; the run cannot stand as prices")
-    return metrics.EquilibriumCandidate(x, lam / y_norm), history
+    return metrics.EquilibriumCandidate(x, p), history
 
 
 def descend(market: Market, config: EgConfig, raw: np.ndarray):
@@ -185,8 +186,7 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
         loss = float(
             -(budgets @ log_u) / market.n + lam @ resid + config.rho / 2.0 * resid @ resid
         )
-        resid = softplus(raw).mean(axis=0) - 1.0
-        lam = lam + config.beta(epoch) * config.rho * resid
+        lam = multiplier_update(lam, softplus(raw), config.rho, config.beta(epoch))
         yield epoch, raw, lam, loss, time.perf_counter() - t_start
 
 

@@ -143,13 +143,18 @@ class BuyerProblem:
             raise InvalidPrices("prices must be finite and strictly positive")
 
 
-def _check_bundle(values, bundle):
+def _bundle_arrays(values, bundle):
     values = np.asarray(values, dtype=float)
     bundle = np.asarray(bundle, dtype=float)
     if values.shape[-1] != bundle.shape[-1]:
         raise InvalidArgument(
             f"values/bundle length mismatch: {values.shape[-1]} vs {bundle.shape[-1]}"
         )
+    return values, bundle
+
+
+def _check_bundle(values, bundle):
+    values, bundle = _bundle_arrays(values, bundle)
     if np.any(bundle < 0):
         raise InvalidArgument("bundle components must be nonnegative")
     return values, bundle
@@ -315,8 +320,9 @@ def log_utility_and_gradient(values, bundle, spec: CesSpec):
     """
     if spec.regime is Regime.LINEAR or spec.regime is Regime.LEONTIEF:
         return log_utility(values, bundle, spec), log_utility_gradient(values, bundle, spec)
-    values, bundle = _check_bundle(values, bundle)
-    if np.any(bundle <= 0):
+    values, bundle = _bundle_arrays(values, bundle)
+    if np.any(bundle <= 0):  # one scan of a valid bundle; a negative component is reported first
+        _check_bundle(values, bundle)
         raise InvalidArgument("gradient is singular at boundary bundles in this regime")
     if spec.regime is Regime.COBB_DOUGLAS:
         weights = values / np.sum(values, axis=-1, keepdims=True)

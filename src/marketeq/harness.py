@@ -191,8 +191,12 @@ def sweep(market_specs, methods, method_config_factory, out_dir) -> list[dict]:
     """Run a grid of cells; one row per (method, market spec).
 
     `method_config_factory(method, market)` builds the per-cell config.
-    Failures are recorded in the row's error column and the sweep continues.
+    Failures are recorded in the row's error column and the sweep continues;
+    an unknown method is rejected before any cell runs.
     """
+    unknown = [method for method in methods if method not in METHODS]
+    if unknown:
+        raise InvalidArgument(f"unknown methods {unknown}; choose from {METHODS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

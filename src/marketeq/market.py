@@ -242,6 +242,8 @@ def generate_market(
     """Deterministically sample a market; same arguments give a bit-identical result."""
     if n < 1 or m < 1 or k < 1:
         raise InvalidArgument("n, m, k must all be >= 1")
+    if seed < 0:
+        raise InvalidArgument("seed must be a nonnegative integer")
     buyer_ss, good_ss = np.random.SeedSequence(seed).spawn(2)
     buyers = _sample_contexts(buyer_ss, n, k, dist)
     goods = _sample_contexts(good_ss, m, k, dist)

@@ -24,6 +24,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .market import Market, softplus
+from .trainer import solution_pair
 
 MAX_NUMERIC_BUYERS = 200
 MAX_NUMERIC_GOODS = 10
@@ -113,17 +114,15 @@ def numeric_equilibrium(market: Market, tol: float = 1e-6, kkt_tol: float = 1e-4
         epochs=_MAX_SEGMENTS * _SEGMENT_EPOCHS,
         inner_iters=300,
     )
-    y_norm = market.supplies / market.n
     last_error = None
     for _ in range(3):  # divergence retries at halved step size
         try:
             for epoch, raw, lam, _, _ in descend(market, config, _warm_start(market)):
                 if epoch % _SEGMENT_EPOCHS:
                     continue
-                p = lam / y_norm
+                x, p = solution_pair(softplus(np.ascontiguousarray(raw)), lam, market)
                 if np.any(p <= 0):
                     continue
-                x = softplus(np.ascontiguousarray(raw)) * y_norm
                 if linear:
                     x = _snap_dominated(market, x, p, kkt_tol)
                 try:

@@ -58,6 +58,8 @@ class TrainConfig:
             raise InvalidArgument("learning rate must be finite and > 0")
         if self.batch_size_multiplier is not None and self.batch_size_multiplier < 1:
             raise InvalidArgument("multiplier batch size must be >= 1 when given")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -208,42 +210,18 @@ def _full_allocation_normalized(net: AllocationNet, market: Market) -> np.ndarra
     return out
 
 
-def mean_allocation(net: AllocationNet, market: Market, batch_size: int | None = None,
-                    rng: np.random.Generator | None = None,
-                    allocation: np.ndarray | None = None) -> np.ndarray:
-    """E_b[x(b, g_j)] per good: exact population average, or a Monte Carlo
-    estimate on `batch_size` sampled buyers when given.  A batch of at least n
-    is the full batch, so it falls back to the exact pass.  `allocation`, the
-    (n, m) normalized allocation of this net over the whole population, saves
-    the exact pass its forward; the sampled estimate ignores it."""
-    if batch_size is None or batch_size >= market.n:
-        if allocation is not None and allocation.shape != (market.n, market.m):
-            raise InvalidArgument("allocation must have shape (n, m)")
-        total = np.zeros(market.m)
-        for start in range(0, market.n, _EVAL_CHUNK):
-            stop = min(start + _EVAL_CHUNK, market.n)
-            chunk = (allocation[start:stop] if allocation is not None
-                     else net.forward_batch(market.buyers[start:stop], market.goods))
-            total += chunk.sum(axis=0)
-        return total / market.n
-    if rng is None:
-        raise InvalidArgument("sampled multiplier update needs an rng")
-    idx = rng.integers(0, market.n, size=batch_size)
-    return net.forward_batch(market.buyers[idx], market.goods).mean(axis=0)
+def multiplier_update(multipliers, allocation, rho: float, beta_t: float) -> np.ndarray:
+    """Dual ascent step: lambda_j += beta_t * rho * (mean_i allocation_ij - 1).
 
-
-def multiplier_update(multipliers, net: AllocationNet, market: Market, rho: float,
-                      beta_t: float, batch_size: int | None = None,
-                      rng: np.random.Generator | None = None,
-                      allocation: np.ndarray | None = None) -> np.ndarray:
-    """Dual ascent step: lambda_j += beta_t * rho * (E_b[x(b, g_j)] - 1).
-
-    `allocation` is passed on to `mean_allocation`."""
-    if beta_t <= 0:
-        raise InvalidArgument("step size beta_t must be > 0")
+    `allocation` holds the normalized rows to average: the whole population or
+    a sample of buyers.  fcnet, the EG descent and the numeric oracle all take
+    this step; beta_t = 0 leaves the multipliers unchanged."""
     lam = np.asarray(multipliers, dtype=float)
-    resid = mean_allocation(net, market, batch_size, rng, allocation) - 1.0
-    return lam + beta_t * rho * resid
+    if np.ndim(allocation) != 2 or np.shape(allocation)[1:] != lam.shape:
+        raise InvalidArgument("allocation must be 2-D with one column per multiplier")
+    if not 0.0 <= beta_t < math.inf:
+        raise InvalidArgument("step size beta_t must be finite and >= 0")
+    return lam + beta_t * rho * (np.mean(allocation, axis=0) - 1.0)
 
 
 def train(market: Market, config: TrainConfig):
@@ -259,10 +237,7 @@ def train(market: Market, config: TrainConfig):
     lam = np.ones(market.m)
     history = TrainHistory()
     half = config.batch_size_loss
-    # the exact multiplier pass and the evaluation sweep share one
-    # full-population forward per epoch
     exact_pass = config.batch_size_multiplier is None or config.batch_size_multiplier >= market.n
-    share_forward = exact_pass and config.eval_each_epoch
 
     for epoch in range(1, config.epochs + 1):
         t_start = time.perf_counter()
@@ -281,12 +256,17 @@ def train(market: Market, config: TrainConfig):
 
         t_eval = time.perf_counter()
         beta_t = 1.0 / math.sqrt(epoch)
-        population = _full_allocation_normalized(net, market) if share_forward else None
-        lam = multiplier_update(lam, net, market, config.rho, beta_t,
-                                config.batch_size_multiplier,
-                                sampler if config.batch_size_multiplier else None,
-                                allocation=population)
-        ng, voa, vop = (epoch_scores(market, *_solution_arrays(net, lam, market, population))
+        # one full-population forward per epoch feeds the exact multiplier
+        # pass and the evaluation sweep
+        population = (_full_allocation_normalized(net, market)
+                      if exact_pass or config.eval_each_epoch else None)
+        if exact_pass:
+            lam = multiplier_update(lam, population, config.rho, beta_t)
+        else:
+            idx = sampler.integers(0, market.n, size=config.batch_size_multiplier)
+            lam = multiplier_update(lam, net.forward_batch(market.buyers[idx], market.goods),
+                                    config.rho, beta_t)
+        ng, voa, vop = (epoch_scores(market, *solution_pair(population, lam, market))
                         if config.eval_each_epoch else (math.nan,) * 3)
         population = None
         if config.checkpoint_dir is not None:
@@ -309,14 +289,15 @@ def epoch_scores(market: Market, x, p):
     return report.ng, report.voa, report.vop
 
 
-def _solution_arrays(net: AllocationNet, lam, market: Market, population=None):
-    """Physical (x, p) of the net's candidate; consumes `population`, the net's
-    normalized full-population allocation, when given."""
-    if population is None:
-        population = _full_allocation_normalized(net, market)
-    x = np.multiply(population, _norm_supply(market), out=population)
-    p = np.asarray(lam, dtype=float) / _norm_supply(market)
-    return x, p
+def solution_pair(allocation, multipliers, market: Market):
+    """Physical (x, p) of a normalized state: x_ij = allocation_ij * Y_j/n,
+    scaled in `allocation`'s own buffer, and p_j = lambda_j * n/Y_j.
+
+    Multipliers price the normalized (per-buyer) units; both factors are 1
+    under the default supply.  Every solver maps its state to a pair here."""
+    y_norm = _norm_supply(market)
+    x = np.multiply(allocation, y_norm, out=allocation)
+    return x, np.asarray(multipliers, dtype=float) / y_norm
 
 
 def save_solution(path, net: AllocationNet, multipliers) -> None:
@@ -331,17 +312,14 @@ def load_solution(path):
 
 
 def extract_solution(net: AllocationNet, multipliers, market: Market) -> metrics.EquilibriumCandidate:
-    """Materialize the candidate: x_ij = net(b_i, g_j) * Y_j/n, prices from the multipliers.
-
-    Multipliers price the normalized (per-buyer) units, so physical prices are
-    lambda_j * n / Y_j; both factors are 1 under the default supply.
-    """
+    """Materialize the candidate: the net's allocation over the whole
+    population and the multipliers, mapped by `solution_pair`."""
     lam = np.asarray(multipliers, dtype=float)
     if lam.shape != (market.m,):
         raise InvalidArgument("multiplier vector length must equal m")
     if np.any(lam <= 0):
         raise InvalidPrices("multipliers must be strictly positive to stand as prices")
-    x, p = _solution_arrays(net, lam, market)
+    x, p = solution_pair(_full_allocation_normalized(net, market), lam, market)
     return metrics.EquilibriumCandidate(x, p)
 
 
@@ -354,8 +332,8 @@ __all__ = [
     "estimate_lagrangian_terms",
     "exact_lagrangian",
     "exact_lagrangian_terms",
-    "mean_allocation",
     "multiplier_update",
+    "solution_pair",
     "train",
     "extract_solution",
     "save_solution",

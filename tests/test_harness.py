@@ -115,6 +115,9 @@ def test_experiment_config_validation(tmp_path):
     (EgConfig, "rho", 0.0),
     (EgConfig, "rho", math.nan),
     (EgConfig, "rho", math.inf),
+    (EgConfig, "beta_scale", -1.0),
+    (EgConfig, "beta_scale", math.nan),
+    (EgConfig, "beta_scale", math.inf),
 ])
 def test_configs_reject_unusable_step_sizes(make, field, value):
     with pytest.raises(InvalidArgument):
@@ -191,6 +194,17 @@ def test_sweep_records_cells_and_errors(tmp_path):
         stored = list(csv.DictReader(handle))
     assert len(stored) == 4
     assert stored[0]["method"] == "naive"
+
+
+def test_sweep_rejects_unknown_method_before_any_cell(tmp_path, capsys):
+    with pytest.raises(InvalidArgument):
+        sweep([toy_spec(n=16, m=2)], ["naive", "bogus"], lambda method, market: None,
+              tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+    assert main(["sweep", "--methods", "bogus", "--n-list", "8", "--m-list", "2", "--k", "3",
+                 "--outdir", str(tmp_path / "cli")]) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 def test_cli_generate_run_evaluate_roundtrip(tmp_path, capsys):
@@ -305,6 +319,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  "--outdir", str(tmp_path / "fcnet")]) == 2
     assert main(["run", "--market", str(market_path), "--method", "eg", "--step-size", "nan",
                  "--outdir", str(tmp_path / "eg")]) == 2
+    assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--seed", "-1",
+                 "--out", str(tmp_path / "negative.json")]) == 2
+    assert main(["run", "--market", str(market_path), "--method", "fcnet", "--method-seed", "-1",
+                 "--outdir", str(tmp_path / "fcnet")]) == 2
     capsys.readouterr()
     assert main(["sweep", "--methods", "naive", "--n-list", "8", "--m-list", "2",
                  "--dist-list", "bogus", "--k", "3", "--outdir", str(tmp_path / "sw")]) == 2

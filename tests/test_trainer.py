@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.market import ContextDistribution, generate_market
 from marketeq.net import AllocationNet
 from marketeq.trainer import (
+    _EVAL_CHUNK,
     CURVE_COLUMNS,
     TrainConfig,
+    _full_allocation_normalized,
     epoch_scores,
     estimate_lagrangian,
     estimate_lagrangian_terms,
@@ -20,6 +23,7 @@ from marketeq.trainer import (
     load_solution,
     multiplier_update,
     save_solution,
+    solution_pair,
     train,
 )
 
@@ -126,29 +130,42 @@ def test_multiplier_update_fixed_points():
     rng = np.random.default_rng(4)
     market = random_market(rng, 5, 3, CesSpec.linear())
     lam = np.ones(3)
-    exactly_one = constant_net(market.k, 1.0)
+    exactly_one = _full_allocation_normalized(constant_net(market.k, 1.0), market)
+    np.testing.assert_allclose(multiplier_update(lam, exactly_one, 0.2, 1.0), lam, atol=1e-12)
+    exactly_two = _full_allocation_normalized(constant_net(market.k, 2.0), market)
     np.testing.assert_allclose(
-        multiplier_update(lam, exactly_one, market, 0.2, 1.0), lam, atol=1e-12)
-    exactly_two = constant_net(market.k, 2.0)
-    np.testing.assert_allclose(
-        multiplier_update(lam, exactly_two, market, 0.2, 1.0), lam + 0.2, atol=1e-10)
+        multiplier_update(lam, exactly_two, 0.2, 1.0), lam + 0.2, atol=1e-10)
+
+
+def test_multiplier_update_step_size():
+    lam = np.array([0.8, 1.3])
+    rows = np.array([[0.5, 2.0], [1.5, 0.25]])
+    np.testing.assert_array_equal(multiplier_update(lam, rows, 0.5, 0.0), lam)
+    for beta_t in (math.nan, math.inf, -0.5):
+        with pytest.raises(InvalidArgument):
+            multiplier_update(lam, rows, 0.5, beta_t)
 
 
 def test_multiplier_update_full_batch_equals_exact():
     rng = np.random.default_rng(5)
     market = random_market(rng, 3, 2, CesSpec.cobb_douglas())
-    net = AllocationNet.initialize(market.k, 2, 8, seed=6)
-    lam = np.ones(2)
-    exact = multiplier_update(lam, net, market, 0.5, 0.7)
-    sampled = multiplier_update(lam, net, market, 0.5, 0.7, batch_size=3,
-                                rng=np.random.default_rng(0))
-    np.testing.assert_allclose(sampled, exact, atol=1e-12)
-    # below n the update averages the rows a same-seeded rng draws
-    sampled = multiplier_update(lam, net, market, 0.5, 0.7, batch_size=2,
-                                rng=np.random.default_rng(1))
-    rows = market.buyers[np.random.default_rng(1).integers(0, market.n, size=2)]
+    config = TrainConfig(batch_size_loss=1, rho=0.5, hidden_width=8, hidden_depth=2,
+                         inner_iters=2, epochs=2, seed=6)
+    _, exact, exact_history = train(market, config)
+    _, full, full_history = train(market, replace(config, batch_size_multiplier=market.n))
+    np.testing.assert_array_equal(full, exact)
+    np.testing.assert_array_equal(*(
+        [(r.epoch, r.loss, r.ng, r.voa, r.vop) for r in history]
+        for history in (full_history, exact_history)))
+    # below n the update averages the rows the sampler draws after the inner loop
+    config = replace(config, batch_size_multiplier=2, epochs=1)
+    net, sampled, _ = train(market, config)
+    sampler = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed).spawn(2)[1]))
+    for _ in range(config.inner_iters):
+        sampler.integers(0, market.n, size=2 * config.batch_size_loss)
+    rows = market.buyers[sampler.integers(0, market.n, size=2)]
     resid = net.forward_batch(rows, market.goods).mean(axis=0) - 1.0
-    np.testing.assert_array_equal(sampled, lam + 0.7 * 0.5 * resid)
+    np.testing.assert_array_equal(sampled, np.ones(2) + 1.0 * 0.5 * resid)
     # a sampled run reproduces its multipliers, with or without evaluation
     market = random_market(rng, 64, 2, CesSpec.general(0.5))
     config = TrainConfig(batch_size_loss=8, batch_size_multiplier=8, hidden_width=8,
@@ -162,22 +179,23 @@ def test_multiplier_update_full_batch_equals_exact():
 
 def test_shared_population_forward_is_bitwise():
     # train() feeds one full-population forward to both the multiplier
-    # update and the evaluation sweep; both must match their own passes
-    from marketeq.trainer import _EVAL_CHUNK, _full_allocation_normalized, _solution_arrays
-
+    # update and the evaluation sweep; it must match the per-chunk passes
+    # and score like the candidate extract_solution materializes
     rng = np.random.default_rng(9)
     market = random_market(rng, _EVAL_CHUNK + 37, 2, CesSpec.general(0.5))
     net = AllocationNet.initialize(market.k, 2, 8, seed=7)
     lam = np.array([0.8, 1.3])
     population = _full_allocation_normalized(net, market)
-    np.testing.assert_array_equal(
-        multiplier_update(lam, net, market, 0.5, 0.7, allocation=population),
-        multiplier_update(lam, net, market, 0.5, 0.7))
-    shared = epoch_scores(market, *_solution_arrays(net, lam, market, population))
-    own = epoch_scores(market, *_solution_arrays(net, lam, market))
-    assert shared == own
-    with pytest.raises(InvalidArgument):
-        multiplier_update(lam, net, market, 0.5, 0.7, allocation=np.ones((3, 2)))
+    for start in (0, _EVAL_CHUNK):
+        rows = slice(start, min(start + _EVAL_CHUNK, market.n))
+        np.testing.assert_array_equal(
+            population[rows], net.forward_batch(market.buyers[rows], market.goods))
+    own = extract_solution(net, lam, market)
+    assert (epoch_scores(market, *solution_pair(population, lam, market))
+            == epoch_scores(market, own.allocation, own.prices))
+    for wrong in (np.ones((3, 3)), np.ones(2)):
+        with pytest.raises(InvalidArgument):
+            multiplier_update(lam, wrong, 0.5, 0.7)
 
 
 @pytest.mark.parametrize("spec, error", [
