@@ -68,6 +68,8 @@ class EgConfig:
             raise InvalidArgument("rho must be finite and > 0 and epochs >= 1")
         if self.inner_iters is not None and self.inner_iters < 1:
             raise InvalidArgument("inner iterations must be >= 1 when given")
+        if self.ng_stop is not None and not 0.0 < self.ng_stop < math.inf:
+            raise InvalidArgument("ng_stop must be finite and > 0 when given")
         if self.beta_schedule not in ("inv_sqrt", "constant"):
             raise InvalidArgument("beta_schedule must be 'inv_sqrt' or 'constant'")
         if not 0.0 <= self.beta_scale < math.inf:
@@ -136,8 +138,9 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
     train_seconds) for epochs 1..config.epochs.  The yielded `raw` is a
     column-major copy of the input that the loop owns and updates in place;
     the caller's array is never written.  Every n-by-m array of the loop is
-    buyer-contiguous, so each element-wise pass, per-buyer reduction over goods
-    and per-good mean runs along n-long vectors.  `ng_stop` is left to the
+    buyer-contiguous, as the market's cached values already are (they are
+    read, not copied), so each element-wise pass, per-buyer reduction over
+    goods and per-good mean runs along n-long vectors.  `ng_stop` is left to the
     caller; a buyer reaching zero utility or diverging parameters raise
     NumericFailure."""
     eta = config.step_size if config.step_size is not None else step_size_for(market)
@@ -145,7 +148,7 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
         1000 if market.n > 1000 else 100)
     y_norm = market.supplies / market.n
     budgets = market.budgets
-    values = np.asfortranarray(market.values)
+    values = market.values
     spec = market.ces
     raw = np.array(raw, dtype=float, order="F")
     velocity = np.zeros_like(raw)

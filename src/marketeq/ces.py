@@ -168,14 +168,14 @@ def log_utility(values, bundle, spec: CesSpec):
     values, bundle = _check_bundle(values, bundle)
     with np.errstate(divide="ignore", invalid="ignore"):
         if spec.regime is Regime.LINEAR:
-            return np.log(np.sum(values * bundle, axis=-1))
+            return np.log(_sum_last(values * bundle))
         if spec.regime is Regime.LEONTIEF:
             return np.log(np.min(values * bundle, axis=-1))
         if spec.regime is Regime.COBB_DOUGLAS:
-            weights = values / np.sum(values, axis=-1, keepdims=True)
+            weights = values / _sum_last(values)[..., None]
             logs = np.log(bundle)  # -inf on zero components
             logs *= weights
-            return np.sum(logs, axis=-1)
+            return _sum_last(logs)
         return _general_log_weights(values, bundle, spec.alpha)[0]
 
 
@@ -202,15 +202,15 @@ def _general_log_weights(values, bundle, alpha):
 
 
 def _sum_last(a):
-    # np.sum(a, axis=-1).  Below eight terms numpy adds them in index order,
-    # so adding column by column gives the same sums, minus the per-row
-    # overhead of the reduction
-    if a.shape[-1] >= 8:
-        return np.sum(a, axis=-1)
+    # np.sum(a, axis=-1), added column by column in index order for every m,
+    # so that no per-buyer sum depends on the memory layout: numpy adds a
+    # C-order row of eight or more terms pairwise but a column-major one in
+    # order.  Below eight terms both add in index order, as this does.  A
+    # scalar for one buyer, as np.sum gives
     total = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         total += a[..., j]
-    return total
+    return total[()]
 
 
 def _max_last(a):
@@ -229,14 +229,14 @@ def _logsumexp(a):
         hi = np.where(np.isfinite(hi), hi, 0.0)
         a -= hi[..., None]
         np.exp(a, out=a)
-        return hi + np.log(np.sum(a, axis=-1))
+        return hi + np.log(_sum_last(a))
 
 
 def utility(values, bundle, spec: CesSpec):
     """u(bundle) >= 0 for the given regime."""
     values, bundle = _check_bundle(values, bundle)
     if spec.regime is Regime.LINEAR:
-        return np.sum(values * bundle, axis=-1)
+        return _sum_last(values * bundle)
     if spec.regime is Regime.LEONTIEF:
         return np.min(values * bundle, axis=-1)
     return np.exp(log_utility(values, bundle, spec))
@@ -273,12 +273,12 @@ def log_utility_gradient(values, bundle, spec: CesSpec):
     """
     values, bundle = _check_bundle(values, bundle)
     if spec.regime is Regime.LINEAR:
-        denom = np.sum(values * bundle, axis=-1, keepdims=True)
+        denom = _sum_last(values * bundle)[..., None]
         return np.broadcast_to(values, bundle.shape) / denom
     if spec.regime is Regime.COBB_DOUGLAS:
         if np.any(bundle <= 0):
             raise InvalidArgument("gradient is singular at boundary bundles in this regime")
-        weights = values / np.sum(values, axis=-1, keepdims=True)
+        weights = values / _sum_last(values)[..., None]
         return weights / bundle
     if spec.regime is Regime.LEONTIEF:
         vx = values * bundle
@@ -325,8 +325,8 @@ def log_utility_and_gradient(values, bundle, spec: CesSpec):
         _check_bundle(values, bundle)
         raise InvalidArgument("gradient is singular at boundary bundles in this regime")
     if spec.regime is Regime.COBB_DOUGLAS:
-        weights = values / np.sum(values, axis=-1, keepdims=True)
-        return np.sum(weights * np.log(bundle), axis=-1), weights / bundle
+        weights = values / _sum_last(values)[..., None]
+        return _sum_last(weights * np.log(bundle)), weights / bundle
     return _general_log_and_gradient(values, bundle, spec.alpha)
 
 
@@ -349,15 +349,22 @@ def fixed_price_log_utility_matrix(values, budgets, prices, spec: CesSpec):
     if spec.regime is Regime.LINEAR:
         return log_b + np.log(np.max(values / prices, axis=-1))
     if spec.regime is Regime.COBB_DOUGLAS:
-        v_t = np.sum(values, axis=-1, keepdims=True)
-        weights = values / v_t
-        return log_b + np.sum(weights * np.log(values / (prices * v_t)), axis=-1)
+        # sum_j w_j log(v_j / (p_j v_t)) with w = v / v_t, the log and its
+        # weighting formed in one buffer
+        v_t = _sum_last(values)[..., None]
+        logs = np.multiply(prices, v_t)
+        np.divide(values, logs, out=logs)
+        np.log(logs, out=logs)
+        logs *= values / v_t
+        return log_b + _sum_last(logs)
     if spec.regime is Regime.LEONTIEF:
-        return log_b - np.log(np.sum(prices / values, axis=-1))
+        return log_b - np.log(_sum_last(prices / values))
     alpha = spec.alpha
     r = alpha / (1.0 - alpha)
-    log_c0 = _logsumexp(r * (np.log(values) - np.log(prices)))
-    return log_b + log_c0 / r
+    shifted = np.log(values)
+    shifted -= np.log(prices)
+    shifted *= r
+    return log_b + _logsumexp(shifted) / r
 
 
 def demand(problem: BuyerProblem, spec: CesSpec) -> np.ndarray:
@@ -371,7 +378,8 @@ def demand(problem: BuyerProblem, spec: CesSpec) -> np.ndarray:
 
 
 def demand_matrix(values, budgets, prices, spec: CesSpec):
-    """Vectorized demand: values (n, m), budgets (n,), prices (m,) -> (n, m).
+    """Vectorized demand: values (n, m), budgets (n,), prices (m,) -> (n, m),
+    in C order whatever the layout of the values.
 
     Every regime's formula is row-independent, so it runs over buyer chunks
     into one output array: the only n-by-m array this allocates.
@@ -381,7 +389,7 @@ def demand_matrix(values, budgets, prices, spec: CesSpec):
     prices = np.asarray(prices, dtype=float)
     if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
         raise InvalidPrices("prices must be finite and strictly positive")
-    x = np.empty_like(values)
+    x = np.empty(values.shape)
     for rows in _row_chunks(values.shape[0]):
         x[rows] = _demand_rows(values[rows], budgets[rows], prices, spec)
     return x
@@ -395,10 +403,10 @@ def _demand_rows(values, budgets, prices, spec: CesSpec):
         x[rows, j_star] = budgets / prices[j_star]
         return x
     if spec.regime is Regime.COBB_DOUGLAS:
-        weights = values / np.sum(values, axis=-1, keepdims=True)
+        weights = values / _sum_last(values)[:, None]
         return weights * budgets[:, None] / prices
     if spec.regime is Regime.LEONTIEF:
-        scale = budgets / np.sum(prices / values, axis=-1)
+        scale = budgets / _sum_last(prices / values)
         return scale[:, None] / values
     alpha = spec.alpha
     r = alpha / (1.0 - alpha)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -128,6 +129,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.max_ng is not None and not 0.0 <= args.max_ng < math.inf:
+        raise InvalidArgument(f"--max-ng must be finite and >= 0, got {args.max_ng}")
     market = Market.load(args.market)
     report = evaluate_candidate_file(market, candidate_path=args.candidate,
                                      solution_path=args.solution)

@@ -144,12 +144,14 @@ class Market:
     def values(self) -> np.ndarray:
         """v_ij = softplus(<b_i, g_j>), shape (n, m); strictly positive.
 
-        One whole matrix product, then softplus in its buffer chunk by chunk,
-        so no temporary is larger than a chunk of rows.  The product itself
-        is not chunked: a one-row chunk would go through a matrix-vector
-        kernel that can round differently in the last bit.
+        Column-major, so each good's values are one n-long contiguous vector
+        and the passes over buyers run along it.  One whole matrix product
+        into that array, then softplus in its buffer chunk by chunk, so no
+        temporary is larger than a chunk of rows.  The product itself is not
+        chunked: a one-row chunk would go through a matrix-vector kernel that
+        can round differently in the last bit.
         """
-        values = self.buyers @ self.goods.T
+        values = np.matmul(self.buyers, self.goods.T, out=np.empty((self.n, self.m), order="F"))
         for rows in _row_chunks(self.n):
             values[rows] = softplus(values[rows])
         return _read_only(values)

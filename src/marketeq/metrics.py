@@ -129,13 +129,23 @@ def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
     sums = np.zeros(3)  # B_i times: log u_i, u_i, fixed-price log u_i
     peaks = np.full(3, -np.inf)  # one-sided, active-set and budget KKT residuals
     zero_utility = False
+    # each chunk's scaled bundle is copied column-major, as the values are, so
+    # the CES kernels and the per-good maxima run along chunk-long columns
+    buffer = np.empty((min(market.n, ces._CHUNK_ROWS), market.m), order="F")
     for rows in ces._row_chunks(market.n):
         b = budgets[rows]
         if prices is not None:
             sums[2] += np.dot(b, ces.fixed_price_log_utility_matrix(values[rows], b, prices, market.ces))
         if x is not None:
-            log_u = _chunk_log_utility(market.ces, values[rows], b, x[rows] * scale,
-                                       prices if kkt else None, active_rtol, peaks)
+            scaled = x[rows] * scale
+            # the spending is a matrix-vector product, which BLAS rounds by
+            # memory layout: it is taken on the C-order rows
+            spent = scaled @ prices if kkt else None
+            bundle = buffer[:len(b)]
+            bundle[...] = scaled
+            del scaled
+            log_u = _chunk_log_utility(market.ces, values[rows], b, bundle,
+                                       prices if kkt else None, spent, active_rtol, peaks)
             sums[0] += np.dot(b, log_u)
             sums[1] += np.dot(b, np.exp(log_u))
             zero_utility = zero_utility or bool(np.any(np.isneginf(log_u)))
@@ -149,15 +159,16 @@ def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
                          degenerate_lnw=not np.isfinite(log_sum))
 
 
-def _chunk_log_utility(spec, values, budgets, bundle, prices, active_rtol, peaks):
-    # log u_i of one chunk's bundles (a copy that this may overwrite) from one
-    # CES kernel call; given `prices`, the chunk's KKT maxima go into `peaks`
+def _chunk_log_utility(spec, values, budgets, bundle, prices, spent, active_rtol, peaks):
+    # log u_i of one chunk's column-major bundles (a copy that this may
+    # overwrite) from one CES kernel call; given `prices` and the spending
+    # <p, x_i>, the chunk's KKT maxima go into `peaks`
     if prices is None:
         return ces.log_utility(values, bundle, spec)
-    budget_res = (np.abs(bundle @ prices - budgets) / budgets).max()
-    threshold = budgets[:, None] / prices
+    budget_res = (np.abs(spent - budgets) / budgets).max()
+    threshold = np.divide(budgets[:, None], prices, out=np.empty_like(bundle))
     threshold *= active_rtol
-    active = bundle > threshold
+    inactive = bundle <= threshold
     del threshold  # not kept alive through the kernel call
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
@@ -176,7 +187,7 @@ def _chunk_log_utility(spec, values, budgets, bundle, prices, active_rtol, peaks
     gap -= prices
     one_sided = (np.maximum(gap.max(axis=0), 0.0) / prices).max()
     np.abs(gap, out=gap)
-    gap[~active] = 0.0
+    np.copyto(gap, 0.0, where=inactive)
     np.maximum(peaks, (one_sided, (gap.max(axis=0) / prices).max(), budget_res), out=peaks)
     return log_u
 

@@ -66,8 +66,10 @@ def cobb_douglas_equilibrium(market: Market) -> OracleResult:
     """
     if market.ces.regime is not ces.Regime.COBB_DOUGLAS:
         raise UnsupportedRegime("closed-form equilibrium requires the cobb-douglas regime")
-    weights = market.values / market.values.sum(axis=1, keepdims=True)
-    spend = market.budgets[:, None] * weights  # b_ij: money buyer i puts on good j
+    weights = market.values / ces._sum_last(market.values)[:, None]
+    # b_ij: money buyer i puts on good j; C order, so that the prices below
+    # add up the buyers one at a time
+    spend = np.multiply(market.budgets[:, None], weights, order="C")
     p = spend.sum(axis=0) / market.supplies
     x = spend / p[None, :]
     return _certify(market, x, p, ng_tol=1e-10, kkt_tol=1e-8, method="closed-form")

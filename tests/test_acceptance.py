@@ -236,7 +236,7 @@ def test_criterion_7_desk_scale_comparison(desk_runs):
 def test_criterion_8_scaling_trend():
     started = time.perf_counter()
     fc_config = TrainConfig(batch_size_loss=128, hidden_width=64, hidden_depth=3,
-                            inner_iters=20, epochs=3, eval_each_epoch=False, seed=3)
+                            inner_iters=20, epochs=7, eval_each_epoch=False, seed=3)
     eg_config = EgConfig(inner_iters=100, epochs=3, ng_stop=None)
     fc_secs = {}
     eg_secs = {}

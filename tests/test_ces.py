@@ -374,3 +374,46 @@ def test_general_gradient_matches_long_double_on_wide_bundles(alpha):
     assert normal.sum() > normal.size // 2
     rel = np.abs((grad[normal] - reference[normal]) / reference[normal])
     assert rel.max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 8, 10, 17])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
+def test_kernels_do_not_depend_on_layout(spec, m):
+    # every per-buyer sum over goods adds column by column, so C- and
+    # F-ordered inputs give the same bits, also at m >= 8
+    rng = np.random.default_rng(16)
+    n = 300
+    values = np.exp(rng.uniform(-3.0, 3.0, size=(n, m)))
+    bundle = np.exp(rng.uniform(-3.0, 3.0, size=(n, m)))
+    budgets = np.exp(rng.uniform(-1.0, 1.0, size=n))
+    prices = np.exp(rng.uniform(-2.0, 2.0, size=m))
+
+    def results(v, x):
+        log_u, grad = ces.log_utility_and_gradient(v, x, spec)
+        demand = ces.demand_matrix(v, budgets, prices, spec)
+        assert demand.flags.c_contiguous
+        return [ces.log_utility(v, x, spec), log_u, grad, ces.utility(v, x, spec),
+                ces.fixed_price_log_utility_matrix(v, budgets, prices, spec), demand]
+
+    expected = results(values, bundle)
+    for v, x in ((np.asfortranarray(values), bundle), (values, np.asfortranarray(bundle)),
+                 (np.asfortranarray(values), np.asfortranarray(bundle))):
+        for got, want in zip(results(v, x), expected):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_cobb_douglas_fixed_price_in_place():
+    rng = np.random.default_rng(17)
+    spec = CesSpec.cobb_douglas()
+    values = rng.uniform(0.01, 3.0, size=(200, 6))
+    budgets = rng.uniform(0.5, 2.0, size=200)
+    prices = rng.uniform(0.5, 2.0, size=6)
+    v_t = np.sum(values, axis=-1, keepdims=True)
+    expected = np.log(budgets) + np.sum(values / v_t * np.log(values / (prices * v_t)), axis=-1)
+    np.testing.assert_array_equal(
+        ces.fixed_price_log_utility_matrix(values, budgets, prices, spec), expected)
+    n, m = 2**16, 10
+    values = rng.uniform(0.01, 3.0, size=(n, m))
+    budgets, prices = np.ones(n), rng.uniform(0.5, 2.0, size=m)
+    peak = peak_bytes(ces.fixed_price_log_utility_matrix, values, budgets, prices, spec)
+    assert peak <= 2.5 * values.nbytes

@@ -327,3 +327,27 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--methods", "naive", "--n-list", "8", "--m-list", "2",
                  "--dist-list", "bogus", "--k", "3", "--outdir", str(tmp_path / "sw")]) == 2
     assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_ng_thresholds(tmp_path, capsys, monkeypatch):
+    market_path = tmp_path / "market.json"
+    assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
+    outdir = tmp_path / "naive"
+    assert main(["run", "--market", str(market_path), "--method", "naive", "--outdir", str(outdir)]) == 0
+    for bad in ("nan", "-1"):
+        assert main(["run", "--market", str(market_path), "--method", "eg", "--epochs", "1",
+                     "--inner-iters", "1", "--ng-stop", bad,
+                     "--outdir", str(tmp_path / "eg")]) == 2, bad
+    for value in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            EgConfig(ng_stop=value)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a candidate before checking --max-ng")
+
+    monkeypatch.setattr(cli, "evaluate_candidate_file", no_scoring)
+    capsys.readouterr()
+    for bad in ("nan", "-1", "inf"):
+        assert main(["evaluate", "--market", str(market_path),
+                     "--candidate", str(outdir / "candidate.json"), "--max-ng", bad]) == 2, bad
+        assert "invalid arguments" in capsys.readouterr().err

@@ -191,6 +191,13 @@ def test_values_bitwise_across_chunks(n):
     np.testing.assert_array_equal(mkt.values, softplus(mkt.buyers @ mkt.goods.T))
 
 
+def test_values_column_major_read_only():
+    mkt = generate_market(300, 7, 4, ContextDistribution.STANDARD_NORMAL, CesSpec.general(0.5), 15)
+    values = mkt.values
+    assert values.flags.f_contiguous and not values.flags.writeable
+    np.testing.assert_array_equal(values, softplus(mkt.buyers @ mkt.goods.T))
+
+
 def test_values_peak_memory_one_output():
     n, m = 2**17, 10
     mkt = generate_market(n, m, 5, ContextDistribution.STANDARD_NORMAL, CesSpec.linear(), 14)
