@@ -150,11 +150,9 @@ def cmd_sweep(args) -> int:
         for alpha in args.alpha_list
         for dist in args.dist_list
     ]
-
-    def factory(method, market):
-        return _method_config(args, method)
-
-    rows = sweep(specs, args.methods, factory, args.outdir)
+    # every config is checked before the first cell runs
+    configs = {method: _method_config(args, method) for method in args.methods}
+    rows = sweep(specs, args.methods, lambda method, market: configs[method], args.outdir)
     failed = sum(1 for row in rows if row["error"])
     print(f"sweep: {len(rows)} cells, {failed} failed -> {Path(args.outdir) / 'sweep.csv'}")
     return EXIT_OK

@@ -25,7 +25,7 @@ from . import metrics, trainer
 from .baselines import EgConfig, eg_momentum_solve, eg_solve, naive
 from .ces import CesSpec
 from .errors import InvalidArgument, MarketEqError
-from .market import ContextDistribution, Market, generate_market
+from .market import ContextDistribution, Market, check_recipe, generate_market
 from .trainer import TrainConfig
 
 METHODS = ("naive", "eg", "eg-m", "fcnet")
@@ -52,6 +52,7 @@ class MarketSpec:
     seed: int | None = 0
 
     def __post_init__(self):
+        check_recipe(self.n, self.m, self.k, self.seed)
         object.__setattr__(self, "alpha", CesSpec.from_label(self.alpha).alpha_label)
         if self.dist is not None:
             try:

@@ -122,8 +122,7 @@ class Market:
         object.__setattr__(self, "goods", goods)
         if buyers.shape != (self.n, self.k) or goods.shape != (self.m, self.k):
             raise InvalidArgument("context array shapes must match (n, k) and (m, k)")
-        if self.n < 1 or self.m < 1 or self.k < 1:
-            raise InvalidArgument("n, m, k must all be >= 1")
+        check_recipe(self.n, self.m, self.k, self.seed)
         if not (np.all(np.isfinite(buyers)) and np.all(np.isfinite(goods))):
             raise InvalidArgument("contexts must be finite")
         if self.supply_override is not None:
@@ -228,6 +227,15 @@ class Market:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
+def check_recipe(n: int, m: int, k: int, seed: int | None) -> None:
+    """Reject fewer than one buyer, good or context dimension, and a negative
+    seed; `seed` is None for a market given by its contexts."""
+    if n < 1 or m < 1 or k < 1:
+        raise InvalidArgument("n, m, k must all be >= 1")
+    if seed is not None and seed < 0:
+        raise InvalidArgument("seed must be a nonnegative integer")
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -242,10 +250,9 @@ def generate_market(
     seed: int,
 ) -> Market:
     """Deterministically sample a market; same arguments give a bit-identical result."""
-    if n < 1 or m < 1 or k < 1:
-        raise InvalidArgument("n, m, k must all be >= 1")
-    if seed < 0:
-        raise InvalidArgument("seed must be a nonnegative integer")
+    if seed is None:
+        raise InvalidArgument("a generated market needs a seed")
+    check_recipe(n, m, k, seed)
     buyer_ss, good_ss = np.random.SeedSequence(seed).spawn(2)
     buyers = _sample_contexts(buyer_ss, n, k, dist)
     goods = _sample_contexts(good_ss, m, k, dist)
@@ -259,6 +266,7 @@ __all__ = [
     "Market",
     "budget",
     "valuation",
+    "check_recipe",
     "softplus",
     "softplus_and_slope",
     "generate_market",

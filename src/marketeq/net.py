@@ -8,6 +8,7 @@ out by hand; no autograd framework behind this module.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,12 @@ from .errors import InvalidArgument, NumericFailure
 from .market import softplus, softplus_and_slope
 
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_KEYS = ("version", "context_dim", "hidden_depth", "hidden_width", "params")
+
+# Adam's moment decay rates and denominator guard, fixed for every run
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _layer_views(flat: np.ndarray, dims):
@@ -232,29 +239,6 @@ class AllocationNet:
             raise InvalidArgument(f"expected {self.n_params} parameters, got {flat.shape}")
         self._params[...] = flat
 
-    # ---- checkpoints --------------------------------------------------------
-
-    def save(self, path, optimizer: "AdamState | None" = None) -> None:
-        arrays = {} if optimizer is None else dict(
-            opt_m=optimizer.m, opt_v=optimizer.v, opt_step=optimizer.step,
-            opt_lr=optimizer.lr, opt_beta1=optimizer.beta1,
-            opt_beta2=optimizer.beta2, opt_eps=optimizer.eps,
-        )
-        save_checkpoint(path, self, **arrays)
-
-    @classmethod
-    def load(cls, path):
-        """Returns (net, optimizer state or None)."""
-        net, arrays = load_checkpoint(path)
-        state = None
-        if "opt_m" in arrays:
-            state = AdamState(
-                m=arrays["opt_m"], v=arrays["opt_v"], step=int(arrays["opt_step"]),
-                lr=float(arrays["opt_lr"]), beta1=float(arrays["opt_beta1"]),
-                beta2=float(arrays["opt_beta2"]), eps=float(arrays["opt_eps"]),
-            )
-        return net, state
-
 
 def save_checkpoint(path, net: AllocationNet, **arrays) -> None:
     """Write the net's architecture and parameters, then `arrays` by name,
@@ -265,9 +249,18 @@ def save_checkpoint(path, net: AllocationNet, **arrays) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (net, every array in the file by name)."""
-    with np.load(path) as blob:
-        arrays = dict(blob)
+    """Inverse of save_checkpoint: returns (net, every array in the file by name).
+
+    Raises InvalidArgument when the file is not a marketeq checkpoint."""
+    try:
+        with np.load(path) as blob:
+            arrays = dict(blob)
+    except (ValueError, TypeError, zipfile.BadZipFile) as err:
+        # text or pickled data, a bare .npy array, or a damaged archive
+        raise InvalidArgument(f"{path} is not a marketeq checkpoint (.npz archive)") from err
+    missing = [key for key in _CHECKPOINT_KEYS if key not in arrays]
+    if missing:
+        raise InvalidArgument(f"{path} is not a marketeq checkpoint: it lacks {missing}")
     if int(arrays["version"]) != CHECKPOINT_VERSION:
         raise InvalidArgument(f"unsupported checkpoint version {arrays['version']}")
     net = AllocationNet.initialize(
@@ -277,38 +270,20 @@ def load_checkpoint(path):
     return net, arrays
 
 
-def loss_gradient(net: AllocationNet, inputs: np.ndarray, loss_fn):
-    """Value and parameter gradient of a scalar loss of the network outputs.
-
-    `loss_fn(outputs) -> (value, dvalue_doutputs)` closes over whatever market
-    data it needs; this routine only owns the network part of the chain.
-    Returns (value, flat gradient laid out like `get_flat()`).
-    """
-    outputs, cache = net._forward_cached(np.asarray(inputs, dtype=float))
-    value, grad_out = loss_fn(outputs)
-    if not np.isfinite(value):
-        raise NumericFailure("loss evaluated to a non-finite value")
-    return value, net.backward(cache, np.asarray(grad_out, dtype=float))
-
-
 @dataclass
 class AdamState:
-    """Flat first/second moment accumulators plus hyperparameters."""
+    """Flat first/second moment accumulators, step count and learning rate;
+    the decay rates and guard are the module's ADAM_* constants."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     _buffers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_net(cls, net: AllocationNet, lr: float = 1e-4, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(net.n_params), v=np.zeros(net.n_params),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_net(cls, net: AllocationNet, lr: float = 1e-4) -> "AdamState":
+        return cls(m=np.zeros(net.n_params), v=np.zeros(net.n_params), lr=lr)
 
 
 def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
@@ -321,21 +296,21 @@ def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
     update, denom = state._buffers
     state.step += 1
     # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-    state.m *= state.beta1
-    state.m += np.multiply(1.0 - state.beta1, flat, out=update)
-    np.multiply(1.0 - state.beta2, flat, out=update)
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(1.0 - ADAM_BETA1, flat, out=update)
+    np.multiply(1.0 - ADAM_BETA2, flat, out=update)
     update *= flat
-    state.v *= state.beta2
+    state.v *= ADAM_BETA2
     state.v += update
     # params -= lr m_hat / (sqrt(v_hat) + eps), bias-corrected moments
-    np.divide(state.m, 1.0 - state.beta1 ** state.step, out=update)
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.step, out=update)
     update *= state.lr
-    np.divide(state.v, 1.0 - state.beta2 ** state.step, out=denom)
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.step, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     update /= denom
     net._params -= update
 
 
-__all__ = ["AllocationNet", "AdamState", "adam_step", "loss_gradient",
+__all__ = ["AllocationNet", "AdamState", "adam_step",
            "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]

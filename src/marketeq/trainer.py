@@ -47,11 +47,13 @@ class TrainConfig:
     hidden_width: int = 256
     seed: int = 0
     eval_each_epoch: bool = True
-    checkpoint_dir: str | None = None  # when set, write net_epoch_###.npz after each epoch
+    checkpoint_dir: str | None = None  # when set, each epoch writes solution file net_epoch_###.npz
 
     def __post_init__(self):
         if self.batch_size_loss < 1 or self.inner_iters < 1 or self.epochs < 1:
             raise InvalidArgument("batch size, inner iterations and epochs must be >= 1")
+        if self.hidden_width < 1 or self.hidden_depth < 1:
+            raise InvalidArgument("hidden width and depth must be >= 1")
         if not 0.0 < self.rho < math.inf:
             raise InvalidArgument("quadratic penalty rho must be finite and > 0")
         if not 0.0 < self.learning_rate < math.inf:
@@ -272,7 +274,7 @@ def train(market: Market, config: TrainConfig):
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir)
             path.mkdir(parents=True, exist_ok=True)
-            net.save(path / f"net_epoch_{epoch:03d}.npz", optimizer=adam)
+            save_solution(path / f"net_epoch_{epoch:03d}.npz", net, lam)
         history.append(EpochRecord(
             epoch=epoch, loss=loss_sum / config.inner_iters, ng=ng, voa=voa, vop=vop,
             train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
@@ -306,8 +308,12 @@ def save_solution(path, net: AllocationNet, multipliers) -> None:
 
 
 def load_solution(path):
-    """Inverse of save_solution; returns (net, multipliers)."""
+    """Inverse of save_solution; returns (net, multipliers).
+
+    Raises InvalidArgument when the file is not a marketeq solution."""
     net, arrays = load_checkpoint(path)
+    if "multipliers" not in arrays:
+        raise InvalidArgument(f"{path} is a checkpoint without multipliers, not a solution")
     return net, arrays["multipliers"]
 
 

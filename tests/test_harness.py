@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from marketeq import cli
+from marketeq import cli, harness, trainer
 from marketeq.baselines import EgConfig
 from marketeq.cli import main
 from marketeq.ces import CesSpec
@@ -18,7 +18,8 @@ from marketeq.harness import (
     sweep,
 )
 from marketeq.market import ContextDistribution, Market
-from marketeq.trainer import TrainConfig
+from marketeq.net import AllocationNet, save_checkpoint
+from marketeq.trainer import TrainConfig, load_solution
 
 from helpers import market_from_values
 
@@ -56,7 +57,8 @@ def test_run_fcnet_roundtrips_through_solution(tmp_path):
         market=toy_spec(n=64, seed=7),
         method="fcnet",
         method_config=TrainConfig(batch_size_loss=16, hidden_width=16, hidden_depth=2,
-                                  inner_iters=20, epochs=3, seed=0),
+                                  inner_iters=20, epochs=3, seed=0,
+                                  checkpoint_dir=str(tmp_path / "ckpts")),
         out_dir=str(tmp_path / "fc"),
     )
     record = run_experiment(config)
@@ -69,6 +71,9 @@ def test_run_fcnet_roundtrips_through_solution(tmp_path):
     final_ng = float(curve[-1].split(",")[1])
     assert report.ng == pytest.approx(final_ng, abs=1e-9)
     assert report.csv_row() == record.report.csv_row()
+    # the last epoch snapshot is the same solution file
+    snapshot = evaluate_candidate_file(market, solution_path=tmp_path / "ckpts" / "net_epoch_003.npz")
+    assert snapshot.csv_row() == record.report.csv_row()
 
 
 def test_run_eg_momentum(tmp_path):
@@ -351,3 +356,102 @@ def test_cli_rejects_bad_ng_thresholds(tmp_path, capsys, monkeypatch):
         assert main(["evaluate", "--market", str(market_path),
                      "--candidate", str(outdir / "candidate.json"), "--max-ng", bad]) == 2, bad
         assert "invalid arguments" in capsys.readouterr().err
+
+
+def _write_epoch_snapshot_without_multipliers(path):
+    net = AllocationNet.initialize(3, 2, 4, seed=0)
+    save_checkpoint(path, net, opt_m=np.zeros(net.n_params), opt_step=3)
+
+
+def _write_foreign_npz(path):
+    np.savez(path, weights=np.ones(3))
+
+
+def _write_text(path):
+    path.write_text("not a checkpoint\n")
+
+
+@pytest.mark.parametrize("write", [_write_epoch_snapshot_without_multipliers,
+                                   _write_foreign_npz, _write_text])
+def test_non_solution_files_are_invalid_arguments(tmp_path, capsys, write):
+    path = tmp_path / "solution.npz"
+    write(path)
+    with pytest.raises(InvalidArgument):
+        load_solution(path)
+    market_path = tmp_path / "market.json"
+    assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--market", str(market_path), "--solution", str(path)]) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+_RUN = ["run", "--market", "{market}", "--outdir", "{out}", "--method"]
+_SWEEP = ["sweep", "--n-list", "8", "--m-list", "2", "--k", "3", "--outdir", "{out}", "--methods"]
+# (command line, numeric flag, an out-of-range value); each flag is also given nan and inf
+_NUMERIC_FLAGS = [
+    (["generate", "--out", "{out}"], "--n", "0"),
+    (["generate", "--out", "{out}"], "--m", "0"),
+    (["generate", "--out", "{out}"], "--k", "0"),
+    (["generate", "--out", "{out}"], "--seed", "-1"),
+    (["generate", "--out", "{out}"], "--alpha", "2"),
+    (["evaluate", "--market", "{market}", "--candidate", "{candidate}", "--out", "{out}"],
+     "--max-ng", "-1"),
+    (_RUN + ["fcnet"], "--epochs", "0"),
+    (_RUN + ["fcnet"], "--inner-iters", "0"),
+    (_RUN + ["fcnet"], "--batch-size", "0"),
+    (_RUN + ["fcnet"], "--rho", "0"),
+    (_RUN + ["fcnet"], "--learning-rate", "0"),
+    (_RUN + ["fcnet"], "--width", "0"),
+    (_RUN + ["fcnet"], "--depth", "0"),
+    (_RUN + ["fcnet"], "--method-seed", "-1"),
+    (_RUN + ["eg"], "--epochs", "0"),
+    (_RUN + ["eg"], "--inner-iters", "0"),
+    (_RUN + ["eg"], "--rho", "-1"),
+    (_RUN + ["eg"], "--step-size", "0"),
+    (_RUN + ["eg"], "--ng-stop", "-1"),
+    (_SWEEP + ["naive"], "--n-list", "8,0"),
+    (_SWEEP + ["naive"], "--m-list", "2,0"),
+    (_SWEEP + ["naive"], "--k", "0"),
+    (_SWEEP + ["naive"], "--seed", "-1"),
+    (_SWEEP + ["naive"], "--alpha-list", "0.5,2"),
+    (_SWEEP + ["naive,fcnet"], "--epochs", "0"),
+    (_SWEEP + ["naive,fcnet"], "--inner-iters", "0"),
+    (_SWEEP + ["naive,fcnet"], "--batch-size", "0"),
+    (_SWEEP + ["naive,fcnet"], "--learning-rate", "0"),
+    (_SWEEP + ["naive,fcnet"], "--width", "0"),
+    (_SWEEP + ["naive,fcnet"], "--depth", "0"),
+    (_SWEEP + ["naive,fcnet"], "--method-seed", "-1"),
+    (_SWEEP + ["naive,eg-m"], "--rho", "0"),
+    (_SWEEP + ["naive,eg-m"], "--step-size", "-1"),
+    (_SWEEP + ["naive,eg"], "--ng-stop", "0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, out_of_range", _NUMERIC_FLAGS,
+                         ids=[f"{argv[0]} {flag} {argv[-1]}" if argv[-2].startswith("--method")
+                              else f"{argv[0]} {flag}" for argv, flag, _ in _NUMERIC_FLAGS])
+def test_cli_rejects_bad_numeric_flags_before_any_work(tmp_path, monkeypatch, argv, flag,
+                                                       out_of_range):
+    market_path = tmp_path / "market.json"
+    assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
+    candidate = tmp_path / "naive" / "candidate.json"
+    assert main(["run", "--market", str(market_path), "--method", "naive",
+                 "--outdir", str(candidate.parent)]) == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before rejecting a bad flag")
+
+    for module, name in ((harness, "naive"), (harness, "eg_solve"),
+                         (harness, "eg_momentum_solve"), (trainer, "train"),
+                         (cli, "evaluate_candidate_file")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "out"
+    fill = dict(market=market_path, candidate=candidate, out=out)
+    for bad in ("nan", "inf", out_of_range):
+        command = [part.format(**fill) for part in argv] + [flag, bad]
+        try:
+            code = main(command)
+        except SystemExit as stop:  # argparse refuses a value its type cannot parse
+            code = stop.code
+        assert code == 2, command
+        assert not out.exists(), command

@@ -1,6 +1,8 @@
-"""Every top-level import in `src/` and `tests/` is used."""
+"""Every top-level import in `src/` and `tests/` is used, and every name a
+package module exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +48,13 @@ def test_no_unused_top_level_imports():
         offenders += [f"{path.relative_to(ROOT)} {entry}"
                       for entry in unused_imports(path.read_text())]
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py")):
+        name = "marketeq" if path.stem == "__init__" else f"marketeq.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{export}" for export in getattr(module, "__all__", [])
+                  if not hasattr(module, export)]
+    assert stale == []

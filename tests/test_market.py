@@ -126,6 +126,9 @@ def test_generate_rejects_zero_counts():
         generate_market(1, 0, 1, ContextDistribution.UNIFORM01, CesSpec.linear(), 1)
     with pytest.raises(InvalidArgument):
         generate_market(1, 1, 0, ContextDistribution.UNIFORM01, CesSpec.linear(), 1)
+    for seed in (-1, None):  # a seedless draw would not be reproducible
+        with pytest.raises(InvalidArgument):
+            generate_market(1, 1, 1, ContextDistribution.UNIFORM01, CesSpec.linear(), seed)
 
 
 def test_supply_default_and_override():

@@ -6,7 +6,7 @@ import pytest
 
 from marketeq.errors import InvalidArgument, NumericFailure
 from marketeq.market import softplus
-from marketeq.net import AdamState, AllocationNet, adam_step, loss_gradient
+from marketeq.net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
 
 
 def small_net(seed=0, depth=2, width=8, k=3):
@@ -70,16 +70,17 @@ def test_dimension_checks():
         net.forward_pairs(np.ones((4, 5)))
 
 
-def test_loss_gradient_matches_finite_differences():
+def test_backward_matches_finite_differences():
     net = small_net(seed=5)
     rng = np.random.default_rng(3)
-    inputs = rng.standard_normal((12, 6))
-    target = rng.uniform(0.5, 2.0, size=12)
+    buyers, goods = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    target = rng.uniform(0.5, 2.0, size=(4, 3))
 
-    def loss_fn(y):
-        return float(np.sum((y - target) ** 2)), 2.0 * (y - target)
+    def loss(y):
+        return float(np.sum((y - target) ** 2))
 
-    value, flat_grad = loss_gradient(net, inputs, loss_fn)
+    y, cache = net.forward_step(buyers, goods)
+    flat_grad = net.backward(cache, (2.0 * (y - target)).reshape(-1))
     assert flat_grad.shape == (net.n_params,)
     params = net.get_flat()
     h = 1e-5
@@ -88,10 +89,10 @@ def test_loss_gradient_matches_finite_differences():
         bumped = params.copy()
         bumped[idx] += h
         net.set_flat(bumped)
-        up, _ = loss_fn(net.forward_pairs(inputs))
+        up = loss(net.forward_batch(buyers, goods))
         bumped[idx] -= 2 * h
         net.set_flat(bumped)
-        down, _ = loss_fn(net.forward_pairs(inputs))
+        down = loss(net.forward_batch(buyers, goods))
         net.set_flat(params)
         fd = (up - down) / (2 * h)
         err = abs(flat_grad[idx] - fd) / max(1e-6, abs(flat_grad[idx]), abs(fd))
@@ -100,8 +101,9 @@ def test_loss_gradient_matches_finite_differences():
 
 def test_zero_loss_zero_gradient():
     net = small_net(seed=6)
-    inputs = np.random.default_rng(4).standard_normal((5, 6))
-    _, grad = loss_gradient(net, inputs, lambda y: (0.0, np.zeros_like(y)))
+    rng = np.random.default_rng(4)
+    _, cache = net.forward_step(rng.standard_normal((5, 3)), rng.standard_normal((1, 3)))
+    grad = net.backward(cache, np.zeros(5))
     assert grad.shape == (net.n_params,)
     assert np.all(grad == 0)
 
@@ -109,16 +111,16 @@ def test_zero_loss_zero_gradient():
 def test_saturated_output_kills_gradient():
     net = small_net(seed=7)
     net.biases[-1][...] = -60.0  # softplus'(-60) ~ 8.8e-27
-    inputs = np.zeros((4, 6))
-    _, grad = loss_gradient(net, inputs, lambda y: (float(np.sum(y)), np.ones_like(y)))
+    _, cache = net.forward_step(np.zeros((2, 3)), np.zeros((2, 3)))
+    grad = net.backward(cache, np.ones(4))
     assert np.max(np.abs(grad)) < 1e-20  # weights and biases alike
 
 
-def test_loss_gradient_rejects_nonfinite():
+def test_forward_step_rejects_nonfinite():
     net = small_net(seed=8)
     net.weights[0][0, 0] = np.inf
     with pytest.raises(NumericFailure):
-        loss_gradient(net, np.ones((2, 6)), lambda y: (float(np.sum(y)), np.ones_like(y)))
+        net.forward_step(np.ones((2, 3)), np.ones((1, 3)))
 
 
 def test_adam_first_step_moves_by_lr():
@@ -147,15 +149,12 @@ def test_adam_zero_gradient_no_move():
 
 def test_checkpoint_roundtrip(tmp_path):
     net = small_net(seed=13)
-    state = AdamState.for_net(net, lr=5e-4)
-    state.m += 0.25
-    state.step = 7
+    extra = np.linspace(0.0, 1.0, 5)
     path = tmp_path / "ckpt.npz"
-    net.save(path, optimizer=state)
-    loaded, opt = AllocationNet.load(path)
+    save_checkpoint(path, net, extra=extra)
+    loaded, arrays = load_checkpoint(path)
     assert np.array_equal(loaded.get_flat(), net.get_flat())
-    assert opt is not None and opt.step == 7 and opt.lr == 5e-4
-    np.testing.assert_array_equal(opt.m, state.m)
+    np.testing.assert_array_equal(arrays["extra"], extra)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 6))
     np.testing.assert_array_equal(loaded.forward_pairs(x), net.forward_pairs(x))
@@ -249,8 +248,8 @@ def test_parameters_stay_views(tmp_path):
     net.set_flat(np.arange(net.n_params, dtype=float))
     _assert_views(net)
     assert net.weights[0][0, 1] == 1.0
-    net.save(tmp_path / "net.npz")
-    loaded, _ = AllocationNet.load(tmp_path / "net.npz")
+    save_checkpoint(tmp_path / "net.npz", net)
+    loaded, _ = load_checkpoint(tmp_path / "net.npz")
     _assert_views(loaded)
     copied = copy.deepcopy(net)
     _assert_views(copied)

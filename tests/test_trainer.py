@@ -301,12 +301,17 @@ def test_train_checkpoints_each_epoch(tmp_path):
     config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=2,
                          inner_iters=5, epochs=3, seed=0, eval_each_epoch=False,
                          checkpoint_dir=str(tmp_path / "ckpts"))
-    net, _, _ = train(market, config)
+    net, lam, _ = train(market, config)
     files = sorted(p.name for p in (tmp_path / "ckpts").iterdir())
     assert files == ["net_epoch_001.npz", "net_epoch_002.npz", "net_epoch_003.npz"]
-    last, opt = AllocationNet.load(tmp_path / "ckpts" / "net_epoch_003.npz")
-    assert np.array_equal(last.get_flat(), net.get_flat())
-    assert opt is not None
+    # each snapshot is the solution a run stopped after that epoch returns
+    for epoch, name in enumerate(files, start=1):
+        ref_net, ref_lam, _ = train(market, replace(config, epochs=epoch, checkpoint_dir=None))
+        snap_net, snap_lam = load_solution(tmp_path / "ckpts" / name)
+        np.testing.assert_array_equal(snap_net.get_flat(), ref_net.get_flat())
+        np.testing.assert_array_equal(snap_lam, ref_lam)
+    np.testing.assert_array_equal(snap_net.get_flat(), net.get_flat())
+    np.testing.assert_array_equal(snap_lam, lam)
 
 
 def test_history_curve_csv(tmp_path):
