@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, InvalidPrices, NumericFailure
+from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_range
 from .market import Market, softplus, softplus_and_slope
 from .trainer import EpochRecord, TrainHistory, epoch_scores, multiplier_update, solution_pair
 
@@ -60,20 +60,18 @@ class EgConfig:
     ng_stop: float | None = 1e-3  # early stop once projected NG drops below
 
     def __post_init__(self):
-        if self.step_size is not None and not 0.0 < self.step_size < math.inf:
-            raise InvalidArgument("step size must be finite and > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidArgument("momentum must lie in [0, 1)")
-        if not 0.0 < self.rho < math.inf or self.epochs < 1:
-            raise InvalidArgument("rho must be finite and > 0 and epochs >= 1")
-        if self.inner_iters is not None and self.inner_iters < 1:
-            raise InvalidArgument("inner iterations must be >= 1 when given")
-        if self.ng_stop is not None and not 0.0 < self.ng_stop < math.inf:
-            raise InvalidArgument("ng_stop must be finite and > 0 when given")
+        if self.step_size is not None:
+            check_range("step_size", self.step_size, 0.0, open_low=True)
+        check_range("momentum", self.momentum, 0.0, 1.0)
+        check_range("rho", self.rho, 0.0, open_low=True)
+        check_range("epochs", self.epochs, 1)
+        if self.inner_iters is not None:
+            check_range("inner_iters", self.inner_iters, 1)
+        if self.ng_stop is not None:
+            check_range("ng_stop", self.ng_stop, 0.0, open_low=True)
         if self.beta_schedule not in ("inv_sqrt", "constant"):
             raise InvalidArgument("beta_schedule must be 'inv_sqrt' or 'constant'")
-        if not 0.0 <= self.beta_scale < math.inf:
-            raise InvalidArgument("beta_scale must be finite and >= 0")
+        check_range("beta_scale", self.beta_scale, 0.0)
 
     def beta(self, epoch: int) -> float:
         if self.beta_schedule == "constant":

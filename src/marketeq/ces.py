@@ -130,17 +130,24 @@ class BuyerProblem:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        prices = np.asarray(self.prices, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "prices", prices)
-        if values.ndim != 1 or prices.shape != values.shape:
-            raise InvalidArgument("values and prices must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(values)) and np.all(values > 0)):
-            raise InvalidArgument("values must be finite and strictly positive")
+        if values.ndim != 1 or not (np.all(np.isfinite(values)) and np.all(values > 0)):
+            raise InvalidArgument("values must be a 1-d array of finite, strictly positive reals")
         if not (np.isfinite(self.budget) and self.budget > 0):
             raise InvalidArgument("budget must be finite and strictly positive")
-        if not (np.all(np.isfinite(prices)) and np.all(prices > 0)):
-            raise InvalidPrices("prices must be finite and strictly positive")
+        object.__setattr__(self, "prices", _check_prices(self.prices, len(values)))
+
+
+def _check_prices(prices, m: int) -> np.ndarray:
+    """The one check of a price vector (or of multipliers standing in for
+    prices), as a float array: InvalidArgument unless it is 1-d of length m,
+    InvalidPrices unless every entry is finite and > 0."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape != (m,):
+        raise InvalidArgument(f"prices must be a 1-d vector of length {m}, got shape {prices.shape}")
+    if not np.all((prices > 0) & (prices < np.inf)):  # NaN fails both comparisons
+        raise InvalidPrices("prices must be finite and strictly positive")
+    return prices
 
 
 def _bundle_arrays(values, bundle):
@@ -157,6 +164,19 @@ def _check_bundle(values, bundle):
     values, bundle = _bundle_arrays(values, bundle)
     if np.any(bundle < 0):
         raise InvalidArgument("bundle components must be nonnegative")
+    return values, bundle
+
+
+def _check_gradient_bundle(values, bundle, spec: CesSpec):
+    # the bundle check of every gradient: strictly positive components where
+    # it is singular on the boundary (general, cobb-douglas), found by one
+    # scan that still reports a negative component first; else nonnegative
+    if spec.regime is Regime.LINEAR or spec.regime is Regime.LEONTIEF:
+        return _check_bundle(values, bundle)
+    values, bundle = _bundle_arrays(values, bundle)
+    if np.any(bundle <= 0):
+        _check_bundle(values, bundle)
+        raise InvalidArgument("gradient is singular at boundary bundles in this regime")
     return values, bundle
 
 
@@ -249,7 +269,7 @@ def utility_gradient(values, bundle, spec: CesSpec):
     is singular on the boundary).  Leontief returns the subgradient
     concentrated on the lowest index attaining the min.
     """
-    values, bundle = _check_bundle(values, bundle)
+    values, bundle = _check_gradient_bundle(values, bundle, spec)
     if spec.regime is Regime.LINEAR:
         return np.broadcast_to(values, bundle.shape).copy()
     if spec.regime is Regime.LEONTIEF:
@@ -259,8 +279,6 @@ def utility_gradient(values, bundle, spec: CesSpec):
         idx = np.indices(j_star.shape)
         grad[(*idx, j_star)] = np.broadcast_to(values, vx.shape)[(*idx, j_star)]
         return grad
-    if np.any(bundle <= 0):
-        raise InvalidArgument("gradient is singular at boundary bundles in this regime")
     u = utility(values, bundle, spec)
     return log_utility_gradient(values, bundle, spec) * u[..., None]
 
@@ -271,13 +289,11 @@ def log_utility_gradient(values, bundle, spec: CesSpec):
     Equals utility_gradient / u; cheaper and better conditioned for the
     stationarity checks and the Lagrangian gradients.
     """
-    values, bundle = _check_bundle(values, bundle)
+    values, bundle = _check_gradient_bundle(values, bundle, spec)
     if spec.regime is Regime.LINEAR:
         denom = _sum_last(values * bundle)[..., None]
         return np.broadcast_to(values, bundle.shape) / denom
     if spec.regime is Regime.COBB_DOUGLAS:
-        if np.any(bundle <= 0):
-            raise InvalidArgument("gradient is singular at boundary bundles in this regime")
         weights = values / _sum_last(values)[..., None]
         return weights / bundle
     if spec.regime is Regime.LEONTIEF:
@@ -288,8 +304,6 @@ def log_utility_gradient(values, bundle, spec: CesSpec):
         idx = np.indices(j_star.shape)
         grad[(*idx, j_star)] = (np.broadcast_to(values, vx.shape) / u)[(*idx, j_star)]
         return grad
-    if np.any(bundle <= 0):
-        raise InvalidArgument("gradient is singular at boundary bundles in this regime")
     _, grad = _general_log_and_gradient(values, bundle, spec.alpha)
     return grad
 
@@ -320,10 +334,7 @@ def log_utility_and_gradient(values, bundle, spec: CesSpec):
     """
     if spec.regime is Regime.LINEAR or spec.regime is Regime.LEONTIEF:
         return log_utility(values, bundle, spec), log_utility_gradient(values, bundle, spec)
-    values, bundle = _bundle_arrays(values, bundle)
-    if np.any(bundle <= 0):  # one scan of a valid bundle; a negative component is reported first
-        _check_bundle(values, bundle)
-        raise InvalidArgument("gradient is singular at boundary bundles in this regime")
+    values, bundle = _check_gradient_bundle(values, bundle, spec)
     if spec.regime is Regime.COBB_DOUGLAS:
         weights = values / _sum_last(values)[..., None]
         return _sum_last(weights * np.log(bundle)), weights / bundle
@@ -342,9 +353,7 @@ def fixed_price_log_utility_matrix(values, budgets, prices, spec: CesSpec):
     """Vectorized fixed-price log utility: values (n, m), budgets (n,), prices (m,) -> (n,)."""
     values = np.asarray(values, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
-        raise InvalidPrices("prices must be finite and strictly positive")
+    prices = _check_prices(prices, values.shape[-1])
     log_b = np.log(budgets)
     if spec.regime is Regime.LINEAR:
         return log_b + np.log(np.max(values / prices, axis=-1))
@@ -386,9 +395,7 @@ def demand_matrix(values, budgets, prices, spec: CesSpec):
     """
     values = np.asarray(values, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
-        raise InvalidPrices("prices must be finite and strictly positive")
+    prices = _check_prices(prices, values.shape[-1])
     x = np.empty(values.shape)
     for rows in _row_chunks(values.shape[0]):
         x[rows] = _demand_rows(values[rows], budgets[rows], prices, spec)

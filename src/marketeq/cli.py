@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .baselines import EgConfig
-from .errors import InvalidArgument, MarketEqError, OracleFailure
+from .errors import InvalidArgument, MarketEqError, OracleFailure, check_range
 from .harness import (
     METHODS,
     ExperimentConfig,
@@ -53,49 +52,32 @@ def _add_method_args(parser, with_method=True):
         parser.add_argument("--method", choices=METHODS, required=True)
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--inner-iters", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None, help="fcnet half-batch M1")
+    parser.add_argument("--batch-size", dest="batch_size_loss", type=int, default=None,
+                        help="fcnet half-batch M1")
     parser.add_argument("--rho", type=float, default=None)
     parser.add_argument("--learning-rate", type=float, default=None)
-    parser.add_argument("--width", type=int, default=None)
-    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--width", dest="hidden_width", type=int, default=None)
+    parser.add_argument("--depth", dest="hidden_depth", type=int, default=None)
     parser.add_argument("--step-size", type=float, default=None)
     parser.add_argument("--ng-stop", type=float, default=None)
     parser.add_argument("--method-seed", type=int, default=0,
                         help="fcnet initialization and sampling seed (EG is deterministic)")
 
 
+# the config fields each method takes from its flags (each flag's dest is its field)
+_FCNET_FIELDS = ("batch_size_loss", "rho", "inner_iters", "epochs", "learning_rate",
+                 "hidden_width", "hidden_depth")
+_EG_FIELDS = ("step_size", "inner_iters", "epochs", "rho", "ng_stop")
+
+
 def _method_config(args, method):
     if method == "naive":
         return None
+    fields = _FCNET_FIELDS if method == "fcnet" else _EG_FIELDS
+    kwargs = {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
     if method == "fcnet":
-        kwargs = {}
-        if args.batch_size is not None:
-            kwargs["batch_size_loss"] = args.batch_size
-        if args.rho is not None:
-            kwargs["rho"] = args.rho
-        if args.inner_iters is not None:
-            kwargs["inner_iters"] = args.inner_iters
-        if args.epochs is not None:
-            kwargs["epochs"] = args.epochs
-        if args.learning_rate is not None:
-            kwargs["learning_rate"] = args.learning_rate
-        if args.width is not None:
-            kwargs["hidden_width"] = args.width
-        if args.depth is not None:
-            kwargs["hidden_depth"] = args.depth
         return TrainConfig(seed=args.method_seed, **kwargs)
-    kwargs = {"momentum": 0.9 if method == "eg-m" else 0.0}
-    if args.step_size is not None:
-        kwargs["step_size"] = args.step_size
-    if args.inner_iters is not None:
-        kwargs["inner_iters"] = args.inner_iters
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if args.rho is not None:
-        kwargs["rho"] = args.rho
-    if args.ng_stop is not None:
-        kwargs["ng_stop"] = args.ng_stop
-    return EgConfig(**kwargs)
+    return EgConfig(momentum=0.9 if method == "eg-m" else 0.0, **kwargs)
 
 
 def _market_spec(args) -> MarketSpec:
@@ -129,8 +111,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.max_ng is not None and not 0.0 <= args.max_ng < math.inf:
-        raise InvalidArgument(f"--max-ng must be finite and >= 0, got {args.max_ng}")
+    if args.max_ng is not None:
+        check_range("--max-ng", args.max_ng, 0.0)
     market = Market.load(args.market)
     report = evaluate_candidate_file(market, candidate_path=args.candidate,
                                      solution_path=args.solution)
@@ -152,7 +134,7 @@ def cmd_sweep(args) -> int:
     ]
     # every config is checked before the first cell runs
     configs = {method: _method_config(args, method) for method in args.methods}
-    rows = sweep(specs, args.methods, lambda method, market: configs[method], args.outdir)
+    rows = sweep(specs, configs, args.outdir)
     failed = sum(1 for row in rows if row["error"])
     print(f"sweep: {len(rows)} cells, {failed} failed -> {Path(args.outdir) / 'sweep.csv'}")
     return EXIT_OK

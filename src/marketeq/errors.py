@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check of numeric settings."""
+
+import math
 
 
 class MarketEqError(Exception):
@@ -14,7 +16,7 @@ class DegenerateBudget(MarketEqError):
 
 
 class InvalidPrices(MarketEqError):
-    """Prices (or multipliers standing in for prices) that are not strictly positive."""
+    """Prices (or multipliers standing in for prices) that are not finite and strictly positive."""
 
 
 class ConstraintViolation(MarketEqError):
@@ -46,3 +48,11 @@ class OracleFailure(MarketEqError):
 
 class ConditioningWarning(UserWarning):
     """The requested parameters sit near a removable singularity of a closed form."""
+
+
+def check_range(name: str, value, low: float, high: float = math.inf, *, open_low: bool = False) -> None:
+    """Raise InvalidArgument unless low <= value < high (low < value with
+    `open_low`); NaN lies in no range.  The one check of the numeric settings."""
+    if not (low < value < high if open_low else low <= value < high):
+        raise InvalidArgument(
+            f"{name} must lie in {'(' if open_low else '['}{low:g}, {high:g}), got {value!r}")

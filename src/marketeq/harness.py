@@ -188,14 +188,14 @@ def evaluate_candidate_file(market: Market, candidate_path=None, solution_path=N
     return metrics.evaluate(market, candidate.allocation, candidate.prices)
 
 
-def sweep(market_specs, methods, method_config_factory, out_dir) -> list[dict]:
+def sweep(market_specs, method_configs, out_dir) -> list[dict]:
     """Run a grid of cells; one row per (method, market spec).
 
-    `method_config_factory(method, market)` builds the per-cell config.
+    `method_configs` maps each method to run to its config (None for naive).
     Failures are recorded in the row's error column and the sweep continues;
     an unknown method is rejected before any cell runs.
     """
-    unknown = [method for method in methods if method not in METHODS]
+    unknown = [method for method in method_configs if method not in METHODS]
     if unknown:
         raise InvalidArgument(f"unknown methods {unknown}; choose from {METHODS}")
     out = Path(out_dir)
@@ -203,7 +203,7 @@ def sweep(market_specs, methods, method_config_factory, out_dir) -> list[dict]:
     rows = []
     for spec in market_specs:
         market = spec.build()
-        for method in methods:
+        for method, method_config in method_configs.items():
             row = {
                 "method": method, "n": spec.n, "m": spec.m,
                 "alpha": spec.alpha, "dist": spec.dist,
@@ -213,7 +213,7 @@ def sweep(market_specs, methods, method_config_factory, out_dir) -> list[dict]:
             try:
                 config = ExperimentConfig(
                     market=spec, method=method,
-                    method_config=method_config_factory(method, market),
+                    method_config=method_config,
                     out_dir=str(cell_dir),
                 )
                 record = run_experiment(config, market)

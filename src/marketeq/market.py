@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ces import CesSpec, Regime, _row_chunks
-from .errors import DegenerateBudget, InvalidArgument
+from .errors import DegenerateBudget, InvalidArgument, check_range
 
 
 class ContextDistribution(enum.Enum):
@@ -197,43 +197,48 @@ class Market:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Market":
-        regime = Regime(doc["regime"])
-        spec = CesSpec(regime, doc.get("alpha"))
-        dist = ContextDistribution(doc["dist"]) if doc.get("dist") else None
-        supplies = np.asarray(doc["supplies"], dtype=float) if "supplies" in doc else None
-        if "buyers" in doc:
-            market = cls(
-                n=doc["n"], m=doc["m"], k=doc["k"],
-                buyers=np.asarray(doc["buyers"], dtype=float),
-                goods=np.asarray(doc["goods"], dtype=float),
-                ces=spec, dist=dist, seed=doc.get("seed"), supply_override=supplies,
-            )
-            return market
-        if dist is None or doc.get("seed") is None:
-            raise InvalidArgument("market document without contexts needs dist and seed")
-        market = generate_market(doc["n"], doc["m"], doc["k"], dist, spec, doc["seed"])
-        if supplies is not None:
-            market = cls(
-                n=market.n, m=market.m, k=market.k, buyers=market.buyers, goods=market.goods,
-                ces=spec, dist=dist, seed=doc["seed"], supply_override=supplies,
-            )
-        return market
+        try:
+            n, m, k, seed = doc["n"], doc["m"], doc["k"], doc.get("seed")
+            spec = CesSpec(Regime(doc["regime"]), doc.get("alpha"))
+            dist = ContextDistribution(doc["dist"]) if doc.get("dist") else None
+            supplies = np.asarray(doc["supplies"], dtype=float) if "supplies" in doc else None
+            contexts = ([np.asarray(doc[key], dtype=float) for key in ("buyers", "goods")]
+                        if "buyers" in doc else None)
+        except (KeyError, TypeError, ValueError) as err:  # a missing key, or a bad value
+            raise InvalidArgument(f"bad market document ({type(err).__name__}: {err})") from err
+        if contexts is None:
+            if dist is None or seed is None:
+                raise InvalidArgument("market document without contexts needs dist and seed")
+            market = generate_market(n, m, k, dist, spec, seed)
+            if supplies is None:
+                return market
+            contexts = market.buyers, market.goods
+        return cls(n=n, m=m, k=k, buyers=contexts[0], goods=contexts[1], ces=spec, dist=dist,
+                   seed=seed, supply_override=supplies)
 
     def save(self, path, include_contexts: bool = False) -> None:
         Path(path).write_text(json.dumps(self.to_json(include_contexts)) + "\n")
 
     @classmethod
     def load(cls, path) -> "Market":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
+
+
+def read_json(path):
+    """The JSON document at `path`; InvalidArgument if it holds none (FileNotFoundError if absent)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as err:  # not JSON, or not text at all
+        raise InvalidArgument(f"{path} is not a JSON document: {err}") from err
 
 
 def check_recipe(n: int, m: int, k: int, seed: int | None) -> None:
     """Reject fewer than one buyer, good or context dimension, and a negative
     seed; `seed` is None for a market given by its contexts."""
-    if n < 1 or m < 1 or k < 1:
-        raise InvalidArgument("n, m, k must all be >= 1")
-    if seed is not None and seed < 0:
-        raise InvalidArgument("seed must be a nonnegative integer")
+    for name, count in (("n", n), ("m", m), ("k", k)):
+        check_range(name, count, 1)
+    if seed is not None:
+        check_range("seed", seed, 0)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

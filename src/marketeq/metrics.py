@@ -21,14 +21,16 @@ from . import ces
 from .errors import (
     ConstraintViolation,
     InvalidArgument,
-    InvalidPrices,
     ProjectionUndefined,
     UnsupportedRegime,
 )
-from .market import Market
+from .market import Market, read_json
 
 # relative feasibility tolerance for nash_gap preconditions
 FEASIBILITY_RTOL = 1e-9
+
+# KKT's active set: x_ij > KKT_ACTIVE_RTOL * B_i / p_j
+KKT_ACTIVE_RTOL = 1e-8
 
 # CSV column order is part of the external interface; keep stable.
 CSV_COLUMNS = ("lnw", "lfw", "ng", "voa", "vop", "wsw", "price_residual", "kkt_max_residual")
@@ -48,10 +50,10 @@ class EquilibriumCandidate:
         object.__setattr__(self, "prices", prices)
         if allocation.ndim != 2 or prices.ndim != 1 or allocation.shape[1] != prices.shape[0]:
             raise InvalidArgument("allocation must be (n, m) with prices of length m")
-        if not (np.all(np.isfinite(allocation)) and np.all(np.isfinite(prices))):
-            raise InvalidArgument("candidate entries must be finite")
-        if np.any(allocation < 0):
-            raise InvalidArgument("allocation must be nonnegative")
+        # a nonpositive price may stand here; every scorer refuses it as InvalidPrices
+        if not np.all(np.isfinite(prices)):
+            raise InvalidArgument("candidate prices must be finite")
+        _scan_allocation(allocation)
 
     def to_json(self) -> dict:
         return {
@@ -62,14 +64,17 @@ class EquilibriumCandidate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "EquilibriumCandidate":
-        return cls(np.asarray(doc["allocation"], dtype=float), np.asarray(doc["prices"], dtype=float))
+        try:
+            return cls(np.asarray(doc["allocation"], dtype=float), np.asarray(doc["prices"], dtype=float))
+        except (KeyError, TypeError, ValueError) as err:  # a missing key, or no number array
+            raise InvalidArgument(f"bad candidate document ({type(err).__name__}: {err})") from err
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path) -> "EquilibriumCandidate":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,19 @@ def _check_allocation(market: Market, x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (market.n, market.m):
         raise InvalidArgument(f"allocation shape {x.shape} does not match market ({market.n}, {market.m})")
-    # chunk by chunk, so the masks are never n-by-m
-    for rows in ces._row_chunks(market.n):
-        chunk = x[rows]
-        if np.any(chunk < 0) or not np.all(np.isfinite(chunk)):
-            raise InvalidArgument("allocation must be finite and nonnegative")
+    _scan_allocation(x)
     return x
 
 
-def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
-           active_rtol: float = 1e-8) -> MetricsReport:
+def _scan_allocation(x) -> None:
+    # chunk by chunk, so the masks are never n-by-m
+    for rows in ces._row_chunks(len(x)):
+        chunk = x[rows]
+        if np.any(chunk < 0) or not np.all(np.isfinite(chunk)):
+            raise InvalidArgument("allocation must be finite and nonnegative")
+
+
+def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False) -> MetricsReport:
     """The one pass that scores a pair, in fixed order over buyer chunks: LNW
     and WSW of the validated `x` times the per-good `scale`, LFW at `prices`
     and, with `kkt`, the KKT residual of the two.  Scores without their input
@@ -145,7 +153,7 @@ def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
             bundle[...] = scaled
             del scaled
             log_u = _chunk_log_utility(market.ces, values[rows], b, bundle,
-                                       prices if kkt else None, spent, active_rtol, peaks)
+                                       prices if kkt else None, spent, peaks)
             sums[0] += np.dot(b, log_u)
             sums[1] += np.dot(b, np.exp(log_u))
             zero_utility = zero_utility or bool(np.any(np.isneginf(log_u)))
@@ -159,28 +167,25 @@ def _score(market: Market, x=None, scale=1.0, prices=None, kkt=False,
                          degenerate_lnw=not np.isfinite(log_sum))
 
 
-def _chunk_log_utility(spec, values, budgets, bundle, prices, spent, active_rtol, peaks):
-    # log u_i of one chunk's column-major bundles (a copy that this may
-    # overwrite) from one CES kernel call; given `prices` and the spending
-    # <p, x_i>, the chunk's KKT maxima go into `peaks`
+def _chunk_log_utility(spec, values, budgets, bundle, prices, spent, peaks):
+    # log u_i of one chunk's column-major bundles from one CES kernel call;
+    # given `prices` and the spending <p, x_i>, the chunk's KKT maxima go
+    # into `peaks`
     if prices is None:
         return ces.log_utility(values, bundle, spec)
     budget_res = (np.abs(spent - budgets) / budgets).max()
     threshold = np.divide(budgets[:, None], prices, out=np.empty_like(bundle))
-    threshold *= active_rtol
+    threshold *= KKT_ACTIVE_RTOL
     inactive = bundle <= threshold
     del threshold  # not kept alive through the kernel call
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
             log_u, gap = ces.log_utility_and_gradient(values, bundle, spec)
         except InvalidArgument:
-            # a zero component where the gradient is singular: its residual
-            # is an honest +inf instead of an error
-            log_u = ces.log_utility(values, bundle, spec)
-            boundary = bundle <= 0
-            bundle[boundary] = 1.0
-            gap = ces.log_utility_gradient(values, bundle, spec)
-            gap[boundary] = np.inf
+            # a zero component where the gradient is singular: its one-sided
+            # residual, and with it the KKT peak, is an honest +inf
+            np.maximum(peaks, np.inf, out=peaks)
+            return ces.log_utility(values, bundle, spec)
     # (B_i/u_i) du/dx = B_i dlog(u)/dx; dividing its gap to p_j by p_j > 0 is
     # monotone, so the maxima are taken per good first
     gap *= budgets[:, None]
@@ -203,22 +208,17 @@ def lnw(market: Market, x) -> float:
 
 def lfw(market: Market, p) -> float:
     """Log fixed-price welfare: budget-weighted mean of the fixed-price log utilities."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (market.m,):
-        raise InvalidArgument("price vector length must equal m")
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        raise InvalidPrices("prices must be finite and strictly positive")
-    return _score(market, prices=p).lfw
+    return _score(market, prices=ces._check_prices(p, market.m)).lfw
 
 
 def nash_gap(market: Market, x, p) -> float:
     """LFW(p) - LNW(x) for a clearance- and price-feasible pair; >= 0 up to rounding.
 
     Raises ConstraintViolation when the pair is off the feasible set; run
-    `project` first in that case.
+    `project` first in that case.  Both scores come from one `_score` pass.
     """
     x = _check_allocation(market, x)
-    p = np.asarray(p, dtype=float)
+    p = ces._check_prices(p, market.m)
     supplies = market.supplies
     col = x.sum(axis=0)
     if np.any(np.abs(col - supplies) > FEASIBILITY_RTOL * supplies):
@@ -230,7 +230,7 @@ def nash_gap(market: Market, x, p) -> float:
         raise ConstraintViolation(
             "prices do not satisfy sum_j p_j Y_j = sum_i B_i to relative 1e-9; project first"
         )
-    return lfw(market, p) - lnw(market, x)
+    return _score(market, x, prices=p).ng
 
 
 def project(market: Market, x, p):
@@ -278,30 +278,26 @@ def price_residual(market: Market, p) -> float:
     return float((p @ market.supplies - total) / total)
 
 
-def kkt_residuals(market: Market, candidate: EquilibriumCandidate, active_rtol: float = 1e-8) -> float:
+def kkt_residuals(market: Market, candidate: EquilibriumCandidate) -> float:
     """Max relative KKT residual of the buyer optimality conditions.
 
     Stationarity requires (B_i/u_i) du_i/dx_ij <= p_j with equality where
     x_ij > 0; we test the one-sided part everywhere and the equality on the
-    active set x_ij > active_rtol * B_i / p_j, plus the budget residuals
+    active set x_ij > KKT_ACTIVE_RTOL * B_i / p_j, plus the budget residuals
     |<p, x_i> - B_i| / B_i.  All pieces are measured relative to p_j or B_i.
     """
     if not ces.regime_supports_gradient(market.ces):
         raise UnsupportedRegime("KKT residuals need a usable utility gradient (not leontief)")
     x = _check_allocation(market, candidate.allocation)
-    p = np.asarray(candidate.prices, dtype=float)
-    if np.any(p <= 0):
-        raise InvalidPrices("KKT residuals need strictly positive prices")
-    return _score(market, x, prices=p, kkt=True, active_rtol=active_rtol).kkt_max_residual
+    p = ces._check_prices(candidate.prices, market.m)
+    return _score(market, x, prices=p, kkt=True).kkt_max_residual
 
 
 def evaluate(market: Market, x, p, kkt: bool = True) -> MetricsReport:
     """Certify a pair: project it, then score the projected pair, in one
     validation of `x` and one `_score` pass that never forms the projected
     allocation.  KKT is NaN without `kkt` and in the leontief regime."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise InvalidPrices("prices must be strictly positive to certify a candidate")
+    p = ces._check_prices(p, market.m)
     x, alpha, beta, voa, vop = _projection(market, x, p)
     report = _score(market, x, alpha, beta * p, kkt and ces.regime_supports_gradient(market.ces))
     return replace(report, voa=voa, vop=vop, price_residual=price_residual(market, p))
@@ -310,6 +306,7 @@ def evaluate(market: Market, x, p, kkt: bool = True) -> MetricsReport:
 __all__ = [
     "CSV_COLUMNS",
     "FEASIBILITY_RTOL",
+    "KKT_ACTIVE_RTOL",
     "EquilibriumCandidate",
     "MetricsReport",
     "lnw",

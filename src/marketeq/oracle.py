@@ -28,6 +28,8 @@ from .trainer import solution_pair
 
 MAX_NUMERIC_BUYERS = 200
 MAX_NUMERIC_GOODS = 10
+NUMERIC_NG_TOL = 1e-6
+NUMERIC_KKT_TOL = 1e-4
 _SEGMENT_EPOCHS = 100  # certification is tried once per segment
 _MAX_SEGMENTS = 30
 
@@ -40,11 +42,11 @@ class OracleResult:
     method: str  # "closed-form" | "numeric"
 
 
-def _certify(market: Market, x, p, ng_tol: float, kkt_tol: float | None, method: str) -> OracleResult:
+def _certify(market: Market, x, p, max_ng: float, max_kkt: float | None, method: str) -> OracleResult:
     x_t, p_t, _, _ = metrics.project(market, x, p)
     ng = metrics.nash_gap(market, x_t, p_t)
-    if not (abs(ng) <= ng_tol):
-        raise OracleFailure(f"{method} oracle: NG {ng:.3e} above tolerance {ng_tol:.1e}")
+    if not (abs(ng) <= max_ng):
+        raise OracleFailure(f"{method} oracle: NG {ng:.3e} above tolerance {max_ng:.1e}")
     identity = abs(float(p_t @ market.supplies) - market.total_budget)
     if identity > 1e-8 * market.total_budget:
         raise OracleFailure(f"{method} oracle: price identity residual {identity:.3e}")
@@ -53,8 +55,8 @@ def _certify(market: Market, x, p, ng_tol: float, kkt_tol: float | None, method:
     kkt = float("nan")
     if ces.regime_supports_gradient(market.ces):
         kkt = metrics.kkt_residuals(market, metrics.EquilibriumCandidate(x_t, p_t))
-        if kkt_tol is not None and not (kkt <= kkt_tol):
-            raise OracleFailure(f"{method} oracle: KKT residual {kkt:.3e} above {kkt_tol:.1e}")
+        if max_kkt is not None and not (kkt <= max_kkt):
+            raise OracleFailure(f"{method} oracle: KKT residual {kkt:.3e} above {max_kkt:.1e}")
     return OracleResult(metrics.EquilibriumCandidate(x_t, p_t), float(max(ng, 0.0)), kkt, method)
 
 
@@ -72,7 +74,7 @@ def cobb_douglas_equilibrium(market: Market) -> OracleResult:
     spend = np.multiply(market.budgets[:, None], weights, order="C")
     p = spend.sum(axis=0) / market.supplies
     x = spend / p[None, :]
-    return _certify(market, x, p, ng_tol=1e-10, kkt_tol=1e-8, method="closed-form")
+    return _certify(market, x, p, max_ng=1e-10, max_kkt=1e-8, method="closed-form")
 
 
 def single_pair_equilibrium(market: Market) -> OracleResult:
@@ -83,11 +85,11 @@ def single_pair_equilibrium(market: Market) -> OracleResult:
     b = market.total_budget
     x = np.array([[y]])
     p = np.array([b / y])
-    kkt_tol = 1e-10 if ces.regime_supports_gradient(market.ces) else None
-    return _certify(market, x, p, ng_tol=1e-12, kkt_tol=kkt_tol, method="closed-form")
+    max_kkt = 1e-10 if ces.regime_supports_gradient(market.ces) else None
+    return _certify(market, x, p, max_ng=1e-12, max_kkt=max_kkt, method="closed-form")
 
 
-def numeric_equilibrium(market: Market, tol: float = 1e-6, kkt_tol: float = 1e-4) -> OracleResult:
+def numeric_equilibrium(market: Market) -> OracleResult:
     """High-precision EG-momentum solve, certified before returning.
 
     A test oracle, not a production solver: enforces n <= 200, m <= 10.
@@ -98,7 +100,8 @@ def numeric_equilibrium(market: Market, tol: float = 1e-6, kkt_tol: float = 1e-4
     in a couple of seconds while hard ones keep iterating; linear markets get
     their vanishing allocations snapped to exact zeros first (a strictly
     dominated good sheds its last mass only asymptotically under softplus
-    parameters).  If the segment budget runs out uncertified, this raises.
+    parameters).  If the segment budget runs out uncertified (NG within
+    NUMERIC_NG_TOL, KKT within NUMERIC_KKT_TOL), this raises.
     """
     if market.n > MAX_NUMERIC_BUYERS or market.m > MAX_NUMERIC_GOODS:
         raise InvalidArgument(
@@ -126,9 +129,9 @@ def numeric_equilibrium(market: Market, tol: float = 1e-6, kkt_tol: float = 1e-4
                 if np.any(p <= 0):
                     continue
                 if linear:
-                    x = _snap_dominated(market, x, p, kkt_tol)
+                    x = _snap_dominated(market, x, p)
                 try:
-                    return _certify(market, x, p, ng_tol=tol, kkt_tol=kkt_tol, method="numeric")
+                    return _certify(market, x, p, NUMERIC_NG_TOL, NUMERIC_KKT_TOL, method="numeric")
                 except (OracleFailure, ProjectionUndefined) as err:
                     last_error = err
         except NumericFailure as err:
@@ -153,11 +156,11 @@ def _warm_start(market: Market) -> np.ndarray:
         return np.where(x_hat > 30.0, x_hat, np.log(np.expm1(np.minimum(x_hat, 30.0))))
 
 
-def _snap_dominated(market: Market, x: np.ndarray, p: np.ndarray, kkt_tol: float) -> np.ndarray:
+def _snap_dominated(market: Market, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Zero out allocations that are tiny and strictly dominated at these prices."""
     x = x.copy()
     marginal = market.budgets[:, None] * ces.log_utility_gradient(market.values, np.maximum(x, 1e-300), market.ces)
-    dominated = marginal < p[None, :] * (1.0 - 10.0 * kkt_tol)
+    dominated = marginal < p[None, :] * (1.0 - 10.0 * NUMERIC_KKT_TOL)
     tiny = x < 1e-3 * market.budgets[:, None] / (market.m * p[None, :])
     x[dominated & tiny] = 0.0
     return x
@@ -170,4 +173,6 @@ __all__ = [
     "numeric_equilibrium",
     "MAX_NUMERIC_BUYERS",
     "MAX_NUMERIC_GOODS",
+    "NUMERIC_NG_TOL",
+    "NUMERIC_KKT_TOL",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, InvalidPrices, NumericFailure
+from .errors import InvalidArgument, NumericFailure, check_range
 from .market import Market
 from .net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
 
@@ -50,18 +50,13 @@ class TrainConfig:
     checkpoint_dir: str | None = None  # when set, each epoch writes solution file net_epoch_###.npz
 
     def __post_init__(self):
-        if self.batch_size_loss < 1 or self.inner_iters < 1 or self.epochs < 1:
-            raise InvalidArgument("batch size, inner iterations and epochs must be >= 1")
-        if self.hidden_width < 1 or self.hidden_depth < 1:
-            raise InvalidArgument("hidden width and depth must be >= 1")
-        if not 0.0 < self.rho < math.inf:
-            raise InvalidArgument("quadratic penalty rho must be finite and > 0")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise InvalidArgument("learning rate must be finite and > 0")
-        if self.batch_size_multiplier is not None and self.batch_size_multiplier < 1:
-            raise InvalidArgument("multiplier batch size must be >= 1 when given")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be a nonnegative integer")
+        for name in ("batch_size_loss", "inner_iters", "epochs", "hidden_width", "hidden_depth"):
+            check_range(name, getattr(self, name), 1)
+        check_range("rho", self.rho, 0.0, open_low=True)
+        check_range("learning_rate", self.learning_rate, 0.0, open_low=True)
+        if self.batch_size_multiplier is not None:
+            check_range("batch_size_multiplier", self.batch_size_multiplier, 1)
+        check_range("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -221,8 +216,7 @@ def multiplier_update(multipliers, allocation, rho: float, beta_t: float) -> np.
     lam = np.asarray(multipliers, dtype=float)
     if np.ndim(allocation) != 2 or np.shape(allocation)[1:] != lam.shape:
         raise InvalidArgument("allocation must be 2-D with one column per multiplier")
-    if not 0.0 <= beta_t < math.inf:
-        raise InvalidArgument("step size beta_t must be finite and >= 0")
+    check_range("beta_t", beta_t, 0.0)
     return lam + beta_t * rho * (np.mean(allocation, axis=0) - 1.0)
 
 
@@ -310,21 +304,19 @@ def save_solution(path, net: AllocationNet, multipliers) -> None:
 def load_solution(path):
     """Inverse of save_solution; returns (net, multipliers).
 
-    Raises InvalidArgument when the file is not a marketeq solution."""
+    Raises InvalidArgument unless the file is a marketeq solution with finite multipliers."""
     net, arrays = load_checkpoint(path)
     if "multipliers" not in arrays:
         raise InvalidArgument(f"{path} is a checkpoint without multipliers, not a solution")
+    if not np.all(np.isfinite(arrays["multipliers"])):
+        raise InvalidArgument(f"{path} holds non-finite multipliers")
     return net, arrays["multipliers"]
 
 
 def extract_solution(net: AllocationNet, multipliers, market: Market) -> metrics.EquilibriumCandidate:
     """Materialize the candidate: the net's allocation over the whole
     population and the multipliers, mapped by `solution_pair`."""
-    lam = np.asarray(multipliers, dtype=float)
-    if lam.shape != (market.m,):
-        raise InvalidArgument("multiplier vector length must equal m")
-    if np.any(lam <= 0):
-        raise InvalidPrices("multipliers must be strictly positive to stand as prices")
+    lam = ces._check_prices(multipliers, market.m)
     x, p = solution_pair(_full_allocation_normalized(net, market), lam, market)
     return metrics.EquilibriumCandidate(x, p)
 

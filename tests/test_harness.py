@@ -18,8 +18,9 @@ from marketeq.harness import (
     sweep,
 )
 from marketeq.market import ContextDistribution, Market
+from marketeq.metrics import EquilibriumCandidate
 from marketeq.net import AllocationNet, save_checkpoint
-from marketeq.trainer import TrainConfig, load_solution
+from marketeq.trainer import TrainConfig, load_solution, save_solution
 
 from helpers import market_from_values
 
@@ -183,15 +184,10 @@ def test_evaluate_candidate_shape_mismatch(tmp_path):
 
 def test_sweep_records_cells_and_errors(tmp_path):
     specs = [toy_spec(n=16, m=2), toy_spec(n=16, m=3)]
-
-    def factory(method, market):
-        if method == "eg":
-            # absurd dual step: the run fails and the sweep must continue
-            return EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
-                            ng_stop=None)
-        return None
-
-    rows = sweep(specs, ["naive", "eg"], factory, tmp_path / "sweep")
+    # absurd dual step: the eg runs fail and the sweep must continue
+    configs = {"naive": None, "eg": EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
+                                             ng_stop=None)}
+    rows = sweep(specs, configs, tmp_path / "sweep")
     assert len(rows) == 4
     naive_rows = [r for r in rows if r["method"] == "naive"]
     assert all(r["error"] == "" for r in naive_rows)
@@ -203,8 +199,7 @@ def test_sweep_records_cells_and_errors(tmp_path):
 
 def test_sweep_rejects_unknown_method_before_any_cell(tmp_path, capsys):
     with pytest.raises(InvalidArgument):
-        sweep([toy_spec(n=16, m=2)], ["naive", "bogus"], lambda method, market: None,
-              tmp_path / "sweep")
+        sweep([toy_spec(n=16, m=2)], {"naive": None, "bogus": None}, tmp_path / "sweep")
     assert not (tmp_path / "sweep").exists()
     assert main(["sweep", "--methods", "bogus", "--n-list", "8", "--m-list", "2", "--k", "3",
                  "--outdir", str(tmp_path / "cli")]) == 2
@@ -279,14 +274,9 @@ def test_cli_sweep(tmp_path):
 def test_sweep_fcnet_beats_naive_across_distributions(tmp_path):
     specs = [toy_spec(n=1024, m=3, dist=dist, seed=2) for dist in
              ("normal", "uniform", "exponential")]
-
-    def factory(method, market):
-        if method == "fcnet":
-            return TrainConfig(batch_size_loss=64, hidden_width=32, hidden_depth=2,
-                               learning_rate=1e-3, inner_iters=50, epochs=5, seed=0)
-        return None
-
-    rows = sweep(specs, ["naive", "fcnet"], factory, tmp_path / "dist_sweep")
+    fcnet = TrainConfig(batch_size_loss=64, hidden_width=32, hidden_depth=2,
+                        learning_rate=1e-3, inner_iters=50, epochs=5, seed=0)
+    rows = sweep(specs, {"naive": None, "fcnet": fcnet}, tmp_path / "dist_sweep")
     assert all(row["error"] == "" for row in rows)
     by_dist = {}
     for row in rows:
@@ -382,6 +372,51 @@ def test_non_solution_files_are_invalid_arguments(tmp_path, capsys, write):
     assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
     capsys.readouterr()
     assert main(["evaluate", "--market", str(market_path), "--solution", str(path)]) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+_MARKET_DOC = {"version": 1, "n": 8, "m": 2, "k": 3, "dist": "normal", "regime": "general",
+               "alpha": 0.5, "seed": 0}
+
+
+def _without(doc, key):
+    return {name: value for name, value in doc.items() if name != key}
+
+
+# (file flag, what the file holds): each is an invalid argument, not a crash
+_MALFORMED_FILES = {
+    "market not json": ("--market", "{not json"),
+    "market without regime": ("--market", json.dumps(_without(_MARKET_DOC, "regime"))),
+    "market with bogus dist": ("--market", json.dumps(_MARKET_DOC | {"dist": "bogus"})),
+    "market with bogus regime": ("--market", json.dumps(_MARKET_DOC | {"regime": "nope"})),
+    "candidate not json": ("--candidate", "{not json"),
+    "candidate without allocation": ("--candidate", json.dumps({"prices": [1.0, 1.0]})),
+    "solution with nan multipliers": ("--solution", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+def test_malformed_input_files_are_invalid_arguments(tmp_path, capsys, case):
+    flag, text = _MALFORMED_FILES[case]
+    path = tmp_path / "input"
+    if text is None:
+        save_solution(path.with_suffix(".npz"), AllocationNet.initialize(3, 1, 4, seed=0),
+                      [np.nan, 1.0])
+        path = path.with_suffix(".npz")
+    else:
+        path.write_text(text)
+    load = {"--market": Market.load, "--candidate": EquilibriumCandidate.load,
+            "--solution": load_solution}[flag]
+    with pytest.raises(InvalidArgument):
+        load(path)
+    market_path = tmp_path / "market.json"
+    assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
+    capsys.readouterr()
+    if flag == "--market":
+        argv = ["run", "--market", str(path), "--method", "naive", "--outdir", str(tmp_path / "out")]
+    else:
+        argv = ["evaluate", "--market", str(market_path), flag, str(path)]
+    assert main(argv) == 2
     assert "invalid arguments" in capsys.readouterr().err
 
 

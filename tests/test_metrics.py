@@ -14,8 +14,9 @@ from marketeq.errors import (
     UnsupportedRegime,
 )
 from marketeq.metrics import EquilibriumCandidate, MetricsReport
+from marketeq.net import AllocationNet
 from marketeq.oracle import cobb_douglas_equilibrium
-from marketeq.trainer import epoch_scores
+from marketeq.trainer import epoch_scores, extract_solution
 
 from helpers import market_from_values, random_market
 
@@ -82,6 +83,51 @@ def test_lfw_equals_lnw_at_oracle():
 def test_lfw_rejects_nonpositive_price():
     with pytest.raises(InvalidPrices):
         metrics.lfw(unit_market(), [0.0])
+
+
+# one price rule wherever prices go in: a vector that is not 1-d of length m
+# is an InvalidArgument, a non-finite or nonpositive entry an InvalidPrices
+_BAD_PRICES = {"short": InvalidArgument, "nan": InvalidPrices, "inf": InvalidPrices,
+               "zero": InvalidPrices, "negative": InvalidPrices}
+
+
+def _bad_prices(kind, p):
+    if kind == "short":
+        return p[:-1]
+    q = p.copy()
+    q[1] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[kind]
+    return q
+
+
+def _price_takers():
+    mkt = random_market(np.random.default_rng(31), 6, 3, CesSpec.general(0.5))
+    x = naive(mkt).allocation  # clears the market, so only the prices can fail
+    net = AllocationNet.initialize(mkt.k, 1, 4, seed=0)
+    return mkt, {
+        "lfw": lambda p: metrics.lfw(mkt, p),
+        "nash_gap": lambda p: metrics.nash_gap(mkt, x, p),
+        "evaluate": lambda p: metrics.evaluate(mkt, x, p),
+        "fixed_price_log_utility_matrix": lambda p: ces.fixed_price_log_utility_matrix(
+            mkt.values, mkt.budgets, p, mkt.ces),
+        "demand_matrix": lambda p: ces.demand_matrix(mkt.values, mkt.budgets, p, mkt.ces),
+        "BuyerProblem": lambda p: ces.BuyerProblem(mkt.values[0], float(mkt.budgets[0]), p),
+        "extract_solution": lambda p: extract_solution(net, p, mkt),
+        "kkt_residuals": lambda p: metrics.kkt_residuals(mkt, EquilibriumCandidate(x, p)),
+    }
+
+
+# a candidate holds only finite m-vectors, so kkt_residuals meets 0 and -1 alone
+_PRICE_CASES = [(name, kind) for name in _price_takers()[1] for kind in _BAD_PRICES
+                if name != "kkt_residuals" or kind in ("zero", "negative")]
+
+
+@pytest.mark.parametrize("name, kind", _PRICE_CASES)
+def test_every_price_taker_applies_one_price_rule(name, kind):
+    mkt, takers = _price_takers()
+    good = mkt.total_budget / (mkt.m * mkt.supplies)
+    takers[name](good)
+    with pytest.raises(_BAD_PRICES[kind]):
+        takers[name](_bad_prices(kind, good))
 
 
 def test_nash_gap_zero_at_oracle():
