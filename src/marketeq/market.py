@@ -128,8 +128,8 @@ class Market:
         if self.supply_override is not None:
             supplies = np.asarray(self.supply_override, dtype=float)
             object.__setattr__(self, "supply_override", supplies)
-            if supplies.shape != (self.m,) or np.any(supplies <= 0):
-                raise InvalidArgument("supply override must be m strictly positive reals")
+            if supplies.shape != (self.m,) or not np.all((supplies > 0) & (supplies < np.inf)):
+                raise InvalidArgument("supply override must be m finite, strictly positive reals")
 
     @cached_property
     def budgets(self) -> np.ndarray:
@@ -233,12 +233,14 @@ def read_json(path):
 
 
 def check_recipe(n: int, m: int, k: int, seed: int | None) -> None:
-    """Reject fewer than one buyer, good or context dimension, and a negative
-    seed; `seed` is None for a market given by its contexts."""
-    for name, count in (("n", n), ("m", m), ("k", k)):
-        check_range(name, count, 1)
-    if seed is not None:
-        check_range("seed", seed, 0)
+    """Reject a count or seed that is not an int or numpy integer (a bool is not), a
+    count below 1 and a negative seed; `seed` is None for a market given by its contexts."""
+    for name, value, low in (("n", n, 1), ("m", m, 1), ("k", k, 1), ("seed", seed, 0)):
+        if value is None and name == "seed":
+            continue
+        if type(value) is not int and not isinstance(value, np.integer):
+            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+        check_range(name, value, low)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -273,7 +273,7 @@ def wsw(market: Market, x) -> float:
 
 def price_residual(market: Market, p) -> float:
     """Signed relative residual of the price identity sum_j p_j Y_j = sum_i B_i."""
-    p = np.asarray(p, dtype=float)
+    p = ces._check_prices(p, market.m)
     total = market.total_budget
     return float((p @ market.supplies - total) / total)
 

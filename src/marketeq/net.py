@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ces import _row_chunks
 from .errors import InvalidArgument, NumericFailure
 from .market import softplus, softplus_and_slope
 
@@ -153,11 +154,18 @@ class AllocationNet:
         return buyers, goods
 
     def forward_batch(self, buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
-        """Allocation matrix for M buyer contexts against m good contexts, shape (M, m)."""
+        """Allocation matrix (M, m) for M buyer contexts against m good contexts; its M*m
+        buyer-major pair rows go through the network in `ces._row_chunks` slices."""
         buyers, goods = self._check_contexts(buyers, goods)
-        inputs = np.empty((buyers.shape[0] * goods.shape[0], self.input_dim))
-        _fill_pairs(inputs, buyers, goods)
-        return self.forward_pairs(inputs).reshape(buyers.shape[0], goods.shape[0])
+        m = goods.shape[0]
+        out = np.empty(buyers.shape[0] * m)
+        for rows in _row_chunks(out.size):
+            first, lead = divmod(rows.start, m)  # the slice's first buyer and its pairs before it
+            touched = buyers[first: -(-rows.stop // m)]
+            inputs = np.empty((touched.shape[0] * m, self.input_dim))
+            _fill_pairs(inputs, touched, goods)
+            out[rows] = self.forward_pairs(inputs[lead: lead + rows.stop - rows.start])
+        return out.reshape(buyers.shape[0], m)
 
     def forward_step(self, buyers: np.ndarray, goods: np.ndarray):
         """Allocation matrix (M, m) plus the cache `backward` needs, for one
@@ -251,7 +259,7 @@ def save_checkpoint(path, net: AllocationNet, **arrays) -> None:
 def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (net, every array in the file by name).
 
-    Raises InvalidArgument when the file is not a marketeq checkpoint."""
+    Raises InvalidArgument unless the file is a marketeq checkpoint with finite parameters."""
     try:
         with np.load(path) as blob:
             arrays = dict(blob)
@@ -267,6 +275,8 @@ def load_checkpoint(path):
         int(arrays["context_dim"]), int(arrays["hidden_depth"]), int(arrays["hidden_width"])
     )
     net.set_flat(arrays["params"])
+    if not np.all(np.isfinite(net._params)):
+        raise InvalidArgument(f"{path} holds non-finite network parameters")
     return net, arrays
 
 

@@ -50,8 +50,6 @@ def _certify(market: Market, x, p, max_ng: float, max_kkt: float | None, method:
     identity = abs(float(p_t @ market.supplies) - market.total_budget)
     if identity > 1e-8 * market.total_budget:
         raise OracleFailure(f"{method} oracle: price identity residual {identity:.3e}")
-    if np.any(p_t <= 0):
-        raise OracleFailure(f"{method} oracle: nonpositive certified price")
     kkt = float("nan")
     if ces.regime_supports_gradient(market.ces):
         kkt = metrics.kkt_residuals(market, metrics.EquilibriumCandidate(x_t, p_t))

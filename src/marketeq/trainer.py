@@ -28,8 +28,6 @@ from .errors import InvalidArgument, NumericFailure, check_range
 from .market import Market
 from .net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
 
-_EVAL_CHUNK = 8192  # buyers per forward chunk in full-population passes
-
 CURVE_COLUMNS = ("epoch", "ng", "voa", "vop", "loss")
 
 
@@ -183,7 +181,7 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad
 def exact_lagrangian_terms(net: AllocationNet, multipliers, rho: float, market: Market):
     """(objective, multiplier, quadratic) terms of the full-population Lagrangian."""
     lam = np.asarray(multipliers, dtype=float)
-    x_hat = _full_allocation_normalized(net, market)
+    x_hat = net.forward_batch(market.buyers, market.goods)
     x_phys = x_hat * _norm_supply(market)
     log_u = ces.log_utility(market.values, x_phys, market.ces)
     if not np.all(np.isfinite(log_u)):
@@ -197,14 +195,6 @@ def exact_lagrangian(net: AllocationNet, multipliers, rho: float, market: Market
     """Deterministic full-enumeration Lagrangian; the unbiasedness reference."""
     obj, mult, quad = exact_lagrangian_terms(net, multipliers, rho, market)
     return obj + mult + quad
-
-
-def _full_allocation_normalized(net: AllocationNet, market: Market) -> np.ndarray:
-    out = np.empty((market.n, market.m))
-    for start in range(0, market.n, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, market.n)
-        out[start:stop] = net.forward_batch(market.buyers[start:stop], market.goods)
-    return out
 
 
 def multiplier_update(multipliers, allocation, rho: float, beta_t: float) -> np.ndarray:
@@ -254,7 +244,7 @@ def train(market: Market, config: TrainConfig):
         beta_t = 1.0 / math.sqrt(epoch)
         # one full-population forward per epoch feeds the exact multiplier
         # pass and the evaluation sweep
-        population = (_full_allocation_normalized(net, market)
+        population = (net.forward_batch(market.buyers, market.goods)
                       if exact_pass or config.eval_each_epoch else None)
         if exact_pass:
             lam = multiplier_update(lam, population, config.rho, beta_t)
@@ -317,7 +307,7 @@ def extract_solution(net: AllocationNet, multipliers, market: Market) -> metrics
     """Materialize the candidate: the net's allocation over the whole
     population and the multipliers, mapped by `solution_pair`."""
     lam = ces._check_prices(multipliers, market.m)
-    x, p = solution_pair(_full_allocation_normalized(net, market), lam, market)
+    x, p = solution_pair(net.forward_batch(market.buyers, market.goods), lam, market)
     return metrics.EquilibriumCandidate(x, p)
 
 

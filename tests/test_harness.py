@@ -383,15 +383,23 @@ def _without(doc, key):
     return {name: value for name, value in doc.items() if name != key}
 
 
-# (file flag, what the file holds): each is an invalid argument, not a crash
+# (file flag, what the file holds): each is an invalid argument, not a crash;
+# a solution file is given as (first weight, multipliers)
 _MALFORMED_FILES = {
     "market not json": ("--market", "{not json"),
     "market without regime": ("--market", json.dumps(_without(_MARKET_DOC, "regime"))),
     "market with bogus dist": ("--market", json.dumps(_MARKET_DOC | {"dist": "bogus"})),
     "market with bogus regime": ("--market", json.dumps(_MARKET_DOC | {"regime": "nope"})),
+    "market with string n": ("--market", json.dumps(_MARKET_DOC | {"n": "8"})),
+    "market with fractional n": ("--market", json.dumps(_MARKET_DOC | {"n": 8.5})),
+    "market with boolean n": ("--market", json.dumps(_MARKET_DOC | {"n": True})),
+    "market with fractional seed": ("--market", json.dumps(_MARKET_DOC | {"seed": 1.5})),
+    "market with nan supply": ("--market", json.dumps(_MARKET_DOC | {"supplies": [np.nan, 8.0]})),
+    "market with inf supply": ("--market", json.dumps(_MARKET_DOC | {"supplies": [8.0, np.inf]})),
     "candidate not json": ("--candidate", "{not json"),
     "candidate without allocation": ("--candidate", json.dumps({"prices": [1.0, 1.0]})),
-    "solution with nan multipliers": ("--solution", None),
+    "solution with nan multipliers": ("--solution", (0.5, [np.nan, 1.0])),
+    "solution with a nan weight": ("--solution", (np.nan, [1.0, 1.0])),
 }
 
 
@@ -399,10 +407,11 @@ _MALFORMED_FILES = {
 def test_malformed_input_files_are_invalid_arguments(tmp_path, capsys, case):
     flag, text = _MALFORMED_FILES[case]
     path = tmp_path / "input"
-    if text is None:
-        save_solution(path.with_suffix(".npz"), AllocationNet.initialize(3, 1, 4, seed=0),
-                      [np.nan, 1.0])
+    if flag == "--solution":
+        net = AllocationNet.initialize(3, 1, 4, seed=0)
+        net.weights[0][0, 0], multipliers = text
         path = path.with_suffix(".npz")
+        save_solution(path, net, multipliers)
     else:
         path.write_text(text)
     load = {"--market": Market.load, "--candidate": EquilibriumCandidate.load,

@@ -58,3 +58,43 @@ def test_every_exported_name_resolves():
         stale += [f"{name}.{export}" for export in getattr(module, "__all__", [])
                   if not hasattr(module, export)]
     assert stale == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """Module-level private names (`_x`, not dunders) that a module of
+    `sources` ({module name: source}) defines and no module reads, as a bare
+    name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_private_name_detector_flags_unread_definitions():
+    sources = {
+        "a": "_LIMIT = 3\n_unused = 4\ndef _helper():\n    return _LIMIT\nclass _Spare:\n    pass\n",
+        "b": "from . import a\nprint(a._helper())\n",
+    }
+    assert unread_private_names(sources) == ["a._Spare", "a._unused"]
+
+
+def test_every_private_name_is_read_in_src():
+    sources = {path.stem: path.read_text()
+               for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -131,6 +131,19 @@ def test_generate_rejects_zero_counts():
             generate_market(1, 1, 1, ContextDistribution.UNIFORM01, CesSpec.linear(), seed)
 
 
+def test_recipe_counts_and_seed_are_integers():
+    uniform, linear = ContextDistribution.UNIFORM01, CesSpec.linear()
+    for bad in ("8", 8.5, True):
+        with pytest.raises(InvalidArgument):
+            generate_market(bad, 2, 2, uniform, linear, 3)
+    with pytest.raises(InvalidArgument):
+        generate_market(5, 2, 2, uniform, linear, 1.5)
+    numpy_ints = generate_market(np.int64(5), np.int32(2), np.int64(2), uniform, linear,
+                                 np.int64(3))
+    np.testing.assert_array_equal(numpy_ints.values,
+                                  generate_market(5, 2, 2, uniform, linear, 3).values)
+
+
 def test_supply_default_and_override():
     mkt = generate_market(5, 2, 2, ContextDistribution.UNIFORM01, CesSpec.linear(), 3)
     assert mkt.supply(1) == 5.0

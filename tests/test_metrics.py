@@ -113,6 +113,7 @@ def _price_takers():
         "BuyerProblem": lambda p: ces.BuyerProblem(mkt.values[0], float(mkt.budgets[0]), p),
         "extract_solution": lambda p: extract_solution(net, p, mkt),
         "kkt_residuals": lambda p: metrics.kkt_residuals(mkt, EquilibriumCandidate(x, p)),
+        "price_residual": lambda p: metrics.price_residual(mkt, p),
     }
 
 

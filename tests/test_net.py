@@ -1,12 +1,16 @@
 import copy
+import itertools
 import pickle
 
 import numpy as np
 import pytest
 
+from marketeq import ces
 from marketeq.errors import InvalidArgument, NumericFailure
 from marketeq.market import softplus
 from marketeq.net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
+
+from helpers import peak_bytes
 
 
 def small_net(seed=0, depth=2, width=8, k=3):
@@ -44,6 +48,32 @@ def test_forward_batch_matches_single_calls():
     one = net.forward_batch(buyers[:1], goods[:1])
     assert one.shape == (1, 1)
     assert one[0, 0] == pytest.approx(net.forward(buyers[0], goods[0]), rel=1e-12)
+
+
+def test_forward_batch_slices_pair_rows():
+    # 5462 buyers x 3 goods = 16,386 buyer-major pair rows: the first 2^14-row
+    # slice ends inside buyer 5461's goods
+    net = small_net(seed=5, k=5)
+    rng = np.random.default_rng(2)
+    buyers, goods = rng.standard_normal((5462, 5)), rng.standard_normal((3, 5))
+    assert ces._CHUNK_ROWS < buyers.shape[0] * 3 and ces._CHUNK_ROWS % 3 != 0
+    batch = net.forward_batch(buyers, goods).ravel()
+    pairs = np.hstack([np.repeat(buyers, 3, axis=0), np.tile(goods, (buyers.shape[0], 1))])
+    for rows in ces._row_chunks(pairs.shape[0]):
+        np.testing.assert_array_equal(batch[rows], net.forward_pairs(pairs[rows]))
+    single = [net.forward(b, g) for b, g in itertools.product(buyers, goods)]
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+
+def test_forward_batch_memory_is_bounded():
+    # a population forward holds its output and one slice of pair rows, not
+    # a buyer chunk's worth: 2^16 x 10 pairs through a width-128 net
+    width = 128
+    net = AllocationNet.initialize(5, hidden_depth=3, hidden_width=width, seed=0)
+    rng = np.random.default_rng(3)
+    buyers, goods = rng.standard_normal((2**16, 5)), rng.standard_normal((10, 5))
+    output = buyers.shape[0] * goods.shape[0] * 8
+    assert peak_bytes(net.forward_batch, buyers, goods) <= output + 3 * ces._CHUNK_ROWS * width * 8
 
 
 def test_forward_positivity_many_random():

@@ -10,10 +10,8 @@ from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.market import ContextDistribution, generate_market
 from marketeq.net import AllocationNet
 from marketeq.trainer import (
-    _EVAL_CHUNK,
     CURVE_COLUMNS,
     TrainConfig,
-    _full_allocation_normalized,
     epoch_scores,
     estimate_lagrangian,
     estimate_lagrangian_terms,
@@ -130,9 +128,9 @@ def test_multiplier_update_fixed_points():
     rng = np.random.default_rng(4)
     market = random_market(rng, 5, 3, CesSpec.linear())
     lam = np.ones(3)
-    exactly_one = _full_allocation_normalized(constant_net(market.k, 1.0), market)
+    exactly_one = constant_net(market.k, 1.0).forward_batch(market.buyers, market.goods)
     np.testing.assert_allclose(multiplier_update(lam, exactly_one, 0.2, 1.0), lam, atol=1e-12)
-    exactly_two = _full_allocation_normalized(constant_net(market.k, 2.0), market)
+    exactly_two = constant_net(market.k, 2.0).forward_batch(market.buyers, market.goods)
     np.testing.assert_allclose(
         multiplier_update(lam, exactly_two, 0.2, 1.0), lam + 0.2, atol=1e-10)
 
@@ -179,17 +177,13 @@ def test_multiplier_update_full_batch_equals_exact():
 
 def test_shared_population_forward_is_bitwise():
     # train() feeds one full-population forward to both the multiplier
-    # update and the evaluation sweep; it must match the per-chunk passes
-    # and score like the candidate extract_solution materializes
+    # update and the evaluation sweep; it must score like the candidate
+    # extract_solution materializes (16,458 pair rows: two forward slices)
     rng = np.random.default_rng(9)
-    market = random_market(rng, _EVAL_CHUNK + 37, 2, CesSpec.general(0.5))
+    market = random_market(rng, 8229, 2, CesSpec.general(0.5))
     net = AllocationNet.initialize(market.k, 2, 8, seed=7)
     lam = np.array([0.8, 1.3])
-    population = _full_allocation_normalized(net, market)
-    for start in (0, _EVAL_CHUNK):
-        rows = slice(start, min(start + _EVAL_CHUNK, market.n))
-        np.testing.assert_array_equal(
-            population[rows], net.forward_batch(market.buyers[rows], market.goods))
+    population = net.forward_batch(market.buyers, market.goods)
     own = extract_solution(net, lam, market)
     assert (epoch_scores(market, *solution_pair(population, lam, market))
             == epoch_scores(market, own.allocation, own.prices))
