@@ -159,16 +159,13 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
             x_hat, slope = softplus_and_slope(raw)
             resid = x_hat.mean(axis=0) - 1.0
             x_phys = x_hat * y_norm
-            try:
-                log_u, grad = ces.log_utility_and_gradient(values, x_phys, spec)
-            except InvalidArgument:
-                # a bundle reached the boundary; a buyer left with zero
-                # utility is reported first, as the descent's failure
-                if not np.all(np.isfinite(ces.log_utility(values, x_phys, spec))):
-                    raise NumericFailure(_ZERO_UTILITY) from None
-                raise
+            log_u, grad = ces.log_utility_and_gradient(values, x_phys, spec)
+            # a buyer left with zero utility is the descent's failure, and
+            # outranks a bundle on the boundary, where the gradient is singular
             if not np.all(np.isfinite(log_u)):
                 raise NumericFailure(_ZERO_UTILITY)
+            if grad is None:
+                raise InvalidArgument(ces._SINGULAR_GRADIENT)
             # grad_raw = (lam + rho * resid - (B * dlog_u) * y_norm) / n * slope,
             # formed in the gradient's own buffer
             np.multiply(budgets[:, None], grad, out=grad)

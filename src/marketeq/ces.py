@@ -167,17 +167,61 @@ def _check_bundle(values, bundle):
     return values, bundle
 
 
-def _check_gradient_bundle(values, bundle, spec: CesSpec):
-    # the bundle check of every gradient: strictly positive components where
-    # it is singular on the boundary (general, cobb-douglas), found by one
-    # scan that still reports a negative component first; else nonnegative
-    if spec.regime is Regime.LINEAR or spec.regime is Regime.LEONTIEF:
-        return _check_bundle(values, bundle)
+_SINGULAR_GRADIENT = "gradient is singular at boundary bundles in this regime"
+
+
+def _log_utility_terms(values, bundle, spec: CesSpec, grad: bool):
+    """(log u, d log u / dx): each regime's two formulas, the one place they
+    are written.  log u is -inf where the utility is zero.
+
+    A negative component is an InvalidArgument.  The gradient is None unless
+    `grad`, and where it is singular: at a zero component in the general and
+    cobb-douglas regimes, which the scan rejecting negative components finds
+    too (one scan of x <= 0, a second only when it hits).
+    """
     values, bundle = _bundle_arrays(values, bundle)
-    if np.any(bundle <= 0):
+    singular = grad and spec.regime in (Regime.GENERAL, Regime.COBB_DOUGLAS)
+    if not singular or np.any(bundle <= 0):
         _check_bundle(values, bundle)
-        raise InvalidArgument("gradient is singular at boundary bundles in this regime")
-    return values, bundle
+        grad = grad and not singular
+    if spec.regime is Regime.GENERAL:
+        log_u, w, total, hi = _general_log_weights(values, bundle, spec.alpha)
+        if not grad:
+            return log_u, None
+        # d log u / dx_j = s_j / (x_j sum_k s_k) with s = (v x)^alpha; the
+        # log-sum-exp weights are s scaled by exp(-hi), so they give it without
+        # overflow, normalized and divided by x in their own buffer.  Weights
+        # below the smallest normal lost digits, yet w_j / x_j can be large: those
+        # entries are exp(alpha log(v_j x_j) - hi - log sum_k w_k - log x_j)
+        lost = w < np.finfo(float).tiny
+        w /= total
+        w /= bundle
+        if lost.any():
+            v, x, shift = (np.broadcast_to(a, w.shape)[lost]
+                           for a in (values, bundle, hi[..., None] + np.log(total)))
+            w[lost] = np.exp(spec.alpha * np.log(v * x) - shift - np.log(x))
+        return log_u, w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.regime is Regime.LINEAR:
+            total = _sum_last(values * bundle)
+            return np.log(total), (np.broadcast_to(values, bundle.shape) / total[..., None]
+                                   if grad else None)
+        if spec.regime is Regime.LEONTIEF:
+            vx = values * bundle
+            u = np.min(vx, axis=-1)
+            if not grad:
+                return np.log(u), None
+            # the subgradient concentrated on the lowest index attaining the min
+            j_star = np.argmin(vx, axis=-1)
+            at_min = (*np.indices(j_star.shape), j_star)
+            grad = np.zeros_like(vx)
+            grad[at_min] = np.broadcast_to(values, vx.shape)[at_min] / u
+            return np.log(u), grad
+        weights = values / _sum_last(values)[..., None]  # cobb-douglas
+        logs = np.log(bundle)  # -inf on zero components
+        # weighted in place, unless the values broadcast over a smaller bundle
+        logs = np.multiply(logs, weights, out=logs if logs.shape == weights.shape else None)
+        return _sum_last(logs), (weights / bundle if grad else None)
 
 
 def log_utility(values, bundle, spec: CesSpec):
@@ -185,18 +229,7 @@ def log_utility(values, bundle, spec: CesSpec):
 
     Broadcasts over leading axes of `values`/`bundle`.
     """
-    values, bundle = _check_bundle(values, bundle)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.regime is Regime.LINEAR:
-            return np.log(_sum_last(values * bundle))
-        if spec.regime is Regime.LEONTIEF:
-            return np.log(np.min(values * bundle, axis=-1))
-        if spec.regime is Regime.COBB_DOUGLAS:
-            weights = values / _sum_last(values)[..., None]
-            logs = np.log(bundle)  # -inf on zero components
-            logs *= weights
-            return _sum_last(logs)
-        return _general_log_weights(values, bundle, spec.alpha)[0]
+    return _log_utility_terms(values, bundle, spec, grad=False)[0]
 
 
 def _general_log_weights(values, bundle, alpha):
@@ -263,82 +296,39 @@ def utility(values, bundle, spec: CesSpec):
 
 
 def utility_gradient(values, bundle, spec: CesSpec):
-    """Marginal utilities du/dx_j.
+    """Marginal utilities du/dx_j = u d log u / dx_j.
 
     General and cobb-douglas require a strictly positive bundle (the gradient
     is singular on the boundary).  Leontief returns the subgradient
-    concentrated on the lowest index attaining the min.
+    concentrated on the lowest index attaining the min.  At a zero utility
+    (linear, leontief) d log u / dx is infinite and the product is NaN.
     """
-    values, bundle = _check_gradient_bundle(values, bundle, spec)
-    if spec.regime is Regime.LINEAR:
-        return np.broadcast_to(values, bundle.shape).copy()
-    if spec.regime is Regime.LEONTIEF:
-        vx = values * bundle
-        j_star = np.argmin(vx, axis=-1)
-        grad = np.zeros_like(vx)
-        idx = np.indices(j_star.shape)
-        grad[(*idx, j_star)] = np.broadcast_to(values, vx.shape)[(*idx, j_star)]
-        return grad
-    u = utility(values, bundle, spec)
-    return log_utility_gradient(values, bundle, spec) * u[..., None]
+    return log_utility_gradient(values, bundle, spec) * utility(values, bundle, spec)[..., None]
 
 
 def log_utility_gradient(values, bundle, spec: CesSpec):
     """d log u / dx_j, the solver-facing form of the marginal utilities.
 
     Equals utility_gradient / u; cheaper and better conditioned for the
-    stationarity checks and the Lagrangian gradients.
+    stationarity checks and the Lagrangian gradients.  A boundary bundle is
+    an InvalidArgument where the gradient is singular there.
     """
-    values, bundle = _check_gradient_bundle(values, bundle, spec)
-    if spec.regime is Regime.LINEAR:
-        denom = _sum_last(values * bundle)[..., None]
-        return np.broadcast_to(values, bundle.shape) / denom
-    if spec.regime is Regime.COBB_DOUGLAS:
-        weights = values / _sum_last(values)[..., None]
-        return weights / bundle
-    if spec.regime is Regime.LEONTIEF:
-        vx = values * bundle
-        u = np.min(vx, axis=-1, keepdims=True)
-        j_star = np.argmin(vx, axis=-1)
-        grad = np.zeros_like(vx)
-        idx = np.indices(j_star.shape)
-        grad[(*idx, j_star)] = (np.broadcast_to(values, vx.shape) / u)[(*idx, j_star)]
-        return grad
-    _, grad = _general_log_and_gradient(values, bundle, spec.alpha)
+    grad = _log_utility_terms(values, bundle, spec, grad=True)[1]
+    if grad is None:
+        raise InvalidArgument(_SINGULAR_GRADIENT)
     return grad
-
-
-def _general_log_and_gradient(values, bundle, alpha):
-    # d log u / dx_j = s_j / (x_j sum_k s_k) with s = (v x)^alpha; the
-    # log-sum-exp weights are s scaled by exp(-hi), so they give it without
-    # overflow, normalized and divided by x in their own buffer.  Weights
-    # below the smallest normal lost digits, yet w_j / x_j can be large: those
-    # entries are exp(alpha log(v_j x_j) - hi - log sum_k w_k - log x_j)
-    log_u, w, total, hi = _general_log_weights(values, bundle, alpha)
-    lost = w < np.finfo(float).tiny
-    w /= total
-    w /= bundle
-    if lost.any():
-        v, x, shift = (np.broadcast_to(a, w.shape)[lost]
-                       for a in (values, bundle, hi[..., None] + np.log(total)))
-        w[lost] = np.exp(alpha * np.log(v * x) - shift - np.log(x))
-    return log_u, w
 
 
 def log_utility_and_gradient(values, bundle, spec: CesSpec):
     """(log u, d log u / dx) from one validation and one pass over v x.
 
-    Each result equals `log_utility` / `log_utility_gradient` bit for bit,
-    and the errors are theirs: negative components are rejected, and so are
-    boundary bundles in the general and cobb-douglas regimes.
+    Each result equals `log_utility` / `log_utility_gradient` bit for bit.
+    A negative component is an InvalidArgument.  Where the gradient is
+    singular (a zero component in the general and cobb-douglas regimes) it
+    is None, and log u is still returned: a caller decides whether a zero
+    utility or the boundary is its failure.
     """
-    if spec.regime is Regime.LINEAR or spec.regime is Regime.LEONTIEF:
-        return log_utility(values, bundle, spec), log_utility_gradient(values, bundle, spec)
-    values, bundle = _check_gradient_bundle(values, bundle, spec)
-    if spec.regime is Regime.COBB_DOUGLAS:
-        weights = values / _sum_last(values)[..., None]
-        return _sum_last(weights * np.log(bundle)), weights / bundle
-    return _general_log_and_gradient(values, bundle, spec.alpha)
+    return _log_utility_terms(values, bundle, spec, grad=True)
 
 
 def fixed_price_log_utility(problem: BuyerProblem, spec: CesSpec) -> float:

@@ -209,7 +209,7 @@ def sweep(market_specs, method_configs, out_dir) -> list[dict]:
                 "alpha": spec.alpha, "dist": spec.dist,
                 "ng": "", "voa": "", "vop": "", "seconds": "", "error": "",
             }
-            cell_dir = out / f"{method}_n{spec.n}_m{spec.m}_a{spec.alpha}_{spec.dist}_s{spec.seed}"
+            cell_dir = out / f"{method}_n{spec.n}_m{spec.m}_k{spec.k}_a{spec.alpha}_{spec.dist}_s{spec.seed}"
             try:
                 config = ExperimentConfig(
                     market=spec, method=method,

@@ -179,13 +179,12 @@ def _chunk_log_utility(spec, values, budgets, bundle, prices, spent, peaks):
     inactive = bundle <= threshold
     del threshold  # not kept alive through the kernel call
     with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            log_u, gap = ces.log_utility_and_gradient(values, bundle, spec)
-        except InvalidArgument:
-            # a zero component where the gradient is singular: its one-sided
-            # residual, and with it the KKT peak, is an honest +inf
-            np.maximum(peaks, np.inf, out=peaks)
-            return ces.log_utility(values, bundle, spec)
+        log_u, gap = ces.log_utility_and_gradient(values, bundle, spec)
+    if gap is None:
+        # a zero component where the gradient is singular: its one-sided
+        # residual, and with it the KKT peak, is an honest +inf
+        np.maximum(peaks, np.inf, out=peaks)
+        return log_u
     # (B_i/u_i) du/dx = B_i dlog(u)/dx; dividing its gap to p_j by p_j > 0 is
     # monotone, so the maxima are taken per good first
     gap *= budgets[:, None]

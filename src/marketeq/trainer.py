@@ -144,17 +144,10 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad
     x_phys = x_hat * y_norm  # physical bundles; identical to x_hat by default
     x1, x2 = x_hat[:half], x_hat[half:]
 
-    utility_args = (values, x_phys[:half], market.ces)
-    boundary = None
     if want_grad:
-        try:
-            log_u, dlog_u = ces.log_utility_and_gradient(*utility_args)
-        except InvalidArgument as err:
-            # a bundle on the boundary: zero utility and overflow outrank it,
-            # so it is raised only after those checks
-            log_u, boundary = ces.log_utility(*utility_args), err
+        log_u, dlog_u = ces.log_utility_and_gradient(values, x_phys[:half], market.ces)
     else:
-        log_u = ces.log_utility(*utility_args)
+        log_u = ces.log_utility(values, x_phys[:half], market.ces)
     if not np.all(np.isfinite(log_u)):
         raise NumericFailure("a sampled buyer has zero or non-finite utility")
     obj = -float(budgets @ log_u) / half
@@ -165,8 +158,9 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad
         raise NumericFailure("the Lagrangian estimate overflowed")
     if not want_grad:
         return (obj, mult, quad), None
-    if boundary is not None:
-        raise boundary
+    if dlog_u is None:
+        # a bundle on the boundary: zero utility and overflow outrank it
+        raise InvalidArgument(ces._SINGULAR_GRADIENT)
 
     grad = np.empty_like(x_hat)
     grad[:half] = (
@@ -225,44 +219,44 @@ def train(market: Market, config: TrainConfig):
     half = config.batch_size_loss
     exact_pass = config.batch_size_multiplier is None or config.batch_size_multiplier >= market.n
 
-    for epoch in range(1, config.epochs + 1):
-        t_start = time.perf_counter()
-        loss_sum = 0.0
-        for _ in range(config.inner_iters):
-            idx = sampler.integers(0, market.n, size=2 * half)
-            try:
+    try:
+        for epoch in range(1, config.epochs + 1):
+            t_start = time.perf_counter()
+            loss_sum = 0.0
+            for _ in range(config.inner_iters):
+                idx = sampler.integers(0, market.n, size=2 * half)
                 x_hat, cache = net.forward_step(market.buyers[idx], market.goods)
                 terms, grad_x = _lagrangian_terms_from_outputs(
                     x_hat, idx, lam, config.rho, market, want_grad=True)
-            except NumericFailure as err:
-                raise NumericFailure(f"epoch {epoch}: {err}", history=history) from err
-            loss_sum += sum(terms)
-            adam_step(adam, net, net.backward(cache, grad_x.reshape(-1)))
-        train_seconds = time.perf_counter() - t_start
+                loss_sum += sum(terms)
+                adam_step(adam, net, net.backward(cache, grad_x.reshape(-1)))
+            train_seconds = time.perf_counter() - t_start
 
-        t_eval = time.perf_counter()
-        beta_t = 1.0 / math.sqrt(epoch)
-        # one full-population forward per epoch feeds the exact multiplier
-        # pass and the evaluation sweep
-        population = (net.forward_batch(market.buyers, market.goods)
-                      if exact_pass or config.eval_each_epoch else None)
-        if exact_pass:
-            lam = multiplier_update(lam, population, config.rho, beta_t)
-        else:
-            idx = sampler.integers(0, market.n, size=config.batch_size_multiplier)
-            lam = multiplier_update(lam, net.forward_batch(market.buyers[idx], market.goods),
-                                    config.rho, beta_t)
-        ng, voa, vop = (epoch_scores(market, *solution_pair(population, lam, market))
-                        if config.eval_each_epoch else (math.nan,) * 3)
-        population = None
-        if config.checkpoint_dir is not None:
-            path = Path(config.checkpoint_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            save_solution(path / f"net_epoch_{epoch:03d}.npz", net, lam)
-        history.append(EpochRecord(
-            epoch=epoch, loss=loss_sum / config.inner_iters, ng=ng, voa=voa, vop=vop,
-            train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
-        ))
+            t_eval = time.perf_counter()
+            beta_t = 1.0 / math.sqrt(epoch)
+            # one full-population forward per epoch feeds the exact multiplier
+            # pass and the evaluation sweep
+            population = (net.forward_batch(market.buyers, market.goods)
+                          if exact_pass or config.eval_each_epoch else None)
+            if exact_pass:
+                lam = multiplier_update(lam, population, config.rho, beta_t)
+            else:
+                idx = sampler.integers(0, market.n, size=config.batch_size_multiplier)
+                lam = multiplier_update(lam, net.forward_batch(market.buyers[idx], market.goods),
+                                        config.rho, beta_t)
+            ng, voa, vop = (epoch_scores(market, *solution_pair(population, lam, market))
+                            if config.eval_each_epoch else (math.nan,) * 3)
+            population = None
+            if config.checkpoint_dir is not None:
+                path = Path(config.checkpoint_dir)
+                path.mkdir(parents=True, exist_ok=True)
+                save_solution(path / f"net_epoch_{epoch:03d}.npz", net, lam)
+            history.append(EpochRecord(
+                epoch=epoch, loss=loss_sum / config.inner_iters, ng=ng, voa=voa, vop=vop,
+                train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
+            ))
+    except NumericFailure as err:
+        raise NumericFailure(f"epoch {len(history) + 1}: {err}", history=history) from err
     return net, lam, history
 
 

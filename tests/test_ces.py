@@ -323,20 +323,39 @@ def test_fused_log_utility_and_gradient_bitwise(spec):
 
 @pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
 def test_fused_kernel_raises_like_separate_calls(spec):
+    # a negative component is rejected with log_utility's message; at a zero
+    # component the fused call returns log_utility's log u and, exactly where
+    # log_utility_gradient rejects the boundary, no gradient
     values = np.array([[1.0, 2.0, 0.5]])
-    for bundle in ([[1.0, 0.0, 2.0]], [[1.0, -1e-9, 2.0]]):
-        expected = None
-        with np.errstate(divide="ignore"):  # leontief's zero minimum
-            try:
-                ces.log_utility(values, bundle, spec)
-                ces.log_utility_gradient(values, bundle, spec)
-            except InvalidArgument as err:
-                expected = str(err)
-            if expected is None:
-                ces.log_utility_and_gradient(values, bundle, spec)
-            else:
-                with pytest.raises(InvalidArgument, match=expected):
-                    ces.log_utility_and_gradient(values, bundle, spec)
+    negative = [[1.0, -1e-9, 2.0]]
+    with pytest.raises(InvalidArgument) as separate:
+        ces.log_utility(values, negative, spec)
+    for call in (ces.log_utility_gradient, ces.log_utility_and_gradient):
+        with pytest.raises(InvalidArgument) as fused:
+            call(values, negative, spec)
+        assert str(fused.value) == str(separate.value)
+    rng = np.random.default_rng(12)
+    n = 2**14 + 3  # more rows than one chunk of the certifier
+    many_values = rng.uniform(0.01, 3.0, size=(n, 3))
+    mixed = rng.uniform(1e-3, 5.0, size=(n, 3))
+    mixed[::97, 1] = 0.0
+    mixed[5::1000] = 0.0
+    interior = np.all(mixed > 0, axis=1)
+    singular = spec.regime in (Regime.GENERAL, Regime.COBB_DOUGLAS)
+    for v, x in ((values, np.array([[1.0, 0.0, 2.0]])), (many_values, mixed),
+                 (many_values[interior], mixed[interior])):
+        log_u, grad = ces.log_utility_and_gradient(v, x, spec)
+        np.testing.assert_array_equal(log_u, ces.log_utility(v, x, spec))
+        at_boundary = singular and not np.all(x > 0)
+        if at_boundary:
+            with pytest.raises(InvalidArgument, match="singular at boundary bundles"):
+                ces.log_utility_gradient(v, x, spec)
+            assert grad is None
+        else:
+            np.testing.assert_array_equal(grad, ces.log_utility_gradient(v, x, spec))
+    # boundary rows do not change the log u of the interior rows beside them
+    np.testing.assert_array_equal(ces.log_utility(many_values, mixed, spec)[interior],
+                                  ces.log_utility(many_values[interior], mixed[interior], spec))
 
 
 @pytest.mark.parametrize("alpha", [-5.0, -1.0, 0.5])

@@ -197,6 +197,15 @@ def test_sweep_records_cells_and_errors(tmp_path):
     assert stored[0]["method"] == "naive"
 
 
+def test_sweep_cells_that_differ_only_in_k_keep_their_own_directories(tmp_path):
+    specs = [MarketSpec(n=8, m=2, k=3, seed=1), MarketSpec(n=8, m=2, k=4, seed=1)]
+    rows = sweep(specs, {"naive": None}, tmp_path)
+    assert len(rows) == 2
+    cells = sorted(path.name for path in tmp_path.iterdir() if path.is_dir())
+    assert len(cells) == 2
+    assert all((tmp_path / cell / "summary.json").exists() for cell in cells)
+
+
 def test_sweep_rejects_unknown_method_before_any_cell(tmp_path, capsys):
     with pytest.raises(InvalidArgument):
         sweep([toy_spec(n=16, m=2)], {"naive": None, "bogus": None}, tmp_path / "sweep")

@@ -98,3 +98,39 @@ def test_every_private_name_is_read_in_src():
     sources = {path.stem: path.read_text()
                for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def except_clauses_naming(source: str, name: str) -> list:
+    """(function, line) of each `except` clause that names the exception
+    `name`, alone or in a tuple; a clause outside any function is under
+    "<module>"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(getattr(t, "id", getattr(t, "attr", None)) == name for t in types):
+                    found.append((where, child.lineno))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_except_clause_detector_finds_named_types():
+    source = (
+        "try:\n    pass\nexcept (KeyError, errors.Bad):\n    pass\n"
+        "def f():\n    try:\n        pass\n    except Bad as err:\n        pass\n"
+        "    except Exception:\n        pass\n"
+    )
+    assert except_clauses_naming(source, "Bad") == [("<module>", 3), ("f", 8)]
+
+
+def test_only_the_cli_catches_invalid_arguments():
+    # an invalid argument is reported to the caller, not recovered from
+    handlers = [f"{path.stem}.{function}"
+                for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py"))
+                for function, _ in except_clauses_naming(path.read_text(), "InvalidArgument")]
+    assert handlers == ["cli.main"]

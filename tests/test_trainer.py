@@ -8,7 +8,7 @@ import pytest
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.market import ContextDistribution, generate_market
-from marketeq.net import AllocationNet
+from marketeq.net import AllocationNet, adam_step
 from marketeq.trainer import (
     CURVE_COLUMNS,
     TrainConfig,
@@ -256,6 +256,27 @@ def test_train_aborts_with_history_on_blowup():
         with np.errstate(over="ignore", invalid="ignore"):
             train(market, config)
     assert excinfo.value.history is not None
+
+
+def test_train_epoch_end_failure_keeps_epoch_and_history(monkeypatch):
+    # a failure after the inner loop (here the population forward of the dual
+    # step) is reported with its epoch and the history before it
+    market = generate_market(32, 2, 3, ContextDistribution.STANDARD_NORMAL,
+                             CesSpec.general(0.5), 11)
+    config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=2,
+                         inner_iters=5, epochs=4, seed=2)
+    steps = []
+
+    def poisoned_step(state, net, flat):
+        adam_step(state, net, flat)
+        steps.append(1)
+        if len(steps) == 2 * config.inner_iters:  # the last step of epoch 2
+            net._params[0] = np.inf
+
+    monkeypatch.setattr("marketeq.trainer.adam_step", poisoned_step)
+    with pytest.raises(NumericFailure, match=r"^epoch 2: non-finite pre-activation") as excinfo:
+        train(market, config)
+    assert len(excinfo.value.history) == 1
 
 
 def test_extract_solution_contract():
