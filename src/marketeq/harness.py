@@ -2,14 +2,15 @@
 
 One run produces, inside its output directory:
 
-* curve.csv     - per-epoch history (epoch, ng, voa, vop, loss)
+* curve.csv     - per-epoch history (epoch, ng, voa, vop, loss); a solver
+                  that fails with a NumericFailure leaves the epochs it finished
 * summary.json  - the metrics report, timings, and the config hash
 * candidate.json - the dense (allocation, prices) pair when n*m is small
 * solution.npz  - the trained network + multipliers (network method only)
 
-Sweeps run one cell per (method, n, m, alpha, dist) combination and aggregate
-into a single CSV; failed cells are recorded with an error tag and the sweep
-continues.
+Sweeps run one cell per (method, market spec) combination and aggregate into
+a single CSV, one row per cell with the spec's n, m, k, alpha, dist and seed;
+failed cells are recorded with an error tag and the sweep continues.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import metrics, trainer
 from .baselines import EgConfig, eg_momentum_solve, eg_solve, naive
 from .ces import CesSpec
-from .errors import InvalidArgument, MarketEqError
+from .errors import InvalidArgument, MarketEqError, NumericFailure
 from .market import ContextDistribution, Market, check_recipe, generate_market
 from .trainer import TrainConfig
 
@@ -34,7 +35,8 @@ METHODS = ("naive", "eg", "eg-m", "fcnet")
 # beyond it the checkpoint + lazy extraction path is the supported route
 DENSE_CANDIDATE_LIMIT = 10**7
 
-SWEEP_COLUMNS = ("method", "n", "m", "alpha", "dist", "ng", "voa", "vop", "seconds", "error")
+SWEEP_COLUMNS = ("method", "n", "m", "k", "alpha", "dist", "seed",
+                 "ng", "voa", "vop", "seconds", "error")
 
 
 @dataclass(frozen=True)
@@ -136,18 +138,23 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
     artifacts: dict = {}
 
     t0 = time.perf_counter()
-    if config.method == "naive":
-        candidate = naive(market)
-    elif config.method == "eg":
-        candidate, history = eg_solve(market, config.method_config)
-    elif config.method == "eg-m":
-        candidate, history = eg_momentum_solve(market, config.method_config)
-    else:
-        net, lam, history = trainer.train(market, config.method_config)
-        solution_path = out / "solution.npz"
-        trainer.save_solution(solution_path, net, lam)
-        artifacts["solution"] = str(solution_path)
-        candidate = trainer.extract_solution(net, lam, market)
+    try:
+        if config.method == "naive":
+            candidate = naive(market)
+        elif config.method == "eg":
+            candidate, history = eg_solve(market, config.method_config)
+        elif config.method == "eg-m":
+            candidate, history = eg_momentum_solve(market, config.method_config)
+        else:
+            net, lam, history = trainer.train(market, config.method_config)
+            solution_path = out / "solution.npz"
+            trainer.save_solution(solution_path, net, lam)
+            artifacts["solution"] = str(solution_path)
+            candidate = trainer.extract_solution(net, lam, market)
+    except NumericFailure as err:
+        if err.history is not None:
+            err.history.to_csv(out / "curve.csv")
+        raise
     train_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -205,8 +212,8 @@ def sweep(market_specs, method_configs, out_dir) -> list[dict]:
         market = spec.build()
         for method, method_config in method_configs.items():
             row = {
-                "method": method, "n": spec.n, "m": spec.m,
-                "alpha": spec.alpha, "dist": spec.dist,
+                "method": method, "n": spec.n, "m": spec.m, "k": spec.k,
+                "alpha": spec.alpha, "dist": spec.dist, "seed": spec.seed,
                 "ng": "", "voa": "", "vop": "", "seconds": "", "error": "",
             }
             cell_dir = out / f"{method}_n{spec.n}_m{spec.m}_k{spec.k}_a{spec.alpha}_{spec.dist}_s{spec.seed}"

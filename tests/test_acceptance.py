@@ -13,7 +13,7 @@ import pytest
 
 from marketeq import ces, metrics
 from marketeq.baselines import EgConfig
-from marketeq.ces import BuyerProblem, CesSpec
+from marketeq.ces import CesSpec
 from marketeq.harness import ExperimentConfig, MarketSpec, run_experiment
 from marketeq.market import ContextDistribution, generate_market
 from marketeq.net import AllocationNet
@@ -91,9 +91,10 @@ def test_criterion_1_closed_form_certification():
             values = np.exp(rng.uniform(-2, 2, m))
             prices = np.exp(rng.uniform(-2, 2, m))
             budget = float(np.exp(rng.uniform(-1, 1)))
-            problem = BuyerProblem(values, budget, prices)
-            x = ces.demand(problem, spec)
-            u_star = float(np.exp(ces.fixed_price_log_utility(problem, spec)))
+            # the matrix kernels on a one-buyer market
+            one = (values[None, :], np.array([budget]), prices, spec)
+            x = ces.demand_matrix(*one)[0]
+            u_star = float(np.exp(ces.fixed_price_log_utility_matrix(*one)[0]))
             bundles = rng.dirichlet(np.ones(m), size=500) * budget / prices
             best_random = float(np.max(ces.utility(values, bundles, spec)))
             checks = (

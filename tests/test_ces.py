@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from marketeq import ces
-from marketeq.ces import BuyerProblem, CesSpec, Regime
+from marketeq.ces import CesSpec, Regime
 from marketeq.errors import ConditioningWarning, InvalidArgument, InvalidPrices
 
 from helpers import ALL_SPECS, peak_bytes, random_problem
@@ -144,62 +144,81 @@ def test_homogeneity():
                 assert abs(scaled - lam * u) <= 1e-12 * lam * u
 
 
+def one_buyer(kernel, values, budget, prices, spec):
+    """A fixed-price kernel on a one-row market: the buyer's row of the result."""
+    return kernel(np.asarray(values, dtype=float)[None, :], np.array([budget]),
+                  np.asarray(prices, dtype=float), spec)[0]
+
+
+def fixed_price(values, budget, prices, spec):
+    return float(one_buyer(ces.fixed_price_log_utility_matrix, values, budget, prices, spec))
+
+
+def demand(values, budget, prices, spec):
+    return one_buyer(ces.demand_matrix, values, budget, prices, spec)
+
+
 def test_fixed_price_linear_best_bang():
-    problem = BuyerProblem(np.array([2.0, 1.0]), 1.0, np.array([1.0, 1.0]))
-    assert ces.fixed_price_log_utility(problem, CesSpec.linear()) == pytest.approx(np.log(2.0))
+    assert fixed_price([2.0, 1.0], 1.0, [1.0, 1.0], CesSpec.linear()) == pytest.approx(np.log(2.0))
 
 
 def test_fixed_price_cobb_douglas_symmetric():
-    problem = BuyerProblem(np.array([1.0, 1.0]), 1.0, np.array([1.0, 1.0]))
-    got = ces.fixed_price_log_utility(problem, CesSpec.cobb_douglas())
+    got = fixed_price([1.0, 1.0], 1.0, [1.0, 1.0], CesSpec.cobb_douglas())
     assert got == pytest.approx(np.log(0.5), rel=1e-12)
 
 
 def test_fixed_price_half_matches_numeric_maximizer():
-    problem = BuyerProblem(np.array([1.0, 1.0]), 1.0, np.array([1.0, 1.0]))
+    values, budget, prices = np.array([1.0, 1.0]), 1.0, np.array([1.0, 1.0])
     spec = CesSpec.general(0.5)
-    got = ces.fixed_price_log_utility(problem, spec)
+    got = fixed_price(values, budget, prices, spec)
     assert got == pytest.approx(np.log(2.0), rel=1e-12)
     # independent constrained maximizer over the budget hyperplane
     res = minimize(
-        lambda x: -ces.utility(problem.values, np.abs(x), spec),
+        lambda x: -ces.utility(values, np.abs(x), spec),
         x0=np.array([0.4, 0.6]),
-        constraints={"type": "eq", "fun": lambda x: problem.prices @ np.abs(x) - problem.budget},
+        constraints={"type": "eq", "fun": lambda x: prices @ np.abs(x) - budget},
     )
     assert np.log(-res.fun) == pytest.approx(got, abs=1e-8)
 
 
 def test_fixed_price_rejects_bad_prices():
-    with pytest.raises(InvalidPrices):
-        BuyerProblem(np.array([1.0]), 1.0, np.array([0.0]))
-    with pytest.raises(InvalidPrices):
-        ces.fixed_price_log_utility_matrix(np.ones((1, 2)), np.ones(1), np.array([1.0, -1.0]),
-                                           CesSpec.linear())
+    for kernel in (ces.fixed_price_log_utility_matrix, ces.demand_matrix):
+        with pytest.raises(InvalidPrices):
+            one_buyer(kernel, [1.0], 1.0, [0.0], CesSpec.linear())
+        with pytest.raises(InvalidPrices):
+            kernel(np.ones((1, 2)), np.ones(1), np.array([1.0, -1.0]), CesSpec.linear())
+
+
+def test_fixed_price_kernels_reject_misshapen_markets():
+    # a buyer's row without its batch axis, or budgets that do not match the rows
+    values, prices = np.array([[2.0, 1.0, 3.0]]), np.ones(3)
+    for kernel in (ces.fixed_price_log_utility_matrix, ces.demand_matrix):
+        for v, b in ((values[0], np.ones(1)), (values[0], np.array(1.0)), (values, np.ones(3)),
+                     (values, np.array(1.0)), (values[None], np.ones(1))):
+            with pytest.raises(InvalidArgument):
+                kernel(v, b, prices, CesSpec.linear())
 
 
 def test_demand_linear_unique_argmax():
-    problem = BuyerProblem(np.array([2.0, 1.0]), 1.0, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(ces.demand(problem, CesSpec.linear()), [1.0, 0.0])
+    np.testing.assert_allclose(demand([2.0, 1.0], 1.0, [1.0, 1.0], CesSpec.linear()), [1.0, 0.0])
 
 
 def test_demand_linear_tie_breaks_low_index():
-    problem = BuyerProblem(np.array([1.0, 1.0]), 1.0, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(ces.demand(problem, CesSpec.linear()), [1.0, 0.0])
+    np.testing.assert_allclose(demand([1.0, 1.0], 1.0, [1.0, 1.0], CesSpec.linear()), [1.0, 0.0])
 
 
 def test_demand_leontief_symmetric():
-    problem = BuyerProblem(np.array([1.0, 1.0]), 1.0, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(ces.demand(problem, CesSpec.leontief()), [0.5, 0.5])
+    np.testing.assert_allclose(demand([1.0, 1.0], 1.0, [1.0, 1.0], CesSpec.leontief()), [0.5, 0.5])
 
 
 def test_demand_cobb_douglas_budget_shares():
-    problem = BuyerProblem(np.array([1.0, 3.0]), 2.0, np.array([1.0, 2.0]))
-    x = ces.demand(problem, CesSpec.cobb_douglas())
+    values, prices = np.array([1.0, 3.0]), np.array([1.0, 2.0])
+    x = demand(values, 2.0, prices, CesSpec.cobb_douglas())
     np.testing.assert_allclose(x, [0.5, 0.75])
-    assert float(problem.prices @ x) == pytest.approx(2.0, rel=1e-12)
+    assert float(prices @ x) == pytest.approx(2.0, rel=1e-12)
     # first-order condition: v_j/(v_t x_j) proportional to p_j
-    ratio = problem.values / (x * problem.values.sum())
-    np.testing.assert_allclose(ratio / problem.prices, (ratio / problem.prices)[0], rtol=1e-10)
+    ratio = values / (x * values.sum())
+    np.testing.assert_allclose(ratio / prices, (ratio / prices)[0], rtol=1e-10)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
@@ -208,9 +227,8 @@ def test_demand_consistency_and_optimality(spec):
     for _ in range(50):
         m = int(rng.integers(2, 7))
         values, budget, prices = random_problem(rng, m)
-        problem = BuyerProblem(values, budget, prices)
-        x = ces.demand(problem, spec)
-        log_u_star = ces.fixed_price_log_utility(problem, spec)
+        x = demand(values, budget, prices, spec)
+        log_u_star = fixed_price(values, budget, prices, spec)
         # budget exhaustion
         assert float(prices @ x) == pytest.approx(budget, rel=1e-10)
         # indirect utility consistency
@@ -234,7 +252,7 @@ def test_demand_matrix_general_in_place():
             # the explicit formula, evaluated in the same order
             r = alpha / (1.0 - alpha)
             log_v, log_p = np.log(values), np.log(prices)
-            log_c0 = ces._logsumexp(r * (log_v - log_p))
+            log_c0 = ces._logsumexp_weights(r * (log_v - log_p))[0]
             ref = np.exp(r * log_v - (r + 1.0) * log_p + np.log(budgets)[:, None]
                          - log_c0[:, None])
             got = ces.demand_matrix(values, budgets, prices, CesSpec.general(alpha))
@@ -259,12 +277,34 @@ def test_demand_matrix_rows_at_chunk_edges(spec):
     values = np.exp(rng.uniform(-3.0, 3.0, size=(EDGE_N, 6)))
     budgets = np.exp(rng.uniform(-1.0, 1.0, size=EDGE_N))
     prices = np.exp(rng.uniform(-2.0, 2.0, size=6))
-    got = ces.demand_matrix(values, budgets, prices, spec)
-    # the regime's formula on the whole array at once, unchunked
-    np.testing.assert_array_equal(got, ces._demand_rows(values, budgets, prices, spec))
-    for i in EDGE_ROWS:
-        one = ces.demand(BuyerProblem(values[i], float(budgets[i]), prices), spec)
-        np.testing.assert_array_equal(got[i], one)
+    for kernel, is_demand in ((ces.demand_matrix, True), (ces.fixed_price_log_utility_matrix, False)):
+        got = kernel(values, budgets, prices, spec)
+        # the regime's formula on the whole array at once, unchunked
+        np.testing.assert_array_equal(
+            got, ces._fixed_price_terms(values, budgets, prices, spec, is_demand))
+        for i in EDGE_ROWS:
+            np.testing.assert_array_equal(got[i], one_buyer(kernel, values[i], budgets[i], prices, spec))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [CesSpec.general(0.9), CesSpec.general(-5.0)],
+                         ids=lambda s: s.regime.value + s.alpha_label)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fixed_price_kernels_agree_on_a_multi_chunk_market(spec, order):
+    # the demand attains the fixed-price log utility and spends each budget,
+    # and a whole-market call equals the per-chunk calls of the certifier
+    rng = np.random.default_rng(18)
+    m = 7
+    values = np.asarray(np.exp(rng.uniform(-3.0, 3.0, size=(EDGE_N, m))), order=order)
+    budgets = np.exp(rng.uniform(-1.0, 1.0, size=EDGE_N))
+    prices = np.exp(rng.uniform(-2.0, 2.0, size=m))
+    fixed = ces.fixed_price_log_utility_matrix(values, budgets, prices, spec)
+    x = ces.demand_matrix(values, budgets, prices, spec)
+    attained = np.abs(ces.log_utility(values, x, spec) - fixed)
+    assert np.all(attained <= 1e-12 * np.maximum(1.0, np.abs(fixed)))
+    assert np.all(np.abs(x @ prices - budgets) <= 1e-12 * budgets)
+    for rows in ces._row_chunks(EDGE_N):
+        np.testing.assert_array_equal(
+            fixed[rows], ces.fixed_price_log_utility_matrix(values[rows], budgets[rows], prices, spec))
 
 
 def test_demand_matrix_peak_memory_one_output():

@@ -9,7 +9,7 @@ from marketeq import cli, harness, trainer
 from marketeq.baselines import EgConfig
 from marketeq.cli import main
 from marketeq.ces import CesSpec
-from marketeq.errors import InvalidArgument
+from marketeq.errors import InvalidArgument, NumericFailure
 from marketeq.harness import (
     ExperimentConfig,
     MarketSpec,
@@ -204,6 +204,14 @@ def test_sweep_cells_that_differ_only_in_k_keep_their_own_directories(tmp_path):
     cells = sorted(path.name for path in tmp_path.iterdir() if path.is_dir())
     assert len(cells) == 2
     assert all((tmp_path / cell / "summary.json").exists() for cell in cells)
+    # each stored row names its own cell directory
+    with open(tmp_path / "sweep.csv") as handle:
+        stored = list(csv.DictReader(handle))
+    assert [(row["k"], row["seed"]) for row in stored] == [("3", "1"), ("4", "1")]
+    for row in stored:
+        cell = tmp_path / ("{method}_n{n}_m{m}_k{k}_a{alpha}_{dist}_s{seed}".format(**row))
+        summary = json.loads((cell / "summary.json").read_text())
+        assert float(row["ng"]) == summary["report"]["ng"]
 
 
 def test_sweep_rejects_unknown_method_before_any_cell(tmp_path, capsys):
@@ -305,6 +313,29 @@ def test_cli_evaluate_max_ng_exit_code(tmp_path):
                  "--max-ng", "10.0"]) == 0
     assert main(["evaluate", "--market", str(market_path), "--candidate", candidate,
                  "--max-ng", "1e-9"]) == 4
+
+
+def test_failed_run_writes_the_epochs_it_finished(tmp_path):
+    # absurd dual step: eg finishes two epochs, then a buyer reaches zero utility
+    config = ExperimentConfig(market=MarketSpec(n=16, m=2, k=3, seed=1), method="eg",
+                              method_config=EgConfig(epochs=5, beta_schedule="constant",
+                                                     beta_scale=1e4, ng_stop=None),
+                              out_dir=str(tmp_path / "eg"))
+    with pytest.raises(NumericFailure) as failure:
+        run_experiment(config)
+    with open(tmp_path / "eg" / "curve.csv") as handle:
+        curve = list(csv.DictReader(handle))
+    assert [int(row["epoch"]) for row in curve] == [1, 2]
+    np.testing.assert_array_equal([float(row["ng"]) for row in curve],
+                                  [rec.ng for rec in failure.value.history.records])
+    assert not (tmp_path / "eg" / "summary.json").exists()
+    # the CLI still exits 3 and leaves the curve (header only: no epoch finished)
+    market_path = tmp_path / "market.json"
+    assert main(["generate", "--n", "16", "--m", "2", "--k", "3", "--seed", "1",
+                 "--out", str(market_path)]) == 0
+    assert main(["run", "--market", str(market_path), "--method", "eg", "--rho", "1e4",
+                 "--outdir", str(tmp_path / "cli")]) == 3
+    assert (tmp_path / "cli" / "curve.csv").read_text().splitlines() == ["epoch,ng,voa,vop,loss"]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -110,7 +110,6 @@ def _price_takers():
         "fixed_price_log_utility_matrix": lambda p: ces.fixed_price_log_utility_matrix(
             mkt.values, mkt.budgets, p, mkt.ces),
         "demand_matrix": lambda p: ces.demand_matrix(mkt.values, mkt.budgets, p, mkt.ces),
-        "BuyerProblem": lambda p: ces.BuyerProblem(mkt.values[0], float(mkt.budgets[0]), p),
         "extract_solution": lambda p: extract_solution(net, p, mkt),
         "kkt_residuals": lambda p: metrics.kkt_residuals(mkt, EquilibriumCandidate(x, p)),
         "price_residual": lambda p: metrics.price_residual(mkt, p),

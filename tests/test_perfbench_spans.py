@@ -1,6 +1,7 @@
 """The benchmark's span tracer names marketeq entry points by string; a rename
 would leave a per-layer metric silently at zero.  Check every name resolves,
-and that an installed tracer sees the EG, oracle and fcnet entry points called."""
+and that an installed tracer sees the EG, oracle and fcnet entry points called,
+and the fixed-price kernels that certification and the oracle's warm start call."""
 
 import functools
 import importlib
@@ -71,6 +72,6 @@ def test_installed_tracer_sees_the_eg_and_oracle_entry_points():
     traced = json.loads(done.stdout.strip().splitlines()[-1])
     for name in ("baselines.eg_momentum_solve", "oracle.numeric_equilibrium", "metrics.nash_gap",
                  "net.backward", "net.adam_step", "trainer.multiplier_update",
-                 "net.forward_batch"):
+                 "net.forward_batch", "ces.fixed_price_log_utility_matrix", "ces.demand_matrix"):
         assert name in traced["names"]
     assert traced["absent"] == []
