@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from marketeq import oracle
 from marketeq.ces import CesSpec
-from marketeq.errors import InvalidArgument, UnsupportedRegime
+from marketeq.errors import InvalidArgument, NumericFailure, OracleFailure, UnsupportedRegime
 from marketeq.market import ContextDistribution, Market, generate_market
 from marketeq.oracle import (
     cobb_douglas_equilibrium,
@@ -138,3 +141,80 @@ def test_numeric_rejects_leontief():
     mkt = market_from_values(np.ones((2, 2)), [1.0, 1.0], CesSpec.leontief())
     with pytest.raises(UnsupportedRegime):
         numeric_equilibrium(mkt)
+
+
+def test_numeric_matches_closed_form_to_reference_precision():
+    # the first loosely certified pair (KKT about 1e-4) is off by about as much
+    # in price; the reference target keeps the error near 1e-10
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        mkt = random_market(rng, int(rng.integers(2, 41)), int(rng.integers(2, 6)),
+                            CesSpec.cobb_douglas())
+        closed = cobb_douglas_equilibrium(mkt).candidate.prices
+        num = numeric_equilibrium(mkt).candidate.prices
+        assert np.max(np.abs(num - closed) / closed) <= 1e-8
+
+
+def _record_descents(monkeypatch):
+    """Wrap the oracle's descent; returns the last epoch each descent yielded."""
+    last_epochs = []
+    real = oracle.descend
+
+    def recording(market, config, raw):
+        last_epochs.append(0)
+        for item in real(market, config, raw):
+            last_epochs[-1] = item[0]
+            yield item
+
+    monkeypatch.setattr(oracle, "descend", recording)
+    return last_epochs
+
+
+# an easy market shaped like perfbench's oracle-ref inputs
+_EASY = dict(n=6, m=3, k=5, dist=ContextDistribution.STANDARD_NORMAL, ces=CesSpec.general(0.5),
+             seed=7)
+# SHA-256 of the prices and allocation the loose tolerances certify at epoch 100
+_EASY_SEGMENT_DIGEST = "19952df11615349aec077c58883427fbb242cd7536c4e3aa425310bb359c09f2"
+
+
+def test_numeric_returns_once_reference_precision_is_reached(monkeypatch):
+    last_epochs = _record_descents(monkeypatch)
+    res = numeric_equilibrium(generate_market(**_EASY))
+    assert len(last_epochs) == 1 and last_epochs[0] < oracle._SEGMENT_EPOCHS
+    assert res.kkt_residual <= oracle.NUMERIC_REFERENCE_KKT
+
+
+def test_numeric_segment_end_acceptance_is_unchanged(monkeypatch):
+    monkeypatch.setattr(oracle, "NUMERIC_REFERENCE_KKT", 0.0)
+    last_epochs = _record_descents(monkeypatch)
+    res = numeric_equilibrium(generate_market(**_EASY))
+    assert last_epochs == [oracle._SEGMENT_EPOCHS]
+    pair = res.candidate.prices.tobytes() + res.candidate.allocation.tobytes()
+    assert hashlib.sha256(pair).hexdigest() == _EASY_SEGMENT_DIGEST
+
+
+def test_numeric_exhausted_budget_descends_once(monkeypatch):
+    def never_certified(*args, **kwargs):
+        raise OracleFailure("forced")
+
+    monkeypatch.setattr(oracle, "_certify", never_certified)
+    monkeypatch.setattr(oracle, "_SEGMENT_EPOCHS", 2)
+    monkeypatch.setattr(oracle, "_MAX_SEGMENTS", 1)
+    last_epochs = _record_descents(monkeypatch)
+    with pytest.raises(OracleFailure, match="forced"):
+        numeric_equilibrium(generate_market(**_EASY))
+    assert last_epochs == [2]
+
+
+def test_numeric_divergence_retries_at_half_the_step(monkeypatch):
+    step_sizes = []
+
+    def diverging(market, config, raw):
+        step_sizes.append(config.step_size)
+        raise NumericFailure("forced")
+        yield  # a generator, like descend
+
+    monkeypatch.setattr(oracle, "descend", diverging)
+    with pytest.raises(OracleFailure, match="forced"):
+        numeric_equilibrium(generate_market(**_EASY))
+    assert step_sizes == [9.0, 4.5, 2.25]  # 1.5 n, then halved twice
