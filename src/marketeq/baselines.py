@@ -138,13 +138,17 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
     the caller's array is never written.  Every n-by-m array of the loop is
     buyer-contiguous, as the market's cached values already are (they are
     read, not copied), so each element-wise pass, per-buyer reduction over
-    goods and per-good mean runs along n-long vectors.  `ng_stop` is left to the
-    caller; a buyer reaching zero utility or diverging parameters raise
-    NumericFailure."""
+    goods and per-good mean runs along n-long vectors.  Those arrays are
+    allocated once per call, and every gradient step runs in them: the
+    softplus and CES kernels write into the loop's buffers.  `ng_stop` is
+    left to the caller; a buyer reaching zero utility or diverging
+    parameters raise NumericFailure."""
     eta = config.step_size if config.step_size is not None else step_size_for(market)
     inner = config.inner_iters if config.inner_iters is not None else (
         1000 if market.n > 1000 else 100)
     y_norm = market.supplies / market.n
+    # the default supply Y_j = n scales by exactly 1, which leaves every bit
+    unit_supply = bool(np.all(y_norm == 1.0))
     budgets = market.budgets
     values = market.values
     spec = market.ces
@@ -152,14 +156,18 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
     velocity = np.zeros_like(raw)
     lam = np.ones(market.m)
     finite = np.empty_like(raw, dtype=bool)
+    # softplus value, slope and scratch; the physical bundle; the gradient
+    softplus_buffers = tuple(np.empty_like(raw) for _ in range(3))
+    x_phys = None if unit_supply else np.empty_like(raw)
+    grad_buffer = np.empty_like(raw)
 
     for epoch in range(1, config.epochs + 1):
         t_start = time.perf_counter()
         for _ in range(inner):
-            x_hat, slope = softplus_and_slope(raw)
-            resid = x_hat.mean(axis=0) - 1.0
-            x_phys = x_hat * y_norm
-            log_u, grad = ces.log_utility_and_gradient(values, x_phys, spec)
+            x_hat, slope = softplus_and_slope(raw, out=softplus_buffers)
+            resid = np.add.reduce(x_hat, axis=0) / market.n - 1.0  # x_hat.mean(axis=0)
+            bundle = x_hat if unit_supply else np.multiply(x_hat, y_norm, out=x_phys)
+            log_u, grad = ces.log_utility_and_gradient(values, bundle, spec, out=grad_buffer)
             # a buyer left with zero utility is the descent's failure, and
             # outranks a bundle on the boundary, where the gradient is singular
             if not np.all(np.isfinite(log_u)):
@@ -169,7 +177,8 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
             # grad_raw = (lam + rho * resid - (B * dlog_u) * y_norm) / n * slope,
             # formed in the gradient's own buffer
             np.multiply(budgets[:, None], grad, out=grad)
-            grad *= y_norm
+            if not unit_supply:
+                grad *= y_norm
             np.subtract((lam + config.rho * resid)[None, :], grad, out=grad)
             grad /= market.n
             grad *= slope

@@ -132,45 +132,49 @@ def _check_prices(prices, m: int) -> np.ndarray:
     return prices
 
 
-def _bundle_arrays(values, bundle):
+def _check_bundle(values, bundle):
+    """(values, bundle) as float arrays and the bundle's smallest entry;
+    InvalidArgument on a length mismatch or a negative component.  The
+    smallest entry comes from one reduction that skips NaN, as `bundle <= t`
+    scans do, without forming their mask (+inf if only NaN is left)."""
     values = np.asarray(values, dtype=float)
     bundle = np.asarray(bundle, dtype=float)
     if values.shape[-1] != bundle.shape[-1]:
         raise InvalidArgument(
             f"values/bundle length mismatch: {values.shape[-1]} vs {bundle.shape[-1]}"
         )
-    return values, bundle
-
-
-def _check_bundle(values, bundle):
-    values, bundle = _bundle_arrays(values, bundle)
-    if np.any(bundle < 0):
+    smallest = np.fmin.reduce(bundle, axis=None, initial=np.inf)
+    if smallest < 0:
         raise InvalidArgument("bundle components must be nonnegative")
-    return values, bundle
+    return values, bundle, smallest
 
 
 _SINGULAR_GRADIENT = "gradient is singular at boundary bundles in this regime"
 
+# the smallest normal float64
+_TINY = np.finfo(float).tiny
 
-def _log_utility_terms(values, bundle, spec: CesSpec, grad: bool):
+
+def _log_utility_terms(values, bundle, spec: CesSpec, grad: bool, out=None):
     """(log u, d log u / dx): each regime's two formulas, the one place they
     are written.  log u is -inf where the utility is zero.
 
     A negative component is an InvalidArgument.  The gradient is None unless
     `grad`, and where it is singular: at a zero component in the general and
-    cobb-douglas regimes, which the scan rejecting negative components finds
-    too (one scan of x <= 0, a second only when it hits).
+    cobb-douglas regimes, which the one scan rejecting negative components
+    finds too.  `out`, a float array of the broadcast shape of `values` and
+    `bundle` that overlaps neither, is the n-by-m buffer the formulas work in
+    and the gradient returned; its content is unspecified where no gradient
+    is returned.  Without it the buffers are allocated.
     """
-    values, bundle = _bundle_arrays(values, bundle)
-    singular = grad and spec.regime in (Regime.GENERAL, Regime.COBB_DOUGLAS)
-    if not singular or np.any(bundle <= 0):
-        _check_bundle(values, bundle)
-        grad = grad and not singular
+    values, bundle, smallest = _check_bundle(values, bundle)
+    if smallest <= 0 and spec.regime in (Regime.GENERAL, Regime.COBB_DOUGLAS):
+        grad = False
     if spec.regime is Regime.GENERAL:
         # log u = (1/alpha) logsumexp(alpha log(v x)); zero components give
         # -inf logs, which the inf arithmetic maps to u = 0 for alpha < 0 (limit
         # convention) and simply drops for alpha > 0
-        w = values * bundle
+        w = np.multiply(values, bundle, out=out)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.log(w, out=w)
             w *= spec.alpha
@@ -182,36 +186,38 @@ def _log_utility_terms(values, bundle, spec: CesSpec, grad: bool):
         # log-sum-exp weights are s scaled by exp(-hi), so they give it without
         # overflow, normalized and divided by x in their own buffer.  Weights
         # below the smallest normal lost digits, yet w_j / x_j can be large: those
-        # entries are exp(alpha log(v_j x_j) - hi - log sum_k w_k - log x_j)
-        lost = w < np.finfo(float).tiny
+        # entries are exp(alpha log(v_j x_j) - hi - log sum_k w_k - log x_j);
+        # their mask is formed only when a reduction finds one
+        lost = w < _TINY if np.fmin.reduce(w, axis=None, initial=np.inf) < _TINY else None
         w /= total[..., None]
         w /= bundle
-        if lost.any():
+        if lost is not None:
             v, x, shift = (np.broadcast_to(a, w.shape)[lost]
                            for a in (values, bundle, (hi + np.log(total))[..., None]))
             w[lost] = np.exp(spec.alpha * np.log(v * x) - shift - np.log(x))
         return log_u, w
     with np.errstate(divide="ignore", invalid="ignore"):
         if spec.regime is Regime.LINEAR:
-            total = _sum_last(values * bundle)
-            return np.log(total), (np.broadcast_to(values, bundle.shape) / total[..., None]
-                                   if grad else None)
+            total = _sum_last(np.multiply(values, bundle, out=out))
+            return np.log(total), (np.divide(np.broadcast_to(values, bundle.shape),
+                                             total[..., None], out=out) if grad else None)
         if spec.regime is Regime.LEONTIEF:
-            vx = values * bundle
+            vx = np.multiply(values, bundle, out=out)
             u = np.min(vx, axis=-1)
             if not grad:
                 return np.log(u), None
-            # the subgradient concentrated on the lowest index attaining the min
+            # the subgradient concentrated on the lowest index attaining the min,
+            # formed in v x's buffer
             j_star = np.argmin(vx, axis=-1)
             at_min = (*np.indices(j_star.shape), j_star)
-            grad = np.zeros_like(vx)
-            grad[at_min] = np.broadcast_to(values, vx.shape)[at_min] / u
-            return np.log(u), grad
+            vx.fill(0.0)
+            vx[at_min] = np.broadcast_to(values, vx.shape)[at_min] / u
+            return np.log(u), vx
         weights = values / _sum_last(values)[..., None]  # cobb-douglas
-        logs = np.log(bundle)  # -inf on zero components
+        logs = np.log(bundle, out=out)  # -inf on zero components
         # weighted in place, unless the values broadcast over a smaller bundle
         logs = np.multiply(logs, weights, out=logs if logs.shape == weights.shape else None)
-        return _sum_last(logs), (weights / bundle if grad else None)
+        return _sum_last(logs), (np.divide(weights, bundle, out=out) if grad else None)
 
 
 def log_utility(values, bundle, spec: CesSpec):
@@ -258,7 +264,7 @@ def _logsumexp_weights(a):
 
 def utility(values, bundle, spec: CesSpec):
     """u(bundle) >= 0 for the given regime."""
-    values, bundle = _check_bundle(values, bundle)
+    values, bundle, _ = _check_bundle(values, bundle)
     if spec.regime is Regime.LINEAR:
         return _sum_last(values * bundle)
     if spec.regime is Regime.LEONTIEF:
@@ -290,16 +296,19 @@ def log_utility_gradient(values, bundle, spec: CesSpec):
     return grad
 
 
-def log_utility_and_gradient(values, bundle, spec: CesSpec):
+def log_utility_and_gradient(values, bundle, spec: CesSpec, out=None):
     """(log u, d log u / dx) from one validation and one pass over v x.
 
     Each result equals `log_utility` / `log_utility_gradient` bit for bit.
     A negative component is an InvalidArgument.  Where the gradient is
     singular (a zero component in the general and cobb-douglas regimes) it
     is None, and log u is still returned: a caller decides whether a zero
-    utility or the boundary is its failure.
+    utility or the boundary is its failure.  `out`, a float array of the
+    broadcast shape of `values` and `bundle` that overlaps neither, is
+    worked in and returned as the gradient, so a loop can reuse one buffer;
+    where the gradient is None its content is unspecified.
     """
-    return _log_utility_terms(values, bundle, spec, grad=True)
+    return _log_utility_terms(values, bundle, spec, grad=True, out=out)
 
 
 def _fixed_price_terms(values, budgets, prices, spec: CesSpec, demand: bool):

@@ -42,21 +42,27 @@ def softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def softplus_and_slope(z):
+def softplus_and_slope(z, out=None):
     """(softplus(z), sigmoid(z)) from one shared e = exp(-|z|) pass.
 
     The slope d softplus / dz is 1/(1+e) where z >= 0 and e/(1+e) elsewhere;
-    both results equal the separate stable forms bit for bit.
+    both results equal the separate stable forms bit for bit.  `out`, three
+    float arrays shaped like `z` and not overlapping it (value, slope,
+    scratch), receives the results, which are returned in its first two;
+    without it the three are allocated.
     """
     z = np.asarray(z, dtype=float)
-    e = np.abs(z, out=np.empty_like(z))
+    value, slope, e = out if out is not None else (np.empty_like(z) for _ in range(3))
+    np.abs(z, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    value = np.maximum(z, 0.0)
-    value += np.log1p(e)
+    np.maximum(z, 0.0, out=value)
+    value += np.log1p(e, out=slope)
     # numerator 1 where z >= 0, else e; as e <= 1, a max with the mask picks it
-    slope = np.maximum(e, z >= 0)
-    slope /= 1.0 + e
+    np.greater_equal(z, 0.0, out=slope)
+    np.maximum(e, slope, out=slope)
+    e += 1.0
+    slope /= e
     return value, slope
 
 

@@ -210,11 +210,14 @@ def lfw(market: Market, p) -> float:
     return _score(market, prices=ces._check_prices(p, market.m)).lfw
 
 
-def nash_gap(market: Market, x, p) -> float:
+def nash_gap(market: Market, x, p, kkt: bool = False):
     """LFW(p) - LNW(x) for a clearance- and price-feasible pair; >= 0 up to rounding.
 
     Raises ConstraintViolation when the pair is off the feasible set; run
     `project` first in that case.  Both scores come from one `_score` pass.
+    With `kkt` the result is (NG, KKT residual), the residual `kkt_residuals`
+    gives taken in that same pass (NaN in the leontief regime, as in
+    `evaluate`), which is how the oracle certifies a pair.
     """
     x = _check_allocation(market, x)
     p = ces._check_prices(p, market.m)
@@ -229,7 +232,8 @@ def nash_gap(market: Market, x, p) -> float:
         raise ConstraintViolation(
             "prices do not satisfy sum_j p_j Y_j = sum_i B_i to relative 1e-9; project first"
         )
-    return _score(market, x, prices=p).ng
+    report = _score(market, x, prices=p, kkt=kkt and ces.regime_supports_gradient(market.ces))
+    return (report.ng, report.kkt_max_residual) if kkt else report.ng
 
 
 def project(market: Market, x, p):

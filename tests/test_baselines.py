@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,13 +197,21 @@ def _row_mean(a):
     return total / len(a)
 
 
-@pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.cobb_douglas()],
+@pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.cobb_douglas(), CesSpec.linear()],
                          ids=lambda s: s.alpha_label)
 def test_small_market_multipliers_match_row_by_row_reference(spec):
     # below eight buyers the per-good means of the column-major loop add in
-    # buyer order, so a C-ordered reference loop gives the same bits
+    # buyer order, so a C-ordered reference loop gives the same bits; with the
+    # default supply (Y_j / n = 1, whose products the loop skips) and with an
+    # override
     rng = np.random.default_rng(34)
     mkt = random_market(rng, 7, 3, spec)
+    supplied = replace(mkt, supply_override=mkt.n * rng.uniform(0.5, 2.0, size=mkt.m))
+    for market in (mkt, supplied):
+        _check_against_row_by_row_reference(market)
+
+
+def _check_against_row_by_row_reference(mkt):
     config = LAYOUT_CONFIG
     y_norm = mkt.supplies / mkt.n
     raw = np.full((mkt.n, mkt.m), _RAW_AT_ONE)
@@ -216,3 +227,23 @@ def test_small_market_multipliers_match_row_by_row_reference(spec):
         lam = lam + config.beta(epoch) * config.rho * (_row_mean(softplus(raw)) - 1.0)
         assert np.array_equal(got_lam, lam), epoch
         assert np.array_equal(got_raw, raw), epoch
+
+
+@pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.cobb_douglas()],
+                         ids=lambda s: s.alpha_label)
+def test_descend_iterations_allocate_no_full_arrays(spec):
+    # the loop's n-by-m buffers are allocated before its first epoch; what a
+    # later epoch allocates (the kernels' per-buyer vectors, and the epoch's
+    # dual step) peaks well below the eight or so n-by-m arrays that fresh
+    # per-iteration buffers would hold
+    mkt = generate_market(4096, 5, 5, ContextDistribution.STANDARD_NORMAL, spec, 7)
+    config = EgConfig(momentum=0.9, inner_iters=20, epochs=3, ng_stop=None)
+    epochs = descend(mkt, config, np.full((mkt.n, mkt.m), _RAW_AT_ONE))
+    next(epochs)
+    tracemalloc.start()
+    try:
+        assert [epoch for epoch, *_ in epochs] == [2, 3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * mkt.n * mkt.m * 8, peak / (mkt.n * mkt.m * 8)

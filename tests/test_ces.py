@@ -348,6 +348,21 @@ FUSED_SPECS = [CesSpec.linear(), CesSpec.general(0.5), CesSpec.general(-1.0),
                CesSpec.general(-5.0), CesSpec.cobb_douglas(), CesSpec.leontief()]
 
 
+def _assert_out_form_matches(v, x, spec):
+    # the `out` form, twice into one reused column-major buffer filled with
+    # NaN, gives the allocating call's bits, and its gradient is the buffer
+    log_u, grad = ces.log_utility_and_gradient(v, x, spec)
+    out = np.full(np.broadcast_shapes(np.shape(v), np.shape(x)), np.nan, order="F")
+    for _ in range(2):
+        got_log_u, got_grad = ces.log_utility_and_gradient(v, x, spec, out=out)
+        np.testing.assert_array_equal(got_log_u, log_u)
+        if grad is None:
+            assert got_grad is None
+        else:
+            assert got_grad is out
+            np.testing.assert_array_equal(got_grad, grad)
+
+
 @pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
 def test_fused_log_utility_and_gradient_bitwise(spec):
     rng = np.random.default_rng(11)
@@ -359,6 +374,7 @@ def test_fused_log_utility_and_gradient_bitwise(spec):
         log_u, grad = ces.log_utility_and_gradient(v, x, spec)
         np.testing.assert_array_equal(log_u, ces.log_utility(v, x, spec))
         np.testing.assert_array_equal(grad, ces.log_utility_gradient(v, x, spec))
+        _assert_out_form_matches(v, x, spec)
 
 
 @pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
@@ -382,11 +398,15 @@ def test_fused_kernel_raises_like_separate_calls(spec):
     mixed[5::1000] = 0.0
     interior = np.all(mixed > 0, axis=1)
     singular = spec.regime in (Regime.GENERAL, Regime.COBB_DOUGLAS)
+    # a NaN component is neither negative nor on the boundary; beside a zero,
+    # the zero decides
     for v, x in ((values, np.array([[1.0, 0.0, 2.0]])), (many_values, mixed),
-                 (many_values[interior], mixed[interior])):
+                 (many_values[interior], mixed[interior]),
+                 (values, np.array([[1.0, np.nan, 2.0]])),
+                 (values, np.array([[np.nan, 0.0, 2.0]]))):
         log_u, grad = ces.log_utility_and_gradient(v, x, spec)
         np.testing.assert_array_equal(log_u, ces.log_utility(v, x, spec))
-        at_boundary = singular and not np.all(x > 0)
+        at_boundary = singular and np.any(x == 0)
         if at_boundary:
             with pytest.raises(InvalidArgument, match="singular at boundary bundles"):
                 ces.log_utility_gradient(v, x, spec)
@@ -424,6 +444,7 @@ def test_general_gradient_matches_long_double_on_wide_bundles(alpha):
     grad = ces.log_utility_gradient(values, bundle, spec)
     _, fused = ces.log_utility_and_gradient(values, bundle, spec)
     np.testing.assert_array_equal(fused, grad)
+    _assert_out_form_matches(values, bundle, spec)
 
     v, x = values.astype(np.longdouble), bundle.astype(np.longdouble)
     log_s = alpha * (np.log(v) + np.log(x))

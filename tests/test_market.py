@@ -61,6 +61,18 @@ def _masked_sigmoid(z):
     return out
 
 
+def _assert_out_form_matches(z, value, slope):
+    # the `out` form, twice into one reused column-major workspace filled
+    # with NaN, gives the allocating call's bits and returns its buffers
+    out = tuple(np.full(z.shape, np.nan, order="F") for _ in range(3))
+    for _ in range(2):
+        got = softplus_and_slope(z, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        np.testing.assert_array_equal(got[0], value)
+        np.testing.assert_array_equal(got[1], slope)
+        assert np.all(np.signbit(got[0]) == np.signbit(value))
+
+
 def test_softplus_and_slope_bitwise():
     edges = np.array([0.0, 1e-300, 40.0, 745.0, 800.0])
     z = np.concatenate([edges, -edges, np.random.default_rng(0).standard_normal(1000) * 50.0])
@@ -68,10 +80,12 @@ def test_softplus_and_slope_bitwise():
     np.testing.assert_array_equal(value, softplus(z))
     np.testing.assert_array_equal(slope, _masked_sigmoid(z))
     assert np.all(np.signbit(value) == np.signbit(softplus(z)))
+    _assert_out_form_matches(z, value, slope)
     grid = np.arange(12.0).reshape(3, 4) - 6.0
     value, slope = softplus_and_slope(grid)
     assert value.shape == slope.shape == (3, 4)
     np.testing.assert_array_equal(slope, _masked_sigmoid(grid))
+    _assert_out_form_matches(grid, value, slope)
 
 
 def test_generate_deterministic():

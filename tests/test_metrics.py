@@ -18,7 +18,7 @@ from marketeq.net import AllocationNet
 from marketeq.oracle import cobb_douglas_equilibrium
 from marketeq.trainer import epoch_scores, extract_solution
 
-from helpers import market_from_values, random_market
+from helpers import ALL_SPECS, market_from_values, random_market
 
 
 def unit_market():
@@ -144,6 +144,26 @@ def test_nash_gap_requires_feasibility():
         metrics.nash_gap(mkt, 2.0 * np.ones((2, 2)), [0.5, 0.5])
     with pytest.raises(ConstraintViolation):
         metrics.nash_gap(mkt, np.ones((2, 2)), [0.7, 0.5])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.regime.value + s.alpha_label)
+def test_nash_gap_with_kkt_is_both_scores_from_one_pass(spec):
+    # the oracle's certification reads NG and KKT from one pass: the bits of
+    # nash_gap and kkt_residuals, with zero components where the gradient is
+    # singular, and KKT NaN in the leontief regime
+    rng = np.random.default_rng(6)
+    mkt = random_market(rng, 30, 4, spec)
+    x = rng.uniform(0.1, 2.0, size=(mkt.n, mkt.m))
+    x[::7, 1] = 0.0
+    x_t, p_t, _, _ = metrics.project(mkt, x, rng.uniform(0.5, 2.0, size=mkt.m))
+    ng, kkt = metrics.nash_gap(mkt, x_t, p_t, kkt=True)
+    assert ng == metrics.nash_gap(mkt, x_t, p_t)
+    if ces.regime_supports_gradient(spec):
+        assert kkt == metrics.kkt_residuals(mkt, EquilibriumCandidate(x_t, p_t))
+    else:
+        assert np.isnan(kkt)
+    with pytest.raises(ConstraintViolation):
+        metrics.nash_gap(mkt, 2.0 * x_t, p_t, kkt=True)
 
 
 def test_nash_gap_naive_on_asymmetric_market():
