@@ -4,6 +4,11 @@ A plain fully connected net on the concatenated contexts [b; g]: relu hidden
 layers, a single softplus output so the allocation is strictly positive, all
 arithmetic in float64.  Backprop and the adaptive-moment optimizer are written
 out by hand; no autograd framework behind this module.
+
+Activations are feature-major: a layer's input is a (fan_in + 1, rows) buffer
+whose last row is ones, so each layer is one product by its [W; b] block of
+the flat parameters, with relu applied in place, and backward's one product
+per layer writes the weight and bias gradients together.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ces import _row_chunks
 from .errors import InvalidArgument, NumericFailure
 from .market import softplus, softplus_and_slope
 
@@ -26,44 +30,68 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# pair columns per slice of a population forward (`forward_batch`)
+_BATCH_ROWS = 4096
+
+
 def _layer_views(flat: np.ndarray, dims):
-    """Per-layer (weights, biases) views of a flat buffer laid out like get_flat()."""
-    weights, biases, offset = [], [], 0
+    """Per-layer [W; b] views of a flat buffer laid out like get_flat(): each
+    layer's (fan_in, fan_out) weights row by row, then its fan_out biases, which
+    together are one contiguous (fan_in + 1, fan_out) block."""
+    views, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[offset: offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(flat[offset: offset + fan_out])
-        offset += fan_out
-    return weights, biases
+        size = (fan_in + 1) * fan_out
+        views.append(flat[offset: offset + size].reshape(fan_in + 1, fan_out))
+        offset += size
+    return views
 
 
-def _fill_pairs(inputs: np.ndarray, buyers: np.ndarray, goods: np.ndarray, goods_too: bool = True):
-    """Write the rows [b_i; g_j], buyer-major, into `inputs` of shape (M*m, 2k)."""
+def _with_ones(fan: int, cols: int) -> np.ndarray:
+    """A feature-major (fan + 1, cols) buffer whose last row is ones, so that a
+    layer's [W; b] maps its first fan rows h to W.T h + b in one product."""
+    buf = np.empty((fan + 1, cols))
+    buf[fan] = 1.0
+    return buf
+
+
+def _fill_pairs(pairs: np.ndarray, buyers: np.ndarray, goods: np.ndarray | None = None):
+    """Write the pair columns [b_i; g_j], buyer-major, into the first 2k rows of
+    `pairs`, a (2k + 1, M, m) view of feature-major inputs; the goods half only
+    when `goods` is given."""
     k = buyers.shape[1]
-    pairs = inputs.reshape(buyers.shape[0], goods.shape[0], 2 * k)
-    pairs[:, :, :k] = buyers[:, None, :]
-    if goods_too:
-        pairs[:, :, k:] = goods
+    pairs[:k] = buyers.T[:, :, None]
+    if goods is not None:
+        pairs[k: 2 * k] = goods.T[:, None, :]
 
 
-class _StepWorkspace:
-    """Buffers of the training step for one row count: the pair inputs, each
-    layer's pre-activation, activation and finiteness mask, and backward's
-    two delta buffers."""
+class _Buffers:
+    """Feature-major buffers of one forward pass over at most `cols` pair
+    columns: each hidden layer's output (last row ones), the output layer's
+    pre-activation and a finiteness mask.  With `turns`, for a forward that no
+    backward reads, the hidden layers take turns in two buffers."""
+
+    def __init__(self, dims, cols: int, turns: bool = False):
+        hidden = [_with_ones(d, cols) for d in dims[1:-1][: 2 if turns else None]]
+        self.acts = [hidden[li % len(hidden)] for li in range(len(dims) - 2)]
+        self.z = np.empty((dims[-1], cols))
+        self.finite = np.empty((max(dims[1:]), cols), dtype=bool)
+
+
+class _StepWorkspace(_Buffers):
+    """Buffers of the training step for one row count: the forward's, the pair
+    inputs, and backward's two delta buffers."""
 
     def __init__(self, dims, rows: int):
-        width = max(dims[1:])
+        super().__init__(dims, rows)
         self.rows = rows
-        self.inputs = np.empty((rows, dims[0]))
-        self.goods = None  # the goods currently filled into the inputs' right half
-        self.pre = [np.empty((rows, d)) for d in dims[1:]]
-        self.act = [np.empty((rows, d)) for d in dims[1:-1]]
-        self.finite = np.empty((rows, width), dtype=bool)
-        self.delta = (np.empty((rows, width)), np.empty((rows, width)))
+        self.inputs = _with_ones(dims[0], rows)
+        self.goods = None  # the goods currently filled into the inputs' goods half
+        self.delta = (np.empty((max(dims[1:-1]), rows)), np.empty((max(dims[1:-1]), rows)))
 
     def fill_pairs(self, buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
         refill = self.goods is None or not np.array_equal(self.goods, goods)
-        _fill_pairs(self.inputs, buyers, goods, goods_too=refill)
+        pairs = self.inputs.reshape(-1, buyers.shape[0], goods.shape[0])
+        _fill_pairs(pairs, buyers, goods if refill else None)
         if refill:
             self.goods = goods.copy()
         return self.inputs
@@ -89,22 +117,31 @@ class AllocationNet:
     biases: list = field(repr=False)
 
     def __post_init__(self):
+        self._dims = [2 * self.context_dim] + [self.hidden_width] * self.hidden_depth + [1]
+        shapes = list(zip(self._dims[:-1], self._dims[1:]))
+        if ([np.shape(w) for w in self.weights] != shapes
+                or [np.shape(b) for b in self.biases] != [(fan_out,) for _, fan_out in shapes]):
+            raise InvalidArgument("weights and biases do not match the declared architecture")
         self._params = np.concatenate(
             [np.asarray(arr, dtype=float).ravel() for pair in zip(self.weights, self.biases)
              for arr in pair])
-        self._dims = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-        self.weights, self.biases = _layer_views(self._params, self._dims)
+        self._bind_views()
         self._workspace = None
+
+    def _bind_views(self):
+        self._layers = _layer_views(self._params, self._dims)
+        self.weights = [wb[:-1] for wb in self._layers]
+        self.biases = [wb[-1] for wb in self._layers]
 
     # copies and pickles carry the flat buffer and rebuild the views onto it
     def __getstate__(self):
         state = dict(self.__dict__, _workspace=None)
-        del state["weights"], state["biases"]
+        del state["weights"], state["biases"], state["_layers"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.weights, self.biases = _layer_views(self._params, self._dims)
+        self._bind_views()
 
     @classmethod
     def initialize(cls, context_dim: int, hidden_depth: int = 5, hidden_width: int = 256,
@@ -134,8 +171,13 @@ class AllocationNet:
 
     def forward_pairs(self, inputs: np.ndarray) -> np.ndarray:
         """Outputs for a (rows, 2k) batch of concatenated [b; g] inputs; shape (rows,)."""
-        y, _ = self._forward_cached(np.asarray(inputs, dtype=float), keep=False)
-        return y
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
+            raise InvalidArgument(f"inputs must be (rows, {self.input_dim})")
+        columns = _with_ones(self.input_dim, inputs.shape[0])
+        columns[:-1] = inputs.T
+        z, _ = self._forward_cached(columns, _Buffers(self._dims, inputs.shape[0], turns=True))
+        return softplus(z[0])
 
     def forward(self, b, g) -> float:
         b = np.asarray(b, dtype=float)
@@ -149,23 +191,35 @@ class AllocationNet:
     def _check_contexts(self, buyers, goods):
         buyers = np.atleast_2d(np.asarray(buyers, dtype=float))
         goods = np.atleast_2d(np.asarray(goods, dtype=float))
+        if buyers.ndim != 2 or goods.ndim != 2:
+            raise InvalidArgument(
+                f"contexts must be (rows, {self.context_dim}) arrays, "
+                f"got {buyers.shape} and {goods.shape}")
         if buyers.shape[1] != self.context_dim or goods.shape[1] != self.context_dim:
             raise InvalidArgument("context dimension mismatch with network input")
         return buyers, goods
 
     def forward_batch(self, buyers: np.ndarray, goods: np.ndarray) -> np.ndarray:
         """Allocation matrix (M, m) for M buyer contexts against m good contexts; its M*m
-        buyer-major pair rows go through the network in `ces._row_chunks` slices."""
+        buyer-major pair columns go through the network in slices of `_BATCH_ROWS`,
+        all in buffers allocated once per call."""
         buyers, goods = self._check_contexts(buyers, goods)
-        m = goods.shape[0]
-        out = np.empty(buyers.shape[0] * m)
-        for rows in _row_chunks(out.size):
-            first, lead = divmod(rows.start, m)  # the slice's first buyer and its pairs before it
-            touched = buyers[first: -(-rows.stop // m)]
-            inputs = np.empty((touched.shape[0] * m, self.input_dim))
-            _fill_pairs(inputs, touched, goods)
-            out[rows] = self.forward_pairs(inputs[lead: lead + rows.stop - rows.start])
-        return out.reshape(buyers.shape[0], m)
+        n, m = buyers.shape[0], goods.shape[0]
+        out = np.empty(n * m)
+        cols = min(_BATCH_ROWS, out.size)
+        span = min(n, -(-(cols + m - 1) // m)) if cols else 0  # most buyers one slice touches
+        inputs = _with_ones(self.input_dim, span * m)
+        pairs = inputs.reshape(-1, span, m)
+        _fill_pairs(pairs, buyers[:span], goods)
+        buffers = _Buffers(self._dims, cols, turns=True)
+        for start in range(0, out.size, _BATCH_ROWS):
+            stop = min(start + _BATCH_ROWS, out.size)
+            first, lead = divmod(start, m)  # the slice's first buyer and its pairs before it
+            touched = buyers[first: -(-stop // m)]
+            _fill_pairs(pairs[:, : touched.shape[0]], touched)
+            z, _ = self._forward_cached(inputs[:, lead: lead + stop - start], buffers)
+            out[start:stop] = softplus(z[0])
+        return out.reshape(n, m)
 
     def forward_step(self, buyers: np.ndarray, goods: np.ndarray):
         """Allocation matrix (M, m) plus the cache `backward` needs, for one
@@ -174,64 +228,55 @@ class AllocationNet:
         next cached forward pass with the same number of rows."""
         buyers, goods = self._check_contexts(buyers, goods)
         workspace = self._step_workspace(buyers.shape[0] * goods.shape[0])
-        y, cache = self._forward_cached(workspace.fill_pairs(buyers, goods))
-        return y.reshape(buyers.shape[0], goods.shape[0]), cache
+        z, acts = self._forward_cached(workspace.fill_pairs(buyers, goods), workspace)
+        y, slope = softplus_and_slope(z[0])
+        return y.reshape(buyers.shape[0], goods.shape[0]), (acts, slope)
 
     def _step_workspace(self, rows: int) -> _StepWorkspace:
         if self._workspace is None or self._workspace.rows != rows:
             self._workspace = _StepWorkspace(self._dims, rows)
         return self._workspace
 
-    def _forward_cached(self, inputs, keep=True):
-        if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
-            raise InvalidArgument(f"inputs must be (rows, {self.input_dim})")
-        rows = inputs.shape[0]
-        last = len(self.weights) - 1
-        if keep:
-            workspace = self._step_workspace(rows)
-            pre, act, finite = workspace.pre, workspace.act, workspace.finite
-        else:
-            # two transient buffers taking turns; relu overwrites z in place
-            width = max(self._dims[1:-1])
-            turns = (np.empty((rows, width)), np.empty((rows, width)))
-            act = [turns[li % 2] for li in range(last)]
-            pre = act + [np.empty((rows, self._dims[-1]))]
-            finite = np.empty((rows, max(self._dims[1:])), dtype=bool)
-        h = inputs
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.matmul(h, w, out=pre[li])
-            z += b
-            if not np.isfinite(z, out=finite[:, : z.shape[1]]).all():
+    def _forward_cached(self, inputs: np.ndarray, buffers: _Buffers):
+        """Run the feature-major (2k + 1, cols) `inputs`, last row ones, through
+        every layer, each writing the first cols columns of its buffer: one
+        product by [W; b], then relu in place.  Returns the output layer's
+        (1, cols) pre-activation and the activations backward reads, inputs first."""
+        cols = inputs.shape[1]
+        acts, last = [inputs], len(self._layers) - 1
+        for li, wb in enumerate(self._layers):
+            z = buffers.z[:, :cols] if li == last else buffers.acts[li][:-1, :cols]
+            np.matmul(wb.T, acts[-1], out=z)
+            if not np.isfinite(z, out=buffers.finite[: z.shape[0], :cols]).all():
                 raise NumericFailure(f"non-finite pre-activation in layer {li}")
             if li < last:
-                h = np.maximum(z, 0.0, out=act[li])
-        if not keep:
-            return softplus(z[:, 0]), None
-        y, slope = softplus_and_slope(z[:, 0])
-        return y, ([inputs] + act, pre, slope)
+                np.maximum(z, 0.0, out=z)
+                acts.append(buffers.acts[li][:, :cols])
+        return z, acts
 
     # ---- backward ----------------------------------------------------------
 
     def backward(self, cache, grad_output: np.ndarray) -> np.ndarray:
         """Parameter gradient of sum(grad_output * output) for a cached forward
         pass, as one fresh flat array laid out like `get_flat()`."""
-        acts, pre_acts, slope = cache
-        workspace = self._step_workspace(acts[0].shape[0])
+        acts, slope = cache
+        workspace = self._step_workspace(acts[0].shape[1])
         flat = np.empty(self.n_params)
-        grad_w, grad_b = _layer_views(flat, self._dims)
+        grads = _layer_views(flat, self._dims)
         # d softplus(z) / dz = sigmoid(z), kept by the forward pass
-        delta = (grad_output * slope)[:, None]
-        for li in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[li].T, delta, out=grad_w[li])
-            np.sum(delta, axis=0, out=grad_b[li])
+        delta = (grad_output * slope)[None, :]
+        for li in range(len(self._layers) - 1, -1, -1):
+            # one product gives [dW; db]: the activations' ones row sums delta
+            np.matmul(acts[li], delta.T, out=grads[li])
             if li > 0:
                 w = self.weights[li]
-                out = workspace.delta[li % 2][:, : w.shape[0]]
-                if w.shape[1] == 1:  # a one-wide layer's delta @ w.T is an outer product
-                    np.multiply(delta, w.T, out=out)
+                out = workspace.delta[li % 2][: w.shape[0]]
+                if w.shape[1] == 1:  # a one-wide layer's w @ delta is an outer product
+                    np.multiply(w, delta, out=out)
                 else:
-                    np.matmul(delta, w.T, out=out)
-                mask = np.greater(pre_acts[li - 1], 0, out=workspace.finite[:, : w.shape[0]])
+                    np.matmul(w, delta, out=out)
+                # relu output is above zero exactly where its input was
+                mask = np.greater(acts[li][:-1], 0, out=workspace.finite[: w.shape[0]])
                 delta = np.multiply(out, mask, out=out)
         return flat
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from marketeq import ces
+from marketeq import net as net_module
 from marketeq.errors import InvalidArgument, NumericFailure
 from marketeq.market import softplus
 from marketeq.net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
@@ -51,16 +52,19 @@ def test_forward_batch_matches_single_calls():
 
 
 def test_forward_batch_slices_pair_rows():
-    # 5462 buyers x 3 goods = 16,386 buyer-major pair rows: the first 2^14-row
-    # slice ends inside buyer 5461's goods
+    # 2800 buyers x 3 goods = 8,400 buyer-major pair rows in three slices: the
+    # first ends inside buyer 1365's goods, and the last is a short one
     net = small_net(seed=5, k=5)
     rng = np.random.default_rng(2)
-    buyers, goods = rng.standard_normal((5462, 5)), rng.standard_normal((3, 5))
-    assert ces._CHUNK_ROWS < buyers.shape[0] * 3 and ces._CHUNK_ROWS % 3 != 0
+    buyers, goods = rng.standard_normal((2800, 5)), rng.standard_normal((3, 5))
+    assert 2 * net_module._BATCH_ROWS < buyers.shape[0] * 3 and net_module._BATCH_ROWS % 3 != 0
     batch = net.forward_batch(buyers, goods).ravel()
     pairs = np.hstack([np.repeat(buyers, 3, axis=0), np.tile(goods, (buyers.shape[0], 1))])
-    for rows in ces._row_chunks(pairs.shape[0]):
+    for start in range(0, pairs.shape[0], net_module._BATCH_ROWS):
+        rows = slice(start, start + net_module._BATCH_ROWS)
         np.testing.assert_array_equal(batch[rows], net.forward_pairs(pairs[rows]))
+    # and the slice size does not change a bit of the output
+    np.testing.assert_array_equal(batch, net.forward_pairs(pairs))
     single = [net.forward(b, g) for b, g in itertools.product(buyers, goods)]
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
@@ -98,6 +102,11 @@ def test_dimension_checks():
         net.forward(np.ones(2), np.ones(3))
     with pytest.raises(InvalidArgument):
         net.forward_pairs(np.ones((4, 5)))
+    # every hidden layer has the declared width
+    weights = [w.copy() for w in net.weights]
+    weights[1] = np.ones((8, 7))
+    with pytest.raises(InvalidArgument):
+        AllocationNet(3, 2, 8, weights, [b.copy() for b in net.biases])
 
 
 def test_backward_matches_finite_differences():
@@ -234,14 +243,56 @@ def test_workspace_step_matches_plain_passes():
         x_hat, cache = net.forward_step(buyers, goods)
         grad = net.backward(cache, grad_output)
         y, ref_w, ref_b = _plain_step(net, buyers, goods, grad_output)
-        np.testing.assert_array_equal(x_hat, y.reshape(rows, 3))
+        # the step adds each bias inside its layer's product, which BLAS rounds
+        # differently from the reference's separate add: 1e-12 is the contract
+        np.testing.assert_allclose(x_hat, y.reshape(rows, 3), rtol=1e-12, atol=0)
+        # every forward runs the same products, so they agree bit for bit
         np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
+        pairs = np.hstack([np.repeat(buyers, 3, axis=0), np.tile(goods, (rows, 1))])
+        np.testing.assert_array_equal(x_hat.ravel(), net.forward_pairs(pairs))
         # get_flat() order: each layer's weights, then its biases
-        ref = np.concatenate([a.ravel() for pair in zip(ref_w, ref_b) for a in pair])
-        np.testing.assert_array_equal(grad, ref)
+        offset = 0
+        for li, (ref_wl, ref_bl) in enumerate(zip(ref_w, ref_b)):
+            ref = np.concatenate([ref_wl.ravel(), ref_bl])
+            err = np.max(np.abs(grad[offset: offset + ref.size] - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (li, err)
+            offset += ref.size
+        assert offset == grad.size
     goods = rng.standard_normal((3, 4))  # new goods refill the goods half
     x_hat, _ = net.forward_step(buyers, goods)
     np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
+
+
+def test_training_step_memory_is_bounded():
+    # the first step allocates its workspace: each hidden activation once (the
+    # bias row of ones included), backward's two deltas and one bool mask, so
+    # less than six arrays of rows x width, with no separate pre-activations
+    width, rows = 128, 512 * 5
+    net = AllocationNet.initialize(5, hidden_depth=3, hidden_width=width, seed=0)
+    rng = np.random.default_rng(9)
+    buyers, goods = rng.standard_normal((512, 5)), rng.standard_normal((5, 5))
+    grad_output = rng.standard_normal(rows)
+
+    def step():
+        _, cache = net.forward_step(buyers, goods)
+        net.backward(cache, grad_output)
+
+    peak = peak_bytes(step)
+    assert peak < 6 * rows * width * 8, peak / (rows * width * 8)
+
+
+@pytest.mark.parametrize("buyers_shape, goods_shape", [
+    ((2, 5, 1), (3, 5)),
+    ((2, 5), (3, 5, 2)),
+    ((2, 5, 1), (3, 5, 2)),
+    ((2, 4), (3, 5)),
+    ((2, 5), (3, 4)),
+])
+@pytest.mark.parametrize("method", ["forward_batch", "forward_step"])
+def test_malformed_contexts_raise_invalid_argument(method, buyers_shape, goods_shape):
+    net = small_net(k=5)
+    with pytest.raises(InvalidArgument):
+        getattr(net, method)(np.ones(buyers_shape), np.ones(goods_shape))
 
 
 def test_backward_returns_fresh_flat_gradients():
