@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_range
+from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_integer, check_range
 from .market import Market, softplus, softplus_and_slope
 from .trainer import EpochRecord, TrainHistory, epoch_scores, multiplier_update, solution_pair
 
@@ -64,9 +64,9 @@ class EgConfig:
             check_range("step_size", self.step_size, 0.0, open_low=True)
         check_range("momentum", self.momentum, 0.0, 1.0)
         check_range("rho", self.rho, 0.0, open_low=True)
-        check_range("epochs", self.epochs, 1)
+        check_integer("epochs", self.epochs, 1)
         if self.inner_iters is not None:
-            check_range("inner_iters", self.inner_iters, 1)
+            check_integer("inner_iters", self.inner_iters, 1)
         if self.ng_stop is not None:
             check_range("ng_stop", self.ng_stop, 0.0, open_low=True)
         if self.beta_schedule not in ("inv_sqrt", "constant"):

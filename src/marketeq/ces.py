@@ -8,7 +8,7 @@ into four regimes with their own closed forms:
 * cobb-douglas (alpha = 0):  log u = (1/v_t) sum_j v_j log x_j, v_t = sum_j v_j
 * leontief (alpha = -inf):   u = min_j v_j x_j
 
-All utilities are homogeneous of degree 1 in the bundle.  The utility
+All utilities are homogeneous of degree 1 in the bundle.  The log-utility
 functions broadcast over leading axes, so a single buyer is shape (m,) and a
 batch is (n, m); the fixed-price kernels take a batch.
 """
@@ -262,33 +262,10 @@ def _logsumexp_weights(a):
     return hi + np.log(total), total, hi
 
 
-def utility(values, bundle, spec: CesSpec):
-    """u(bundle) >= 0 for the given regime."""
-    values, bundle, _ = _check_bundle(values, bundle)
-    if spec.regime is Regime.LINEAR:
-        return _sum_last(values * bundle)
-    if spec.regime is Regime.LEONTIEF:
-        return np.min(values * bundle, axis=-1)
-    return np.exp(log_utility(values, bundle, spec))
-
-
-def utility_gradient(values, bundle, spec: CesSpec):
-    """Marginal utilities du/dx_j = u d log u / dx_j.
-
-    General and cobb-douglas require a strictly positive bundle (the gradient
-    is singular on the boundary).  Leontief returns the subgradient
-    concentrated on the lowest index attaining the min.  At a zero utility
-    (linear, leontief) d log u / dx is infinite and the product is NaN.
-    """
-    return log_utility_gradient(values, bundle, spec) * utility(values, bundle, spec)[..., None]
-
-
 def log_utility_gradient(values, bundle, spec: CesSpec):
-    """d log u / dx_j, the solver-facing form of the marginal utilities.
-
-    Equals utility_gradient / u; cheaper and better conditioned for the
-    stationarity checks and the Lagrangian gradients.  A boundary bundle is
-    an InvalidArgument where the gradient is singular there.
+    """d log u / dx_j, the marginal utilities divided by u: the form the
+    stationarity checks and the Lagrangian gradients use.  A boundary bundle
+    is an InvalidArgument where the gradient is singular there.
     """
     grad = _log_utility_terms(values, bundle, spec, grad=True)[1]
     if grad is None:
@@ -394,9 +371,7 @@ def regime_supports_gradient(spec: CesSpec) -> bool:
 __all__ = [
     "Regime",
     "CesSpec",
-    "utility",
     "log_utility",
-    "utility_gradient",
     "log_utility_gradient",
     "log_utility_and_gradient",
     "fixed_price_log_utility_matrix",

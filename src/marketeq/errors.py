@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the range check of numeric settings."""
+"""Exception types shared across the package, and the checks of numeric settings."""
 
 import math
+
+import numpy as np
 
 
 class MarketEqError(Exception):
@@ -56,3 +58,11 @@ def check_range(name: str, value, low: float, high: float = math.inf, *, open_lo
     if not (low < value < high if open_low else low <= value < high):
         raise InvalidArgument(
             f"{name} must lie in {'(' if open_low else '['}{low:g}, {high:g}), got {value!r}")
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise InvalidArgument unless `value` is an int or numpy integer (a bool
+    is not) of at least `low`.  The one check of a count or seed."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    check_range(name, value, low)

@@ -3,9 +3,9 @@
 A market holds n buyer contexts and m good contexts in R^k.  Budgets, values
 and supplies are derived, not stored:
 
-* budget(b)      = ||b||_2
-* valuation(b,g) = softplus(<b, g>)
-* supply Y_j     = n by default (one unit per buyer), overridable.
+* budget B_i  = ||b_i||_2
+* value v_ij   = softplus(<b_i, g_j>)
+* supply Y_j   = n by default (one unit per buyer), overridable.
 
 Context generation is counter-based: each entity consumes a fixed block of the
 underlying random stream (k draws per entity, buyers and goods on separate
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ces import CesSpec, Regime, _row_chunks
-from .errors import DegenerateBudget, InvalidArgument, check_range
+from .errors import DegenerateBudget, InvalidArgument, check_integer
 
 
 class ContextDistribution(enum.Enum):
@@ -64,26 +64,6 @@ def softplus_and_slope(z, out=None):
     e += 1.0
     slope /= e
     return value, slope
-
-
-def budget(b) -> float:
-    """Euclidean norm of a buyer context; must be strictly positive."""
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise InvalidArgument("buyer context must be finite")
-    value = float(np.linalg.norm(b))
-    if value <= 0.0:
-        raise DegenerateBudget("buyer context has zero norm, budget must be > 0")
-    return value
-
-
-def valuation(b, g) -> float:
-    """softplus(<b, g>) > 0; contexts must share a dimension."""
-    b = np.asarray(b, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if b.shape != g.shape:
-        raise InvalidArgument(f"context dimension mismatch: {b.shape} vs {g.shape}")
-    return float(softplus(np.dot(b, g)))
 
 
 def _sample_contexts(seed_seq: np.random.SeedSequence, count: int, k: int, dist: ContextDistribution):
@@ -178,11 +158,6 @@ class Market:
             h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
         return h.hexdigest()
 
-    def supply(self, j: int) -> float:
-        if not 0 <= j < self.m:
-            raise InvalidArgument(f"good index {j} out of range for m={self.m}")
-        return float(self.supplies[j])
-
     def to_json(self, include_contexts: bool = False) -> dict:
         doc = {
             "version": 1,
@@ -239,14 +214,12 @@ def read_json(path):
 
 
 def check_recipe(n: int, m: int, k: int, seed: int | None) -> None:
-    """Reject a count or seed that is not an int or numpy integer (a bool is not), a
-    count below 1 and a negative seed; `seed` is None for a market given by its contexts."""
-    for name, value, low in (("n", n, 1), ("m", m, 1), ("k", k, 1), ("seed", seed, 0)):
-        if value is None and name == "seed":
-            continue
-        if type(value) is not int and not isinstance(value, np.integer):
-            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-        check_range(name, value, low)
+    """Reject a count below 1 and a negative seed, or either not an integer
+    (`check_integer`); `seed` is None for a market given by its contexts."""
+    for name, value, low in (("n", n, 1), ("m", m, 1), ("k", k, 1)):
+        check_integer(name, value, low)
+    if seed is not None:
+        check_integer("seed", seed, 0)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -277,8 +250,6 @@ def generate_market(
 __all__ = [
     "ContextDistribution",
     "Market",
-    "budget",
-    "valuation",
     "check_recipe",
     "softplus",
     "softplus_and_slope",

@@ -13,16 +13,12 @@ per layer writes the weight and bias gradients together.
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
 from .market import softplus, softplus_and_slope
-
-CHECKPOINT_VERSION = 1
-_CHECKPOINT_KEYS = ("version", "context_dim", "hidden_depth", "hidden_width", "params")
 
 # Adam's moment decay rates and denominator guard, fixed for every run
 ADAM_BETA1 = 0.9
@@ -280,7 +276,7 @@ class AllocationNet:
                 delta = np.multiply(out, mask, out=out)
         return flat
 
-    # ---- flat parameter view (checkpoints, finite differences) -------------
+    # ---- flat parameter view (solution files, finite differences) ----------
 
     def get_flat(self) -> np.ndarray:
         """A copy of all parameters, layer by layer (weights, then biases)."""
@@ -291,38 +287,6 @@ class AllocationNet:
         if flat.shape != (self.n_params,):
             raise InvalidArgument(f"expected {self.n_params} parameters, got {flat.shape}")
         self._params[...] = flat
-
-
-def save_checkpoint(path, net: AllocationNet, **arrays) -> None:
-    """Write the net's architecture and parameters, then `arrays` by name,
-    as one versioned .npz file (the format of every marketeq checkpoint)."""
-    np.savez(path, version=CHECKPOINT_VERSION, context_dim=net.context_dim,
-             hidden_depth=net.hidden_depth, hidden_width=net.hidden_width,
-             params=net.get_flat(), **arrays)
-
-
-def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (net, every array in the file by name).
-
-    Raises InvalidArgument unless the file is a marketeq checkpoint with finite parameters."""
-    try:
-        with np.load(path) as blob:
-            arrays = dict(blob)
-    except (ValueError, TypeError, zipfile.BadZipFile) as err:
-        # text or pickled data, a bare .npy array, or a damaged archive
-        raise InvalidArgument(f"{path} is not a marketeq checkpoint (.npz archive)") from err
-    missing = [key for key in _CHECKPOINT_KEYS if key not in arrays]
-    if missing:
-        raise InvalidArgument(f"{path} is not a marketeq checkpoint: it lacks {missing}")
-    if int(arrays["version"]) != CHECKPOINT_VERSION:
-        raise InvalidArgument(f"unsupported checkpoint version {arrays['version']}")
-    net = AllocationNet.initialize(
-        int(arrays["context_dim"]), int(arrays["hidden_depth"]), int(arrays["hidden_width"])
-    )
-    net.set_flat(arrays["params"])
-    if not np.all(np.isfinite(net._params)):
-        raise InvalidArgument(f"{path} holds non-finite network parameters")
-    return net, arrays
 
 
 @dataclass
@@ -367,5 +331,4 @@ def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
     net._params -= update
 
 
-__all__ = ["AllocationNet", "AdamState", "adam_step",
-           "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]
+__all__ = ["AllocationNet", "AdamState", "adam_step"]

@@ -75,18 +75,6 @@ def cobb_douglas_equilibrium(market: Market) -> OracleResult:
     return _certify(market, x, p, max_ng=1e-10, max_kkt=1e-8, method="closed-form")
 
 
-def single_pair_equilibrium(market: Market) -> OracleResult:
-    """Degenerate 1x1 equilibrium: the buyer takes the whole supply at p = B/Y."""
-    if market.n != 1 or market.m != 1:
-        raise InvalidArgument("single-pair oracle requires n = m = 1")
-    y = market.supplies[0]
-    b = market.total_budget
-    x = np.array([[y]])
-    p = np.array([b / y])
-    max_kkt = 1e-10 if ces.regime_supports_gradient(market.ces) else None
-    return _certify(market, x, p, max_ng=1e-12, max_kkt=max_kkt, method="closed-form")
-
-
 def numeric_equilibrium(market: Market) -> OracleResult:
     """High-precision EG-momentum solve, certified before returning.
 
@@ -173,7 +161,6 @@ def _snap_dominated(market: Market, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 __all__ = [
     "OracleResult",
     "cobb_douglas_equilibrium",
-    "single_pair_equilibrium",
     "numeric_equilibrium",
     "MAX_NUMERIC_BUYERS",
     "MAX_NUMERIC_GOODS",

@@ -18,17 +18,20 @@ from __future__ import annotations
 import csv
 import math
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, NumericFailure, check_range
+from .errors import InvalidArgument, NumericFailure, check_integer, check_range
 from .market import Market
-from .net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
+from .net import AdamState, AllocationNet, adam_step
 
 CURVE_COLUMNS = ("epoch", "ng", "voa", "vop", "loss")
+SOLUTION_VERSION = 1
+_HEADER_KEYS = ("version", "context_dim", "hidden_depth", "hidden_width")
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size_loss", "inner_iters", "epochs", "hidden_width", "hidden_depth"):
-            check_range(name, getattr(self, name), 1)
+            check_integer(name, getattr(self, name), 1)
         check_range("rho", self.rho, 0.0, open_low=True)
         check_range("learning_rate", self.learning_rate, 0.0, open_low=True)
         if self.batch_size_multiplier is not None:
-            check_range("batch_size_multiplier", self.batch_size_multiplier, 1)
-        check_range("seed", self.seed, 0)
+            check_integer("batch_size_multiplier", self.batch_size_multiplier, 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -89,28 +92,21 @@ class TrainHistory:
             for rec in self.records:
                 writer.writerow([rec.epoch, repr(rec.ng), repr(rec.voa), repr(rec.vop), repr(rec.loss)])
 
-    def to_json(self) -> list:
-        return [
-            {
-                "epoch": rec.epoch, "loss": rec.loss, "ng": rec.ng, "voa": rec.voa, "vop": rec.vop,
-                "train_seconds": rec.train_seconds, "eval_seconds": rec.eval_seconds,
-            }
-            for rec in self.records
-        ]
-
 
 def _norm_supply(market: Market) -> np.ndarray:
     # per-buyer normalized supply Y_j / n; identically 1 under the default
     return market.supplies / market.n
 
 
-def estimate_lagrangian_terms(net: AllocationNet, multipliers, rho: float,
-                              buyer_idx: np.ndarray, market: Market):
-    """(objective, multiplier, quadratic) terms of the minibatch Lagrangian estimate.
+def lagrangian_step(net: AllocationNet, multipliers, rho: float, buyer_idx, market: Market):
+    """One training step's minibatch Lagrangian: ((objective, multiplier,
+    quadratic) terms of the unbiased estimate, flat parameter gradient of
+    their sum), laid out like `net.get_flat()`.
 
     `buyer_idx` holds the market indices of 2M sampled buyers; the two halves
     must be independent draws.  Only the first half feeds the objective and
-    multiplier terms.
+    multiplier terms.  `train` takes this step, and the unbiasedness and
+    gradient checks test it.
     """
     buyer_idx = np.asarray(buyer_idx)
     if buyer_idx.ndim != 1 or buyer_idx.size == 0 or buyer_idx.size % 2 != 0:
@@ -119,22 +115,15 @@ def estimate_lagrangian_terms(net: AllocationNet, multipliers, rho: float,
         raise InvalidArgument(f"buyer indices must be integers, got dtype {buyer_idx.dtype}")
     if buyer_idx.min() < 0 or buyer_idx.max() >= market.n:
         raise InvalidArgument(f"buyer indices must lie in [0, {market.n})")
-    x_hat = net.forward_batch(market.buyers[buyer_idx], market.goods)
-    terms, _ = _lagrangian_terms_from_outputs(x_hat, buyer_idx, np.asarray(multipliers, float),
-                                              rho, market, want_grad=False)
-    return terms
+    x_hat, cache = net.forward_step(market.buyers[buyer_idx], market.goods)
+    terms, grad_x = _lagrangian_terms_from_outputs(
+        x_hat, buyer_idx, np.asarray(multipliers, dtype=float), rho, market)
+    return terms, net.backward(cache, grad_x.reshape(-1))
 
 
-def estimate_lagrangian(net: AllocationNet, multipliers, rho: float,
-                        buyer_idx: np.ndarray, market: Market) -> float:
-    """Unbiased minibatch estimate of the penalized Lagrangian."""
-    obj, mult, quad = estimate_lagrangian_terms(net, multipliers, rho, buyer_idx, market)
-    return obj + mult + quad
-
-
-def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad):
-    """Shared core: terms (and optionally d/dx_hat) of the 2M-sample estimate
-    on the outputs `x_hat` of the buyers `buyer_idx`."""
+def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market):
+    """Terms and d/dx_hat of the 2M-sample estimate on the outputs `x_hat`
+    of the buyers `buyer_idx`."""
     two_m = x_hat.shape[0]
     half = two_m // 2
     # only the first half's budgets and values enter the estimate
@@ -144,10 +133,7 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad
     x_phys = x_hat * y_norm  # physical bundles; identical to x_hat by default
     x1, x2 = x_hat[:half], x_hat[half:]
 
-    if want_grad:
-        log_u, dlog_u = ces.log_utility_and_gradient(values, x_phys[:half], market.ces)
-    else:
-        log_u = ces.log_utility(values, x_phys[:half], market.ces)
+    log_u, dlog_u = ces.log_utility_and_gradient(values, x_phys[:half], market.ces)
     if not np.all(np.isfinite(log_u)):
         raise NumericFailure("a sampled buyer has zero or non-finite utility")
     obj = -float(budgets @ log_u) / half
@@ -156,8 +142,6 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad
     quad = rho / (2.0 * half) * float(np.sum((x1 - 1.0) * (x2 - 1.0)))
     if not np.isfinite(obj + mult + quad):
         raise NumericFailure("the Lagrangian estimate overflowed")
-    if not want_grad:
-        return (obj, mult, quad), None
     if dlog_u is None:
         # a bundle on the boundary: zero utility and overflow outrank it
         raise InvalidArgument(ces._SINGULAR_GRADIENT)
@@ -170,25 +154,6 @@ def _lagrangian_terms_from_outputs(x_hat, buyer_idx, lam, rho, market, want_grad
     )
     grad[half:] = rho / (2.0 * half) * (x1 - 1.0)
     return (obj, mult, quad), grad
-
-
-def exact_lagrangian_terms(net: AllocationNet, multipliers, rho: float, market: Market):
-    """(objective, multiplier, quadratic) terms of the full-population Lagrangian."""
-    lam = np.asarray(multipliers, dtype=float)
-    x_hat = net.forward_batch(market.buyers, market.goods)
-    x_phys = x_hat * _norm_supply(market)
-    log_u = ces.log_utility(market.values, x_phys, market.ces)
-    if not np.all(np.isfinite(log_u)):
-        raise NumericFailure("a buyer has zero or non-finite utility")
-    obj = -float(market.budgets @ log_u) / market.n
-    resid = x_hat.mean(axis=0) - 1.0
-    return obj, float(lam @ resid), rho / 2.0 * float(np.sum(resid * resid))
-
-
-def exact_lagrangian(net: AllocationNet, multipliers, rho: float, market: Market) -> float:
-    """Deterministic full-enumeration Lagrangian; the unbiasedness reference."""
-    obj, mult, quad = exact_lagrangian_terms(net, multipliers, rho, market)
-    return obj + mult + quad
 
 
 def multiplier_update(multipliers, allocation, rho: float, beta_t: float) -> np.ndarray:
@@ -225,11 +190,9 @@ def train(market: Market, config: TrainConfig):
             loss_sum = 0.0
             for _ in range(config.inner_iters):
                 idx = sampler.integers(0, market.n, size=2 * half)
-                x_hat, cache = net.forward_step(market.buyers[idx], market.goods)
-                terms, grad_x = _lagrangian_terms_from_outputs(
-                    x_hat, idx, lam, config.rho, market, want_grad=True)
+                terms, grad = lagrangian_step(net, lam, config.rho, idx, market)
                 loss_sum += sum(terms)
-                adam_step(adam, net, net.backward(cache, grad_x.reshape(-1)))
+                adam_step(adam, net, grad)
             train_seconds = time.perf_counter() - t_start
 
             t_eval = time.perf_counter()
@@ -281,19 +244,38 @@ def solution_pair(allocation, multipliers, market: Market):
 
 
 def save_solution(path, net: AllocationNet, multipliers) -> None:
-    """Checkpoint the trained pair (network, multipliers) as one .npz blob."""
-    save_checkpoint(path, net, multipliers=np.asarray(multipliers, dtype=float))
+    """Write the trained pair as one versioned .npz file: the header (version
+    and architecture), the flat parameters, then the multipliers."""
+    np.savez(path, version=SOLUTION_VERSION, context_dim=net.context_dim,
+             hidden_depth=net.hidden_depth, hidden_width=net.hidden_width,
+             params=net.get_flat(), multipliers=np.asarray(multipliers, dtype=float))
 
 
 def load_solution(path):
     """Inverse of save_solution; returns (net, multipliers).
 
-    Raises InvalidArgument unless the file is a marketeq solution with finite multipliers."""
-    net, arrays = load_checkpoint(path)
-    if "multipliers" not in arrays:
-        raise InvalidArgument(f"{path} is a checkpoint without multipliers, not a solution")
-    if not np.all(np.isfinite(arrays["multipliers"])):
-        raise InvalidArgument(f"{path} holds non-finite multipliers")
+    Raises InvalidArgument unless the file is a marketeq solution: every
+    header field an integer scalar, and finite numeric parameters and
+    multipliers."""
+    try:
+        with np.load(path) as blob:
+            arrays = dict(blob)
+    except (ValueError, TypeError, zipfile.BadZipFile) as err:
+        # text or pickled data, a bare .npy array, or a damaged archive
+        raise InvalidArgument(f"{path} is not a marketeq solution (.npz archive)") from err
+    missing = [key for key in _HEADER_KEYS + ("params", "multipliers") if key not in arrays]
+    if missing:
+        raise InvalidArgument(f"{path} is not a marketeq solution: it lacks {missing}")
+    for key in _HEADER_KEYS:
+        if arrays[key].shape != () or arrays[key].dtype.kind not in "iu":
+            raise InvalidArgument(f"{path}: {key} must be an integer scalar, got {arrays[key]!r}")
+    if int(arrays["version"]) != SOLUTION_VERSION:
+        raise InvalidArgument(f"unsupported solution version {arrays['version']}")
+    for key in ("params", "multipliers"):
+        if arrays[key].dtype.kind not in "iuf" or not np.all(np.isfinite(arrays[key])):
+            raise InvalidArgument(f"{path} holds non-numeric or non-finite {key}")
+    net = AllocationNet.initialize(*(int(arrays[key]) for key in _HEADER_KEYS[1:]))
+    net.set_flat(arrays["params"])
     return net, arrays["multipliers"]
 
 
@@ -310,10 +292,7 @@ __all__ = [
     "TrainHistory",
     "EpochRecord",
     "CURVE_COLUMNS",
-    "estimate_lagrangian",
-    "estimate_lagrangian_terms",
-    "exact_lagrangian",
-    "exact_lagrangian_terms",
+    "lagrangian_step",
     "multiplier_update",
     "solution_pair",
     "train",

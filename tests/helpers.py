@@ -1,10 +1,12 @@
-"""Shared test fixtures: hand-built markets with exact value/budget matrices."""
+"""Shared test fixtures: hand-built markets with exact value/budget matrices,
+and the references the package is checked against."""
 
 import tracemalloc
 
 import numpy as np
 
-from marketeq.ces import CesSpec
+from marketeq import ces, oracle
+from marketeq.ces import CesSpec, Regime
 from marketeq.market import ContextDistribution, Market, generate_market
 
 
@@ -58,3 +60,58 @@ ALL_SPECS = [
     CesSpec.general(-1.0),
     CesSpec.leontief(),
 ]
+
+
+def budget(b) -> float:
+    """||b||_2, the reference for `Market.budgets`."""
+    return float(np.linalg.norm(np.asarray(b, dtype=float)))
+
+
+def valuation(b, g) -> float:
+    """log(1 + exp(<b, g>)), the reference for `Market.values`."""
+    return float(np.logaddexp(0.0, np.dot(b, g)))
+
+
+def utility(values, bundle, spec):
+    """u(bundle), each regime's formula written out directly: the reference
+    the log-utility and fixed-price kernels are checked against.  Broadcasts
+    over leading axes."""
+    values = np.asarray(values, dtype=float)
+    bundle = np.asarray(bundle, dtype=float)
+    if spec.regime is Regime.LINEAR:
+        return np.sum(values * bundle, axis=-1)
+    if spec.regime is Regime.LEONTIEF:
+        return np.min(values * bundle, axis=-1)
+    if spec.regime is Regime.COBB_DOUGLAS:
+        return np.prod(bundle ** (values / np.sum(values, axis=-1, keepdims=True)), axis=-1)
+    with np.errstate(divide="ignore"):  # 0 ** alpha is inf for alpha < 0, so u = 0
+        return np.sum((values * bundle) ** spec.alpha, axis=-1) ** (1.0 / spec.alpha)
+
+
+def utility_gradient(values, bundle, spec):
+    """Marginal utilities du/dx_j = u d log u / dx_j, from `ces.log_utility_gradient`
+    and the reference `utility`; InvalidArgument where that gradient is singular."""
+    return ces.log_utility_gradient(values, bundle, spec) * utility(values, bundle, spec)[..., None]
+
+
+def exact_lagrangian_terms(net, multipliers, rho, market):
+    """(objective, multiplier, quadratic) terms of the full-population
+    Lagrangian: the value the minibatch estimate is unbiased for."""
+    lam = np.asarray(multipliers, dtype=float)
+    x_hat = net.forward_batch(market.buyers, market.goods)
+    log_u = ces.log_utility(market.values, x_hat * (market.supplies / market.n), market.ces)
+    assert np.all(np.isfinite(log_u))
+    resid = x_hat.mean(axis=0) - 1.0
+    return (-float(market.budgets @ log_u) / market.n, float(lam @ resid),
+            rho / 2.0 * float(np.sum(resid * resid)))
+
+
+def single_pair_equilibrium(market):
+    """The 1x1 market's equilibrium: the buyer takes the whole supply Y at
+    p = B/Y.  Certified as the oracle certifies a closed form, with NG within
+    1e-12, KKT within 1e-10 where the regime has a gradient, and the price
+    identity to 1e-8; returns the `oracle.OracleResult`."""
+    assert (market.n, market.m) == (1, 1)
+    y = market.supplies[0]
+    x, p = np.array([[y]]), np.array([market.total_budget / y])
+    return oracle._certify(market, x, p, max_ng=1e-12, max_kkt=1e-10, method="closed-form")

@@ -17,20 +17,10 @@ from marketeq.ces import CesSpec
 from marketeq.harness import ExperimentConfig, MarketSpec, run_experiment
 from marketeq.market import ContextDistribution, generate_market
 from marketeq.net import AllocationNet
-from marketeq.oracle import (
-    cobb_douglas_equilibrium,
-    numeric_equilibrium,
-    single_pair_equilibrium,
-)
-from marketeq.trainer import (
-    TrainConfig,
-    estimate_lagrangian,
-    estimate_lagrangian_terms,
-    exact_lagrangian_terms,
-    train,
-)
+from marketeq.oracle import cobb_douglas_equilibrium, numeric_equilibrium
+from marketeq.trainer import TrainConfig, lagrangian_step, train
 
-from helpers import market_from_values
+from helpers import exact_lagrangian_terms, market_from_values, single_pair_equilibrium, utility
 
 DESK_MARKET = MarketSpec(n=4096, m=5, k=5, dist="normal", alpha=0.5, seed=20260808)
 DESK_FCNET = TrainConfig(batch_size_loss=256, hidden_width=128, hidden_depth=3,
@@ -96,10 +86,10 @@ def test_criterion_1_closed_form_certification():
             x = ces.demand_matrix(*one)[0]
             u_star = float(np.exp(ces.fixed_price_log_utility_matrix(*one)[0]))
             bundles = rng.dirichlet(np.ones(m), size=500) * budget / prices
-            best_random = float(np.max(ces.utility(values, bundles, spec)))
+            best_random = float(np.max(utility(values, bundles, spec)))
             checks = (
                 best_random <= u_star + 1e-9 * max(1.0, u_star),
-                abs(float(ces.utility(values, x, spec)) - u_star) <= 1e-8 * u_star,
+                abs(float(utility(values, x, spec)) - u_star) <= 1e-8 * u_star,
                 abs(float(prices @ x) - budget) <= 1e-10 * budget,
             )
             if not all(checks):
@@ -122,7 +112,7 @@ def test_criterion_2_estimator_unbiasedness():
         total = np.zeros(3)
         count = 0
         for i, j in itertools.product(range(n), repeat=2):
-            total += estimate_lagrangian_terms(net, lam, rho, np.array([i, j]), market)
+            total += lagrangian_step(net, lam, rho, np.array([i, j]), market)[0]
             count += 1
         exact = np.array(exact_lagrangian_terms(net, lam, rho, market))
         worst_err = max(worst_err, float(np.max(np.abs(total / count - exact))))
@@ -139,11 +129,7 @@ def test_criterion_3_gradient_correctness():
     lam = rng.uniform(0.5, 2.0, size=market.m)
     rho = 0.2
     idx = rng.integers(0, market.n, size=32)
-    from marketeq.trainer import _lagrangian_terms_from_outputs
-
-    x_hat, cache = net.forward_step(market.buyers[idx], market.goods)
-    _, grad_x = _lagrangian_terms_from_outputs(x_hat, idx, lam, rho, market, want_grad=True)
-    flat_grad = net.backward(cache, grad_x.reshape(-1))
+    _, flat_grad = lagrangian_step(net, lam, rho, idx, market)
 
     params = net.get_flat()
     h = 1e-5
@@ -153,10 +139,10 @@ def test_criterion_3_gradient_correctness():
         bumped = params.copy()
         bumped[pick] += h
         net.set_flat(bumped)
-        up = estimate_lagrangian(net, lam, rho, idx, market)
+        up = sum(lagrangian_step(net, lam, rho, idx, market)[0])
         bumped[pick] -= 2 * h
         net.set_flat(bumped)
-        down = estimate_lagrangian(net, lam, rho, idx, market)
+        down = sum(lagrangian_step(net, lam, rho, idx, market)[0])
         net.set_flat(params)
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(flat_grad[pick] - fd) / max(1e-6, abs(flat_grad[pick]), abs(fd)))

@@ -6,7 +6,7 @@ from marketeq import ces
 from marketeq.ces import CesSpec, Regime
 from marketeq.errors import ConditioningWarning, InvalidArgument, InvalidPrices
 
-from helpers import ALL_SPECS, peak_bytes, random_problem
+from helpers import ALL_SPECS, peak_bytes, random_problem, utility, utility_gradient
 
 
 def test_spec_construction():
@@ -39,38 +39,46 @@ def test_spec_construction():
         CesSpec.general(1.0 - 1e-9)
 
 
+def utilities(values, bundle, spec):
+    """u from the package's log utility and from the reference formula."""
+    return np.exp(ces.log_utility(values, bundle, spec)), utility(values, bundle, spec)
+
+
 def test_utility_unit_symmetric_half():
     # (1^0.5 + 1^0.5)^2 = 4
-    assert ces.utility([1.0, 1.0], [1.0, 1.0], CesSpec.general(0.5)) == pytest.approx(4.0)
+    for u in utilities([1.0, 1.0], [1.0, 1.0], CesSpec.general(0.5)):
+        assert u == pytest.approx(4.0)
 
 
 def test_utility_leontief_zero():
-    assert ces.utility([2.0, 3.0], [1.0, 0.0], CesSpec.leontief()) == 0.0
+    for u in utilities([2.0, 3.0], [1.0, 0.0], CesSpec.leontief()):
+        assert u == 0.0
 
 
 def test_utility_cobb_douglas_value():
     # exp((1*log2 + 2*log1)/3) = 2^(1/3)
-    u = ces.utility([1.0, 2.0], [2.0, 1.0], CesSpec.cobb_douglas())
-    assert u == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    for u in utilities([1.0, 2.0], [2.0, 1.0], CesSpec.cobb_douglas()):
+        assert u == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_utility_zero_bundle_conventions():
     x = np.array([1.0, 0.0])
     v = np.array([1.0, 1.0])
-    assert ces.utility(v, x, CesSpec.general(-1.0)) == 0.0
-    assert ces.utility(v, x, CesSpec.cobb_douglas()) == 0.0
-    assert ces.utility(v, x, CesSpec.general(0.5)) == pytest.approx(1.0)
-    assert ces.utility(v, x, CesSpec.linear()) == pytest.approx(1.0)
+    for kind in range(2):  # the package's, then the reference
+        assert utilities(v, x, CesSpec.general(-1.0))[kind] == 0.0
+        assert utilities(v, x, CesSpec.cobb_douglas())[kind] == 0.0
+        assert utilities(v, x, CesSpec.general(0.5))[kind] == pytest.approx(1.0)
+        assert utilities(v, x, CesSpec.linear())[kind] == pytest.approx(1.0)
     assert np.isneginf(ces.log_utility(v, x, CesSpec.cobb_douglas()))
 
 
 def test_utility_rejects_negative_bundle():
     with pytest.raises(InvalidArgument):
-        ces.utility([1.0, 1.0], [1.0, -0.1], CesSpec.linear())
+        ces.log_utility([1.0, 1.0], [1.0, -0.1], CesSpec.linear())
 
 
 def test_gradient_linear():
-    grad = ces.utility_gradient([1.0, 1.0], [1.0, 1.0], CesSpec.linear())
+    grad = utility_gradient([1.0, 1.0], [1.0, 1.0], CesSpec.linear())
     np.testing.assert_allclose(grad, [1.0, 1.0])
 
 
@@ -78,27 +86,27 @@ def test_gradient_half_euler():
     spec = CesSpec.general(0.5)
     v = np.array([1.0, 1.0])
     x = np.array([1.0, 1.0])
-    u = float(ces.utility(v, x, spec))
-    grad = ces.utility_gradient(v, x, spec)
+    u = float(utility(v, x, spec))
+    grad = utility_gradient(v, x, spec)
     assert u == pytest.approx(4.0, rel=1e-12)
     assert float(grad @ x) == pytest.approx(u, rel=1e-12)  # Euler: <grad, x> = u
 
 
 def test_gradient_leontief_unique_min():
     # min attained at index 1 only -> subgradient (0, v_1)
-    grad = ces.utility_gradient([1.0, 2.0], [4.0, 1.0], CesSpec.leontief())
+    grad = utility_gradient([1.0, 2.0], [4.0, 1.0], CesSpec.leontief())
     np.testing.assert_allclose(grad, [0.0, 2.0])
 
 
 def test_gradient_leontief_tie_lowest_index():
-    grad = ces.utility_gradient([1.0, 1.0], [1.0, 1.0], CesSpec.leontief())
+    grad = utility_gradient([1.0, 1.0], [1.0, 1.0], CesSpec.leontief())
     np.testing.assert_allclose(grad, [1.0, 0.0])
 
 
 def test_gradient_boundary_raises():
     for spec in (CesSpec.general(0.5), CesSpec.cobb_douglas()):
         with pytest.raises(InvalidArgument):
-            ces.utility_gradient([1.0, 1.0], [1.0, 0.0], spec)
+            utility_gradient([1.0, 1.0], [1.0, 0.0], spec)
 
 
 @pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.general(-1.0), CesSpec.cobb_douglas()])
@@ -109,11 +117,11 @@ def test_gradient_matches_finite_differences(spec):
         m = int(rng.integers(2, 6))
         v = np.exp(rng.uniform(-1, 1, m))
         x = np.exp(rng.uniform(-1, 1, m))
-        grad = ces.utility_gradient(v, x, spec)
+        grad = utility_gradient(v, x, spec)
         for j in range(m):
             e = np.zeros(m)
             e[j] = h
-            fd = (ces.utility(v, x + e, spec) - ces.utility(v, x - e, spec)) / (2 * h)
+            fd = (utility(v, x + e, spec) - utility(v, x - e, spec)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5)
 
 
@@ -124,8 +132,8 @@ def test_euler_identity_interior():
             m = int(rng.integers(2, 7))
             v = np.exp(rng.uniform(-2, 2, m))
             x = np.exp(rng.uniform(-2, 2, m))
-            u = ces.utility(v, x, spec)
-            grad = ces.utility_gradient(v, x, spec)
+            u = utility(v, x, spec)
+            grad = utility_gradient(v, x, spec)
             assert float(grad @ x) == pytest.approx(float(u), rel=1e-8)
 
 
@@ -136,12 +144,12 @@ def test_homogeneity():
             m = int(rng.integers(2, 7))
             v = np.exp(rng.uniform(-2, 2, m))
             x = np.exp(rng.uniform(-2, 2, m))
-            u = ces.utility(v, x, spec)
-            for lam in (0.5, 2.0, 10.0):
-                scaled = ces.utility(v, lam * x, spec)
-                assert scaled == pytest.approx(lam * u, rel=1e-12)
-                # relative, without approx's 1e-12 absolute floor
-                assert abs(scaled - lam * u) <= 1e-12 * lam * u
+            for kind, u in enumerate(utilities(v, x, spec)):
+                for lam in (0.5, 2.0, 10.0):
+                    scaled = utilities(v, lam * x, spec)[kind]
+                    assert scaled == pytest.approx(lam * u, rel=1e-12)
+                    # relative, without approx's 1e-12 absolute floor
+                    assert abs(scaled - lam * u) <= 1e-12 * lam * u
 
 
 def one_buyer(kernel, values, budget, prices, spec):
@@ -174,7 +182,7 @@ def test_fixed_price_half_matches_numeric_maximizer():
     assert got == pytest.approx(np.log(2.0), rel=1e-12)
     # independent constrained maximizer over the budget hyperplane
     res = minimize(
-        lambda x: -ces.utility(values, np.abs(x), spec),
+        lambda x: -utility(values, np.abs(x), spec),
         x0=np.array([0.4, 0.6]),
         constraints={"type": "eq", "fun": lambda x: prices @ np.abs(x) - budget},
     )
@@ -232,12 +240,12 @@ def test_demand_consistency_and_optimality(spec):
         # budget exhaustion
         assert float(prices @ x) == pytest.approx(budget, rel=1e-10)
         # indirect utility consistency
-        assert float(ces.utility(values, x, spec)) == pytest.approx(
+        assert float(utility(values, x, spec)) == pytest.approx(
             float(np.exp(log_u_star)), rel=1e-8)
         # no random feasible bundle does better
         shares = rng.dirichlet(np.ones(m), size=100)
         bundles = shares * budget / prices
-        best = float(np.max(ces.utility(values, bundles, spec)))
+        best = float(np.max(utility(values, bundles, spec)))
         assert best <= np.exp(log_u_star) + 1e-9
 
 
@@ -472,7 +480,7 @@ def test_kernels_do_not_depend_on_layout(spec, m):
         log_u, grad = ces.log_utility_and_gradient(v, x, spec)
         demand = ces.demand_matrix(v, budgets, prices, spec)
         assert demand.flags.c_contiguous
-        return [ces.log_utility(v, x, spec), log_u, grad, ces.utility(v, x, spec),
+        return [ces.log_utility(v, x, spec), log_u, grad,
                 ces.fixed_price_log_utility_matrix(v, budgets, prices, spec), demand]
 
     expected = results(values, bundle)

@@ -19,7 +19,7 @@ from marketeq.harness import (
 )
 from marketeq.market import ContextDistribution, Market
 from marketeq.metrics import EquilibriumCandidate
-from marketeq.net import AllocationNet, save_checkpoint
+from marketeq.net import AllocationNet
 from marketeq.trainer import TrainConfig, load_solution, save_solution
 
 from helpers import market_from_values
@@ -124,6 +124,14 @@ def test_experiment_config_validation(tmp_path):
     (EgConfig, "beta_scale", -1.0),
     (EgConfig, "beta_scale", math.nan),
     (EgConfig, "beta_scale", math.inf),
+    (TrainConfig, "epochs", 2.5),
+    (TrainConfig, "seed", 1.5),
+    (TrainConfig, "batch_size_loss", 4.5),
+    (TrainConfig, "epochs", True),
+    (TrainConfig, "batch_size_multiplier", 8.0),
+    (EgConfig, "epochs", 2.5),
+    (EgConfig, "inner_iters", 3.5),
+    (EgConfig, "epochs", True),
 ])
 def test_configs_reject_unusable_step_sizes(make, field, value):
     with pytest.raises(InvalidArgument):
@@ -388,9 +396,27 @@ def test_cli_rejects_bad_ng_thresholds(tmp_path, capsys, monkeypatch):
         assert "invalid arguments" in capsys.readouterr().err
 
 
-def _write_epoch_snapshot_without_multipliers(path):
+def _solution_arrays(**changes):
     net = AllocationNet.initialize(3, 2, 4, seed=0)
-    save_checkpoint(path, net, opt_m=np.zeros(net.n_params), opt_step=3)
+    arrays = dict(version=1, context_dim=3, hidden_depth=2, hidden_width=4,
+                  params=net.get_flat(), multipliers=np.ones(2))
+    return {name: value for name, value in (arrays | changes).items() if value is not None}
+
+
+def _write_epoch_snapshot_without_multipliers(path):
+    np.savez(path, **_solution_arrays(multipliers=None, opt_step=3))
+
+
+def _write_vector_context_dim(path):
+    np.savez(path, **_solution_arrays(context_dim=np.array([3, 3])))
+
+
+def _write_word_version(path):
+    np.savez(path, **_solution_arrays(version="one"))
+
+
+def _write_string_multipliers(path):
+    np.savez(path, **_solution_arrays(multipliers=np.array(["1.0", "2.0"])))
 
 
 def _write_foreign_npz(path):
@@ -402,7 +428,8 @@ def _write_text(path):
 
 
 @pytest.mark.parametrize("write", [_write_epoch_snapshot_without_multipliers,
-                                   _write_foreign_npz, _write_text])
+                                   _write_foreign_npz, _write_text, _write_vector_context_dim,
+                                   _write_word_version, _write_string_multipliers])
 def test_non_solution_files_are_invalid_arguments(tmp_path, capsys, write):
     path = tmp_path / "solution.npz"
     write(path)

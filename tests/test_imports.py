@@ -1,11 +1,20 @@
-"""Every top-level import in `src/` and `tests/` is used, and every name a
-package module exports exists."""
+"""Every top-level import in `src/` and `tests/` is used, every name a
+package module exports exists, and every name a package module defines is
+read, traced by the benchmark or documented."""
 
 import ast
 import importlib
 from pathlib import Path
 
+from test_perfbench_spans import _entry_points
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# public names that no module in src reads and the benchmark does not trace:
+# documented API, each with the README section that documents it
+DOCUMENTED_API = {
+    "oracle.cobb_douglas_equilibrium": "Reference equilibria",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -60,10 +69,10 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
-def unread_private_names(sources: dict) -> list:
-    """Module-level private names (`_x`, not dunders) that a module of
-    `sources` ({module name: source}) defines and no module reads, as a bare
-    name or as an attribute."""
+def defined_and_read(sources: dict):
+    """([(module, name)] that each module of `sources` ({module name: source})
+    binds at module level by def, class or assignment, and the set of names
+    any module reads, as a bare name or as an attribute)."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -76,14 +85,30 @@ def unread_private_names(sources: dict) -> list:
                          if isinstance(leaf, ast.Name)]
             else:
                 names = []
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, name) for name in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+    return defined, read
+
+
+def unread_private_names(sources: dict) -> list:
+    """Module-level private names (`_x`, not dunders) that a module of
+    `sources` defines and no module reads."""
+    defined, read = defined_and_read(sources)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def unread_public_names(sources: dict, traced: set) -> list:
+    """Module-level public names that a module of `sources` defines, no
+    module reads and `traced` ({(module, name)}) does not hold."""
+    defined, read = defined_and_read(sources)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not name.startswith("_") and name not in read
+                  and (module, name) not in traced)
 
 
 def test_private_name_detector_flags_unread_definitions():
@@ -94,10 +119,32 @@ def test_private_name_detector_flags_unread_definitions():
     assert unread_private_names(sources) == ["a._Spare", "a._unused"]
 
 
+def _src_sources() -> dict:
+    return {path.stem: path.read_text()
+            for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py"))}
+
+
 def test_every_private_name_is_read_in_src():
-    sources = {path.stem: path.read_text()
-               for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py"))}
-    assert unread_private_names(sources) == []
+    assert unread_private_names(_src_sources()) == []
+
+
+def test_public_name_detector_skips_read_and_traced_names():
+    sources = {
+        "a": "LIMIT = 3\nSPARE = 4\ndef helper():\n    return LIMIT\ndef traced():\n    pass\n"
+             "class Kept:\n    pass\n__all__ = ['SPARE']\n",
+        "b": "from . import a\nprint(a.helper(), a.Kept)\n",
+    }
+    assert unread_public_names(sources, {("a", "traced")}) == ["a.SPARE"]
+
+
+def test_every_public_name_is_read_traced_or_documented():
+    # an entry point is traced under its module-level name: a method under its class
+    traced = {(module, attr.split(".")[0]) for module, attr in _entry_points()}
+    assert unread_public_names(_src_sources(), traced) == sorted(DOCUMENTED_API)
+    readme = ROOT.joinpath("README.md").read_text()
+    for name, section in DOCUMENTED_API.items():
+        assert f"**{section}.**" in readme or f"## {section}\n" in readme, section
+        assert f"`{name}`" in readme, name
 
 
 def except_clauses_naming(source: str, name: str) -> list:

@@ -10,37 +10,41 @@ from marketeq.errors import DegenerateBudget, InvalidArgument
 from marketeq.market import (
     ContextDistribution,
     Market,
-    budget,
     generate_market,
     softplus,
     softplus_and_slope,
-    valuation,
     _sample_contexts,
 )
 
-from helpers import peak_bytes
+from helpers import budget, peak_bytes, valuation
+
+
+def one_pair(b, g):
+    """The market of one buyer with context b and one good with context g."""
+    return Market(n=1, m=1, k=len(b), buyers=[b], goods=[g], ces=CesSpec.linear())
 
 
 def test_budget_examples():
-    assert budget([3.0, 4.0]) == pytest.approx(5.0)
-    assert budget([1.0]) == pytest.approx(1.0)
-    assert budget([0.3, -0.4, 1.2]) == pytest.approx(1.3)
+    for b, expected in (([3.0, 4.0], 5.0), ([1.0], 1.0), ([0.3, -0.4, 1.2], 1.3)):
+        assert budget(b) == pytest.approx(expected)
+        assert one_pair(b, np.zeros(len(b))).budgets[0] == pytest.approx(expected)
 
 
 def test_budget_zero_vector_rejected():
     with pytest.raises(DegenerateBudget):
-        budget([0.0, 0.0])
+        one_pair([0.0, 0.0], [1.0, 1.0]).budgets
     with pytest.raises(InvalidArgument):
-        budget([np.inf, 1.0])
+        one_pair([np.inf, 1.0], [1.0, 1.0])
 
 
 def test_valuation_examples():
     b = np.array([1.0, 0.0])
-    assert valuation(b, [0.0, 5.0]) == pytest.approx(np.log(2.0))
-    assert valuation(b, [50.0, 0.0]) == pytest.approx(50.0, abs=1e-12)
-    assert valuation(b, [-1.0, 0.0]) == pytest.approx(np.log(1 + np.exp(-1.0)))
+    for g, expected, tol in (([0.0, 5.0], np.log(2.0), None), ([50.0, 0.0], 50.0, 1e-12),
+                             ([-1.0, 0.0], np.log(1 + np.exp(-1.0)), None)):
+        assert valuation(b, g) == pytest.approx(expected, abs=tol)
+        assert one_pair(b, g).values[0, 0] == pytest.approx(expected, abs=tol)
     with pytest.raises(InvalidArgument):
-        valuation([1.0], [1.0, 2.0])
+        Market(n=1, m=1, k=1, buyers=[[1.0]], goods=[[1.0, 2.0]], ces=CesSpec.linear())
 
 
 def test_softplus_stability_wide_range():
@@ -116,7 +120,7 @@ def test_generate_table_scale_configuration():
     mkt = generate_market(2**20, 10, 5, ContextDistribution.STANDARD_NORMAL,
                           CesSpec.general(0.5), 1)
     assert (mkt.n, mkt.m, mkt.k) == (2**20, 10, 5)
-    assert mkt.supply(3) == 1048576.0
+    assert mkt.supplies[3] == 1048576.0
 
 
 def test_generate_exponential_values_above_log2():
@@ -160,12 +164,10 @@ def test_recipe_counts_and_seed_are_integers():
 
 def test_supply_default_and_override():
     mkt = generate_market(5, 2, 2, ContextDistribution.UNIFORM01, CesSpec.linear(), 3)
-    assert mkt.supply(1) == 5.0
+    assert mkt.supplies[1] == 5.0
     override = Market(n=mkt.n, m=mkt.m, k=mkt.k, buyers=mkt.buyers, goods=mkt.goods,
                       ces=mkt.ces, supply_override=np.array([2.0, 3.0]))
-    assert override.supply(0) == 2.0
-    with pytest.raises(InvalidArgument):
-        mkt.supply(2)
+    assert override.supplies[0] == 2.0
     with pytest.raises(InvalidArgument):
         Market(n=mkt.n, m=mkt.m, k=mkt.k, buyers=mkt.buyers, goods=mkt.goods,
                ces=mkt.ces, supply_override=np.array([1.0, 0.0]))

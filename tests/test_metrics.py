@@ -18,7 +18,7 @@ from marketeq.net import AllocationNet
 from marketeq.oracle import cobb_douglas_equilibrium
 from marketeq.trainer import epoch_scores, extract_solution
 
-from helpers import ALL_SPECS, market_from_values, random_market
+from helpers import ALL_SPECS, market_from_values, random_market, utility
 
 
 def unit_market():
@@ -244,7 +244,7 @@ def test_wsw_values():
     rng = np.random.default_rng(9)
     rmkt = random_market(rng, 3, 3, CesSpec.general(0.5))
     x = rng.uniform(0.5, 2.0, size=(3, 3))
-    expected = float(rmkt.budgets @ ces.utility(rmkt.values, x, rmkt.ces)) / rmkt.budgets.sum()
+    expected = float(rmkt.budgets @ utility(rmkt.values, x, rmkt.ces)) / rmkt.budgets.sum()
     assert metrics.wsw(rmkt, x) == pytest.approx(expected, rel=1e-12)
 
 
@@ -373,7 +373,7 @@ def _whole_array_report(mkt, x_t, p_t):
     lnw = budgets @ log_u / total
     lfw = budgets @ ces.fixed_price_log_utility_matrix(mkt.values, budgets, p_t, mkt.ces) / total
     return {"lnw": lnw, "lfw": lfw, "ng": lfw - lnw, "kkt_max_residual": kkt,
-            "wsw": budgets @ ces.utility(mkt.values, x_t, mkt.ces) / total}
+            "wsw": budgets @ utility(mkt.values, x_t, mkt.ces) / total}
 
 
 @pytest.mark.parametrize("n", [MULTI_CHUNK_N, 1000])

@@ -9,7 +9,8 @@ from marketeq import ces
 from marketeq import net as net_module
 from marketeq.errors import InvalidArgument, NumericFailure
 from marketeq.market import softplus
-from marketeq.net import AdamState, AllocationNet, adam_step, load_checkpoint, save_checkpoint
+from marketeq.net import AdamState, AllocationNet, adam_step
+from marketeq.trainer import load_solution, save_solution
 
 from helpers import peak_bytes
 
@@ -188,12 +189,12 @@ def test_adam_zero_gradient_no_move():
 
 def test_checkpoint_roundtrip(tmp_path):
     net = small_net(seed=13)
-    extra = np.linspace(0.0, 1.0, 5)
+    multipliers = np.linspace(0.5, 1.5, 5)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, net, extra=extra)
-    loaded, arrays = load_checkpoint(path)
+    save_solution(path, net, multipliers)
+    loaded, lam = load_solution(path)
     assert np.array_equal(loaded.get_flat(), net.get_flat())
-    np.testing.assert_array_equal(arrays["extra"], extra)
+    np.testing.assert_array_equal(lam, multipliers)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 6))
     np.testing.assert_array_equal(loaded.forward_pairs(x), net.forward_pairs(x))
@@ -329,8 +330,8 @@ def test_parameters_stay_views(tmp_path):
     net.set_flat(np.arange(net.n_params, dtype=float))
     _assert_views(net)
     assert net.weights[0][0, 1] == 1.0
-    save_checkpoint(tmp_path / "net.npz", net)
-    loaded, _ = load_checkpoint(tmp_path / "net.npz")
+    save_solution(tmp_path / "net.npz", net, [1.0])
+    loaded, _ = load_solution(tmp_path / "net.npz")
     _assert_views(loaded)
     copied = copy.deepcopy(net)
     _assert_views(copied)

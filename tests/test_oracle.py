@@ -7,13 +7,9 @@ from marketeq import oracle
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, NumericFailure, OracleFailure, UnsupportedRegime
 from marketeq.market import ContextDistribution, Market, generate_market
-from marketeq.oracle import (
-    cobb_douglas_equilibrium,
-    numeric_equilibrium,
-    single_pair_equilibrium,
-)
+from marketeq.oracle import cobb_douglas_equilibrium, numeric_equilibrium
 
-from helpers import market_from_values, random_market
+from helpers import market_from_values, random_market, single_pair_equilibrium
 
 
 def test_cobb_douglas_symmetric():
@@ -84,12 +80,6 @@ def test_single_pair_scaled():
     res = single_pair_equilibrium(mkt)
     assert res.candidate.allocation[0, 0] == pytest.approx(2.0)
     assert res.candidate.prices[0] == pytest.approx(1.5)
-
-
-def test_single_pair_shape_check():
-    mkt = market_from_values(np.ones((2, 1)), [1.0, 1.0], CesSpec.linear())
-    with pytest.raises(InvalidArgument):
-        single_pair_equilibrium(mkt)
 
 
 def test_numeric_matches_closed_form_cobb_douglas():

@@ -8,16 +8,13 @@ import pytest
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.market import ContextDistribution, generate_market
-from marketeq.net import AllocationNet, adam_step
+from marketeq.net import AdamState, AllocationNet, adam_step
 from marketeq.trainer import (
     CURVE_COLUMNS,
     TrainConfig,
     epoch_scores,
-    estimate_lagrangian,
-    estimate_lagrangian_terms,
-    exact_lagrangian,
-    exact_lagrangian_terms,
     extract_solution,
+    lagrangian_step,
     load_solution,
     multiplier_update,
     save_solution,
@@ -25,7 +22,7 @@ from marketeq.trainer import (
     train,
 )
 
-from helpers import inv_softplus, market_from_values, random_market
+from helpers import exact_lagrangian_terms, inv_softplus, market_from_values, random_market
 
 
 def constant_net(k, value):
@@ -43,7 +40,7 @@ def enumeration_mean_terms(net, lam, rho, market):
     sums = np.zeros(3)
     count = 0
     for i, j in itertools.product(range(market.n), repeat=2):
-        sums += estimate_lagrangian_terms(net, lam, rho, np.array([i, j]), market)
+        sums += lagrangian_step(net, lam, rho, np.array([i, j]), market)[0]
         count += 1
     return sums / count
 
@@ -66,7 +63,7 @@ def test_estimator_clearance_exact_net():
     net = constant_net(market.k, 1.0)
     lam = rng.uniform(0.5, 2.0, size=3)
     sample = rng.integers(0, 6, size=8)
-    obj, mult, quad = estimate_lagrangian_terms(net, lam, 0.4, sample, market)
+    (obj, mult, quad), _ = lagrangian_step(net, lam, 0.4, sample, market)
     assert mult == pytest.approx(0.0, abs=1e-12)
     assert quad == pytest.approx(0.0, abs=1e-12)
     # objective is -(mean of B log u(ones)) over the first half
@@ -85,8 +82,9 @@ def test_estimator_rho_zero_drops_quadratic():
     net = AllocationNet.initialize(market.k, 2, 8, seed=1)
     lam = np.ones(2)
     sample = rng.integers(0, 5, size=6)
-    obj, mult, quad = estimate_lagrangian_terms(net, lam, 1e-12, sample, market)
-    full = estimate_lagrangian(net, lam, 1e-12, sample, market)
+    terms, _ = lagrangian_step(net, lam, 1e-12, sample, market)
+    obj, mult, quad = terms
+    full = sum(terms)
     assert quad == pytest.approx(0.0, abs=1e-10)
     assert full == pytest.approx(obj + mult, abs=1e-10)
 
@@ -105,7 +103,7 @@ def test_estimator_rejects_odd_sample():
         np.array([-1, 0]),  # negative: numpy would wrap it to n - 1
     ):
         with pytest.raises(InvalidArgument):
-            estimate_lagrangian_terms(net, np.ones(2), 0.2, sample, market)
+            lagrangian_step(net, np.ones(2), 0.2, sample, market)
 
 
 def test_estimator_monte_carlo_sanity():
@@ -114,12 +112,12 @@ def test_estimator_monte_carlo_sanity():
     net = AllocationNet.initialize(market.k, 2, 16, seed=5)
     lam = np.ones(3)
     rho = 0.2
-    exact = exact_lagrangian(net, lam, rho, market)
+    exact = sum(exact_lagrangian_terms(net, lam, rho, market))
     draws = np.empty(2000)
     m_half = 50
     for t in range(draws.size):
         idx = rng.integers(0, market.n, size=2 * m_half)
-        draws[t] = estimate_lagrangian(net, lam, rho, idx, market)
+        draws[t] = sum(lagrangian_step(net, lam, rho, idx, market)[0])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) < 4 * se + 1e-12
 
@@ -175,6 +173,35 @@ def test_multiplier_update_full_batch_equals_exact():
     np.testing.assert_array_equal(first, unevaluated)
 
 
+def test_train_takes_the_shared_lagrangian_step(monkeypatch):
+    # replay the first epoch's sampler and optimizer: its loss is the mean of
+    # the step's summed terms over the indices drawn, bit for bit
+    rng = np.random.default_rng(11)
+    market = random_market(rng, 12, 3, CesSpec.general(0.5))
+    config = TrainConfig(batch_size_loss=4, rho=0.3, hidden_width=8, hidden_depth=2,
+                         learning_rate=1e-3, inner_iters=5, epochs=2, seed=3)
+    calls = []
+
+    def counted_step(*args):
+        calls.append(1)
+        return lagrangian_step(*args)
+
+    monkeypatch.setattr("marketeq.trainer.lagrangian_step", counted_step)
+    _, _, history = train(market, config)
+    assert len(calls) == config.epochs * config.inner_iters
+    init_ss, sample_ss = np.random.SeedSequence(config.seed).spawn(2)
+    net = AllocationNet.initialize(market.k, config.hidden_depth, config.hidden_width, init_ss)
+    adam = AdamState.for_net(net, lr=config.learning_rate)
+    sampler = np.random.Generator(np.random.Philox(sample_ss))
+    loss_sum = 0.0
+    for _ in range(config.inner_iters):
+        idx = sampler.integers(0, market.n, size=2 * config.batch_size_loss)
+        terms, grad = lagrangian_step(net, np.ones(market.m), config.rho, idx, market)
+        loss_sum += sum(terms)
+        adam_step(adam, net, grad)
+    assert history.records[0].loss == loss_sum / config.inner_iters
+
+
 def test_shared_population_forward_is_bitwise():
     # train() feeds one full-population forward to both the multiplier
     # update and the evaluation sweep; it must score like the candidate
@@ -205,11 +232,7 @@ def test_lagrangian_boundary_error_precedence(spec, error):
     x_hat = np.ones((4, 3))
     x_hat[0, 1] = 0.0
     with np.errstate(divide="ignore"), pytest.raises(error):
-        _lagrangian_terms_from_outputs(x_hat, idx, np.ones(3), 0.2, market, want_grad=True)
-    if error is InvalidArgument:  # the value alone is defined there
-        terms, grad = _lagrangian_terms_from_outputs(x_hat, idx, np.ones(3), 0.2, market,
-                                                     want_grad=False)
-        assert np.all(np.isfinite(terms)) and grad is None
+        _lagrangian_terms_from_outputs(x_hat, idx, np.ones(3), 0.2, market)
 
 
 def test_train_single_pair_market():
@@ -339,5 +362,4 @@ def test_history_curve_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CURVE_COLUMNS)
     assert len(lines) == 3
-    payload = history.to_json()
-    assert payload[0]["epoch"] == 1 and "train_seconds" in payload[0]
+    assert history.records[0].epoch == 1 and history.records[0].train_seconds >= 0.0
