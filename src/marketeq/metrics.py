@@ -102,13 +102,6 @@ class MetricsReport:
             "degenerate_lnw": self.degenerate_lnw
         }
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)
-
-    def csv_row(self) -> str:
-        return ",".join(repr(float(getattr(self, col))) for col in CSV_COLUMNS)
-
 
 def _check_allocation(market: Market, x) -> np.ndarray:
     # C order, so that column sums and chunk reductions (and their rounding)

@@ -7,7 +7,8 @@ import numpy as np
 
 from marketeq import ces, oracle
 from marketeq.ces import CesSpec, Regime
-from marketeq.market import ContextDistribution, Market, generate_market
+from marketeq.market import ContextDistribution, Market, generate_market, softplus
+from marketeq.metrics import CSV_COLUMNS
 
 
 def inv_softplus(v):
@@ -104,6 +105,33 @@ def exact_lagrangian_terms(net, multipliers, rho, market):
     resid = x_hat.mean(axis=0) - 1.0
     return (-float(market.budgets @ log_u) / market.n, float(lam @ resid),
             rho / 2.0 * float(np.sum(resid * resid)))
+
+
+def plain_layers(net, buyers, goods):
+    """Each layer's input and pre-activation for the buyer-major pairs
+    [b_i; g_j], row-major, each bias added after its product, as first
+    written: the reference for the network's forwards and `backward`."""
+    m = goods.shape[0]
+    h = np.hstack([np.repeat(buyers, m, axis=0), np.tile(goods, (buyers.shape[0], 1))])
+    acts, pre_acts = [], []
+    for w, b in zip(net.weights, net.biases):
+        acts.append(h)
+        pre_acts.append(h @ w + b)
+        h = np.maximum(pre_acts[-1], 0.0)
+    return acts, pre_acts
+
+
+def plain_forward(net, buyers, goods):
+    """The allocation matrix (M, m) from `plain_layers`."""
+    _, pre_acts = plain_layers(net, buyers, goods)
+    return softplus(pre_acts[-1][:, 0]).reshape(buyers.shape[0], goods.shape[0])
+
+
+def assert_same_report(report, other):
+    """The two `MetricsReport`s agree in the repr of every `CSV_COLUMNS`
+    field, as their CSV rows do."""
+    assert ([repr(float(getattr(report, col))) for col in CSV_COLUMNS]
+            == [repr(float(getattr(other, col))) for col in CSV_COLUMNS])
 
 
 def single_pair_equilibrium(market):

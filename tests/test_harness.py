@@ -22,7 +22,7 @@ from marketeq.metrics import EquilibriumCandidate
 from marketeq.net import AllocationNet
 from marketeq.trainer import TrainConfig, load_solution, save_solution
 
-from helpers import market_from_values
+from helpers import assert_same_report, market_from_values
 
 
 def toy_spec(**overrides):
@@ -71,10 +71,10 @@ def test_run_fcnet_roundtrips_through_solution(tmp_path):
     report = evaluate_candidate_file(market, solution_path=record.artifacts["solution"])
     final_ng = float(curve[-1].split(",")[1])
     assert report.ng == pytest.approx(final_ng, abs=1e-9)
-    assert report.csv_row() == record.report.csv_row()
+    assert_same_report(report, record.report)
     # the last epoch snapshot is the same solution file
     snapshot = evaluate_candidate_file(market, solution_path=tmp_path / "ckpts" / "net_epoch_003.npz")
-    assert snapshot.csv_row() == record.report.csv_row()
+    assert_same_report(snapshot, record.report)
 
 
 def test_run_eg_momentum(tmp_path):

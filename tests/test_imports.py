@@ -1,6 +1,7 @@
 """Every top-level import in `src/` and `tests/` is used, every name a
-package module exports exists, and every name a package module defines is
-read, traced by the benchmark or documented."""
+package module exports exists, and every name a package module defines (and
+every public method and property of its classes) is read, traced by the
+benchmark or documented."""
 
 import ast
 import importlib
@@ -10,8 +11,9 @@ from test_perfbench_spans import _entry_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# public names that no module in src reads and the benchmark does not trace:
-# documented API, each with the README section that documents it
+# public names ("module.name" or "module.Class.member") that no module in src
+# reads and the benchmark does not trace: documented API, each with the README
+# section that documents it
 DOCUMENTED_API = {
     "oracle.cobb_douglas_equilibrium": "Reference equilibria",
 }
@@ -70,10 +72,16 @@ def test_every_exported_name_resolves():
 
 
 def defined_and_read(sources: dict):
-    """([(module, name)] that each module of `sources` ({module name: source})
-    binds at module level by def, class or assignment, and the set of names
-    any module reads, as a bare name or as an attribute)."""
-    defined, read = [], set()
+    """What the modules of `sources` ({module name: source}) define and read.
+
+    Returns the (module, name) pairs each module binds at module level by def,
+    class or assignment; the (module, class, member) triples of the methods
+    and properties of its module-level classes; the (module, name) pairs
+    read: as a bare name in the module itself, through a relative `from`
+    import of the name, or as an attribute of a module that `from . import`
+    binds; and the set of attribute names read on any object.
+    """
+    defined, members, read, attrs = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -86,29 +94,49 @@ def defined_and_read(sources: dict):
             else:
                 names = []
             defined += [(module, name) for name in names]
+            if isinstance(node, ast.ClassDef):
+                members += [(module, node.name, item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        imported, modules = {}, {}  # local name -> (module, name), and -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        imported[local] = (node.module, alias.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                read.add(imported.get(node.id, (module, node.id)))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return defined, read
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    read.add((modules[node.value.id], node.attr))
+    return defined, members, read, attrs
 
 
 def unread_private_names(sources: dict) -> list:
     """Module-level private names (`_x`, not dunders) that a module of
     `sources` defines and no module reads."""
-    defined, read = defined_and_read(sources)
+    defined, _, read, _ = defined_and_read(sources)
     return sorted(f"{module}.{name}" for module, name in defined
-                  if name.startswith("_") and not name.startswith("__") and name not in read)
+                  if name.startswith("_") and not name.startswith("__")
+                  and (module, name) not in read)
 
 
 def unread_public_names(sources: dict, traced: set) -> list:
-    """Module-level public names that a module of `sources` defines, no
-    module reads and `traced` ({(module, name)}) does not hold."""
-    defined, read = defined_and_read(sources)
-    return sorted(f"{module}.{name}" for module, name in defined
-                  if not name.startswith("_") and name not in read
-                  and (module, name) not in traced)
+    """Public module-level names, and public methods and properties of
+    module-level classes, that a module of `sources` defines, no module reads
+    and `traced` (dotted names, "module.Class.member" for a member) does not
+    hold; a traced member counts for its class too."""
+    defined, members, read, attrs = defined_and_read(sources)
+    covered = traced | {name.rpartition(".")[0] for name in traced}
+    unread = [f"{module}.{name}" for module, name in defined
+              if not name.startswith("_") and (module, name) not in read]
+    unread += [f"{module}.{cls}.{name}" for module, cls, name in members
+               if not name.startswith("_") and name not in attrs]
+    return sorted(name for name in unread if name not in covered)
 
 
 def test_private_name_detector_flags_unread_definitions():
@@ -131,15 +159,21 @@ def test_every_private_name_is_read_in_src():
 def test_public_name_detector_skips_read_and_traced_names():
     sources = {
         "a": "LIMIT = 3\nSPARE = 4\ndef helper():\n    return LIMIT\ndef traced():\n    pass\n"
-             "class Kept:\n    pass\n__all__ = ['SPARE']\n",
-        "b": "from . import a\nprint(a.helper(), a.Kept)\n",
+             "class Kept:\n    def used(self):\n        pass\n    def spare(self):\n        pass\n"
+             "    @property\n    def unread(self):\n        pass\n    def _own(self):\n        pass\n"
+             "class Timed:\n    def run(self):\n        pass\n"
+             "def shared():\n    pass\ndef imported():\n    pass\n__all__ = ['SPARE']\n",
+        "b": "from . import a\nfrom .a import imported as alias\nprint(a.helper(), a.Kept().used)\n"
+             "print(alias(), object().shared, object().spare)\n",
     }
-    assert unread_public_names(sources, {("a", "traced")}) == ["a.SPARE"]
+    # a module-level name read only as some other object's attribute is unread;
+    # a member counts as read through any object
+    assert unread_public_names(sources, {"a.traced", "a.Timed.run"}) == [
+        "a.Kept.unread", "a.SPARE", "a.shared"]
 
 
 def test_every_public_name_is_read_traced_or_documented():
-    # an entry point is traced under its module-level name: a method under its class
-    traced = {(module, attr.split(".")[0]) for module, attr in _entry_points()}
+    traced = {f"{module}.{attr}" for module, attr in _entry_points()}
     assert unread_public_names(_src_sources(), traced) == sorted(DOCUMENTED_API)
     readme = ROOT.joinpath("README.md").read_text()
     for name, section in DOCUMENTED_API.items():

@@ -1,5 +1,4 @@
 import copy
-import itertools
 import pickle
 
 import numpy as np
@@ -12,7 +11,7 @@ from marketeq.market import softplus
 from marketeq.net import AdamState, AllocationNet, adam_step
 from marketeq.trainer import load_solution, save_solution
 
-from helpers import peak_bytes
+from helpers import peak_bytes, plain_forward, plain_layers
 
 
 def small_net(seed=0, depth=2, width=8, k=3):
@@ -24,16 +23,16 @@ def test_zeroed_output_layer_gives_log2():
     net.weights[-1][...] = 0.0
     net.biases[-1][...] = 0.0
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        b, g = rng.standard_normal(3), rng.standard_normal(3)
-        assert net.forward(b, g) == pytest.approx(np.log(2.0), rel=1e-15)
+    x = net.forward_batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
+    np.testing.assert_allclose(x, np.log(2.0), rtol=1e-15, atol=0)
 
 
 def test_forward_golden_value():
     # frozen at the first correct build; guards against silent arithmetic drift
     net = AllocationNet.initialize(3, hidden_depth=2, hidden_width=8, seed=2024)
-    got = net.forward(np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25, -0.75]))
-    assert got == pytest.approx(1.432152687936893, rel=1e-14)
+    got = net.forward_batch(np.array([[0.5, -1.0, 2.0]]), np.array([[1.5, 0.25, -0.75]]))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(1.432152687936893, rel=1e-14)
 
 
 def test_forward_batch_matches_single_calls():
@@ -46,28 +45,32 @@ def test_forward_batch_matches_single_calls():
     # BLAS may reorder accumulation between shapes; 1e-12 agreement is the contract
     for i in range(3):
         for j in range(2):
-            assert batch[i, j] == pytest.approx(net.forward(buyers[i], goods[j]), rel=1e-12)
+            single = plain_forward(net, buyers[i: i + 1], goods[j: j + 1])[0, 0]
+            assert batch[i, j] == pytest.approx(single, rel=1e-12)
     one = net.forward_batch(buyers[:1], goods[:1])
     assert one.shape == (1, 1)
-    assert one[0, 0] == pytest.approx(net.forward(buyers[0], goods[0]), rel=1e-12)
+    assert one[0, 0] == pytest.approx(plain_forward(net, buyers[:1], goods[:1])[0, 0], rel=1e-12)
 
 
-def test_forward_batch_slices_pair_rows():
-    # 2800 buyers x 3 goods = 8,400 buyer-major pair rows in three slices: the
-    # first ends inside buyer 1365's goods, and the last is a short one
+def test_forward_batch_slices_pair_rows(monkeypatch):
+    # slices hold whole buyers, a multiple of 8 pair columns: 2800 x 3 runs in
+    # slices of 328 and 1360 buyers, then in one; 5 x 3 has fewer buyers than
+    # one 8-column block needs; 3 x 5000 has more goods than 1000 or 4096
+    # columns, so those slices hold one buyer each
     net = small_net(seed=5, k=5)
     rng = np.random.default_rng(2)
-    buyers, goods = rng.standard_normal((2800, 5)), rng.standard_normal((3, 5))
-    assert 2 * net_module._BATCH_ROWS < buyers.shape[0] * 3 and net_module._BATCH_ROWS % 3 != 0
-    batch = net.forward_batch(buyers, goods).ravel()
-    pairs = np.hstack([np.repeat(buyers, 3, axis=0), np.tile(goods, (buyers.shape[0], 1))])
-    for start in range(0, pairs.shape[0], net_module._BATCH_ROWS):
-        rows = slice(start, start + net_module._BATCH_ROWS)
-        np.testing.assert_array_equal(batch[rows], net.forward_pairs(pairs[rows]))
-    # and the slice size does not change a bit of the output
-    np.testing.assert_array_equal(batch, net.forward_pairs(pairs))
-    single = [net.forward(b, g) for b, g in itertools.product(buyers, goods)]
-    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+    for n, m in ((2800, 3), (5, 3), (3, 5000)):
+        buyers, goods = rng.standard_normal((n, 5)), rng.standard_normal((m, 5))
+        outputs = []
+        for rows in (1000, 4096, 16384, 65536):
+            monkeypatch.setattr(net_module, "_BATCH_ROWS", rows)
+            outputs.append(net.forward_batch(buyers, goods))
+        # the slice size does not change a bit of the output, nor does one
+        # training-step forward over the same buyers
+        for batch in outputs[1:]:
+            np.testing.assert_array_equal(batch, outputs[0])
+        np.testing.assert_array_equal(net.forward_step(buyers, goods)[0], outputs[0])
+        np.testing.assert_allclose(outputs[0], plain_forward(net, buyers, goods), rtol=1e-12, atol=0)
 
 
 def test_forward_batch_memory_is_bounded():
@@ -84,15 +87,15 @@ def test_forward_batch_memory_is_bounded():
 def test_forward_positivity_many_random():
     net = small_net(seed=4)
     rng = np.random.default_rng(2)
-    inputs = rng.standard_normal((10_000, 6)) * 3.0
-    assert np.all(net.forward_pairs(inputs) > 0.0)
+    x = net.forward_batch(rng.standard_normal((100, 3)) * 3.0, rng.standard_normal((100, 3)) * 3.0)
+    assert np.all(x > 0.0)
 
 
 def test_initialization_deterministic():
     a, b = small_net(seed=11), small_net(seed=11)
     assert np.array_equal(a.get_flat(), b.get_flat())
-    x = np.linspace(-1, 1, 6)[None, :]
-    assert a.forward_pairs(x) == b.forward_pairs(x)
+    pair = np.linspace(-1, 1, 6).reshape(2, 1, 3)
+    np.testing.assert_array_equal(a.forward_batch(*pair), b.forward_batch(*pair))
     c = small_net(seed=12)
     assert not np.array_equal(a.get_flat(), c.get_flat())
 
@@ -100,9 +103,7 @@ def test_initialization_deterministic():
 def test_dimension_checks():
     net = small_net()
     with pytest.raises(InvalidArgument):
-        net.forward(np.ones(2), np.ones(3))
-    with pytest.raises(InvalidArgument):
-        net.forward_pairs(np.ones((4, 5)))
+        net.forward_batch(np.ones((1, 2)), np.ones((1, 3)))
     # every hidden layer has the declared width
     weights = [w.copy() for w in net.weights]
     weights[1] = np.ones((8, 7))
@@ -196,8 +197,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.get_flat(), net.get_flat())
     np.testing.assert_array_equal(lam, multipliers)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 6))
-    np.testing.assert_array_equal(loaded.forward_pairs(x), net.forward_pairs(x))
+    buyers, goods = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+    np.testing.assert_array_equal(loaded.forward_batch(buyers, goods), net.forward_batch(buyers, goods))
+
+
+def test_initialize_sizes_are_integers():
+    for sizes in ((5.5, 2, 8), (3, 2.0, 8), (3, 2, 8.0), (3, True, 8), (0, 2, 8), (3, 2, 0)):
+        with pytest.raises(InvalidArgument):
+            AllocationNet.initialize(*sizes)
+    # numpy integers are counts too, and build the same net
+    net = AllocationNet.initialize(np.int64(3), np.int32(2), np.int64(8), seed=1)
+    np.testing.assert_array_equal(net.get_flat(), small_net(seed=1).get_flat())
 
 
 def test_parameter_count():
@@ -209,19 +219,9 @@ def test_parameter_count():
 
 def _plain_step(net, buyers, goods, grad_output):
     """Allocating forward and backward pass, layer by layer, as first written."""
-    rows = buyers.shape[0] * goods.shape[0]
-    inputs = np.empty((rows, net.input_dim))
-    inputs[:, : net.context_dim] = np.repeat(buyers, goods.shape[0], axis=0)
-    inputs[:, net.context_dim:] = np.tile(goods, (buyers.shape[0], 1))
-    acts, pre_acts, h = [inputs], [], inputs
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre_acts.append(z)
-        if li < len(net.weights) - 1:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-    y = softplus(z[:, 0])
+    acts, pre_acts = plain_layers(net, buyers, goods)
     zl = pre_acts[-1][:, 0]
+    y = softplus(zl)
     sig = np.where(zl >= 0, 1.0 / (1.0 + np.exp(-np.abs(zl))),
                    np.exp(-np.abs(zl)) / (1.0 + np.exp(-np.abs(zl))))
     delta = (grad_output * sig)[:, None]
@@ -249,8 +249,6 @@ def test_workspace_step_matches_plain_passes():
         np.testing.assert_allclose(x_hat, y.reshape(rows, 3), rtol=1e-12, atol=0)
         # every forward runs the same products, so they agree bit for bit
         np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
-        pairs = np.hstack([np.repeat(buyers, 3, axis=0), np.tile(goods, (rows, 1))])
-        np.testing.assert_array_equal(x_hat.ravel(), net.forward_pairs(pairs))
         # get_flat() order: each layer's weights, then its biases
         offset = 0
         for li, (ref_wl, ref_bl) in enumerate(zip(ref_w, ref_b)):
@@ -259,7 +257,7 @@ def test_workspace_step_matches_plain_passes():
             assert err <= 1e-12 * np.max(np.abs(ref)), (li, err)
             offset += ref.size
         assert offset == grad.size
-    goods = rng.standard_normal((3, 4))  # new goods refill the goods half
+    goods = rng.standard_normal((3, 4))  # new goods in the same workspace
     x_hat, _ = net.forward_step(buyers, goods)
     np.testing.assert_array_equal(x_hat, net.forward_batch(buyers, goods))
 
@@ -288,6 +286,8 @@ def test_training_step_memory_is_bounded():
     ((2, 5, 1), (3, 5, 2)),
     ((2, 4), (3, 5)),
     ((2, 5), (3, 4)),
+    ((0, 5), (3, 5)),
+    ((3, 5), (0, 5)),
 ])
 @pytest.mark.parametrize("method", ["forward_batch", "forward_step"])
 def test_malformed_contexts_raise_invalid_argument(method, buyers_shape, goods_shape):
