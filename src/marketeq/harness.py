@@ -4,13 +4,15 @@ One run produces, inside its output directory:
 
 * curve.csv     - per-epoch history (epoch, ng, voa, vop, loss); a solver
                   that fails with a NumericFailure leaves the epochs it finished
-* summary.json  - the metrics report, timings, and the config hash
+* summary.json  - the metrics report, timings, and the config hash; after a
+                  NumericFailure, the config hash, the error and the time to it
 * candidate.json - the dense (allocation, prices) pair when n*m is small
 * solution.npz  - the trained network + multipliers (network method only)
 
 Sweeps run one cell per (method, market spec) combination and aggregate into
-a single CSV, one row per cell with the spec's n, m, k, alpha, dist and seed;
-failed cells are recorded with an error tag and the sweep continues.
+a single CSV, one row per cell with the spec's n, m, k, alpha, dist and seed
+and the cell's config hash; failed cells are recorded with an error tag and
+the sweep continues.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ METHODS = ("naive", "eg", "eg-m", "fcnet")
 DENSE_CANDIDATE_LIMIT = 10**7
 
 SWEEP_COLUMNS = ("method", "n", "m", "k", "alpha", "dist", "seed",
-                 "ng", "voa", "vop", "seconds", "error")
+                 "ng", "voa", "vop", "seconds", "config_hash", "error")
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,17 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
             artifacts["solution"] = str(solution_path)
             candidate = trainer.extract_solution(net, lam, market)
     except NumericFailure as err:
+        curve_path = None
         if err.history is not None:
-            err.history.to_csv(out / "curve.csv")
+            curve_path = str(out / "curve.csv")
+            err.history.to_csv(curve_path)
+        _write_summary(out, {
+            "config_hash": config.hash(market),
+            "method": config.method,
+            "error": f"{type(err).__name__}: {err}",
+            "train_seconds": time.perf_counter() - t0,
+            "curve": curve_path,
+        })
         raise
     train_seconds = time.perf_counter() - t0
 
@@ -179,8 +190,12 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
         curve_path=curve_path,
         artifacts=artifacts,
     )
-    (out / "summary.json").write_text(json.dumps(record.to_json(), indent=2) + "\n")
+    _write_summary(out, record.to_json())
     return record
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def evaluate_candidate_file(market: Market, candidate_path=None, solution_path=None) -> metrics.MetricsReport:
@@ -214,7 +229,7 @@ def sweep(market_specs, method_configs, out_dir) -> list[dict]:
             row = {
                 "method": method, "n": spec.n, "m": spec.m, "k": spec.k,
                 "alpha": spec.alpha, "dist": spec.dist, "seed": spec.seed,
-                "ng": "", "voa": "", "vop": "", "seconds": "", "error": "",
+                "ng": "", "voa": "", "vop": "", "seconds": "", "config_hash": "", "error": "",
             }
             cell_dir = out / f"{method}_n{spec.n}_m{spec.m}_k{spec.k}_a{spec.alpha}_{spec.dist}_s{spec.seed}"
             try:
@@ -223,6 +238,7 @@ def sweep(market_specs, method_configs, out_dir) -> list[dict]:
                     method_config=method_config,
                     out_dir=str(cell_dir),
                 )
+                row["config_hash"] = config.hash(market)
                 record = run_experiment(config, market)
                 row.update(
                     ng=repr(record.report.ng), voa=repr(record.report.voa),

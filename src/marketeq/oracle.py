@@ -31,7 +31,8 @@ MAX_NUMERIC_GOODS = 10
 NUMERIC_NG_TOL = 1e-6
 NUMERIC_KKT_TOL = 1e-4
 NUMERIC_REFERENCE_KKT = 1e-10  # a pair this stationary returns at any epoch
-_SEGMENT_EPOCHS = 100  # the loose tolerances are accepted once per segment
+_EPOCH_ITERS = 50  # descent iterations between two dual steps
+_SEGMENT_EPOCHS = 600  # the loose tolerances are accepted once per segment
 _MAX_SEGMENTS = 30
 
 
@@ -79,20 +80,23 @@ def numeric_equilibrium(market: Market) -> OracleResult:
     """High-precision EG-momentum solve, certified before returning.
 
     A test oracle, not a production solver: enforces n <= 200, m <= 10.
-    Tightened configuration: constant (exact method-of-multipliers) dual
-    updates, a step size that scales with n like the tuned table does, and a
-    demand-based warm start for the curved regimes.  Certification is
-    attempted after every epoch: the pair returns as soon as it certifies
-    with KKT within NUMERIC_REFERENCE_KKT, the reference target.  The loose
-    tolerances (NG within NUMERIC_NG_TOL, KKT within NUMERIC_KKT_TOL) are
-    accepted only at the end of each _SEGMENT_EPOCHS-epoch segment, so a
-    market that never reaches the target keeps iterating to a segment end
-    and returns the pair certified there.  Linear markets get their
-    vanishing allocations snapped to exact zeros first (a strictly dominated
-    good sheds its last mass only asymptotically under softplus parameters).
-    A diverged descent retries at half the step size, at most twice; a
-    budget that runs out uncertified raises at once, since the descent is
-    deterministic and would only repeat.
+    Tightened configuration: an inexact method of multipliers (a constant
+    dual step after every _EPOCH_ITERS descent iterations), a step size that
+    scales with n like the tuned table does, and a demand-based warm start
+    for the curved regimes.  Certification is attempted after every epoch:
+    the pair returns as soon as it certifies with KKT within
+    NUMERIC_REFERENCE_KKT, the reference target.  The loose tolerances (NG
+    within NUMERIC_NG_TOL, KKT within NUMERIC_KKT_TOL) are accepted only at
+    the end of each _SEGMENT_EPOCHS-epoch segment, so a market that never
+    reaches the target keeps iterating to a segment end and returns the pair
+    certified there.  At a segment end where the descent's pair fails, the
+    curved regimes try each buyer's fixed-price demand at the descent's
+    prices instead; linear markets get their vanishing allocations snapped
+    to exact zeros first (a strictly dominated good sheds its last mass only
+    asymptotically under softplus parameters).  A diverged descent retries
+    at half the step size, at most twice; a budget that runs out uncertified
+    raises at once, since the descent is deterministic and would only
+    repeat.
     """
     if market.n > MAX_NUMERIC_BUYERS or market.m > MAX_NUMERIC_GOODS:
         raise InvalidArgument(
@@ -108,7 +112,7 @@ def numeric_equilibrium(market: Market) -> OracleResult:
         beta_schedule="constant",
         beta_scale=1.0,
         epochs=_MAX_SEGMENTS * _SEGMENT_EPOCHS,
-        inner_iters=300,
+        inner_iters=_EPOCH_ITERS,
     )
     last_error = None
     for _ in range(3):  # divergence retries at halved step size
@@ -117,13 +121,13 @@ def numeric_equilibrium(market: Market) -> OracleResult:
                 x, p = solution_pair(softplus(np.ascontiguousarray(raw)), lam, market)
                 if np.any(p <= 0):
                     continue
-                if linear:
-                    x = _snap_dominated(market, x, p)
-                max_kkt = NUMERIC_REFERENCE_KKT if epoch % _SEGMENT_EPOCHS else NUMERIC_KKT_TOL
-                try:
-                    return _certify(market, x, p, NUMERIC_NG_TOL, max_kkt, method="numeric")
-                except (OracleFailure, ProjectionUndefined) as err:
-                    last_error = err
+                segment_end = epoch % _SEGMENT_EPOCHS == 0
+                max_kkt = NUMERIC_KKT_TOL if segment_end else NUMERIC_REFERENCE_KKT
+                for trial in _trial_allocations(market, x, p, segment_end):
+                    try:
+                        return _certify(market, trial, p, NUMERIC_NG_TOL, max_kkt, method="numeric")
+                    except (OracleFailure, ProjectionUndefined) as err:
+                        last_error = err
         except NumericFailure as err:
             last_error = err
             config = replace(config, step_size=config.step_size / 2.0)
@@ -146,6 +150,19 @@ def _warm_start(market: Market) -> np.ndarray:
     x_hat = np.maximum(x_hat, floor)
     with np.errstate(over="ignore"):
         return np.where(x_hat > 30.0, x_hat, np.log(np.expm1(np.minimum(x_hat, 30.0))))
+
+
+def _trial_allocations(market: Market, x: np.ndarray, p: np.ndarray, segment_end: bool):
+    """The allocations certified at the descent's prices, in turn: the
+    descent's own (in linear markets with dominated goods snapped to zero),
+    then, at a segment end in the curved regimes, each buyer's fixed-price
+    demand, formed only if the descent's pair failed."""
+    if market.ces.regime is ces.Regime.LINEAR:
+        yield _snap_dominated(market, x, p)
+        return
+    yield x
+    if segment_end:
+        yield ces.demand_matrix(market.values, market.budgets, p, market.ces)
 
 
 def _snap_dominated(market: Market, x: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -192,16 +192,24 @@ def test_evaluate_candidate_shape_mismatch(tmp_path):
 
 def test_sweep_records_cells_and_errors(tmp_path):
     specs = [toy_spec(n=16, m=2), toy_spec(n=16, m=3)]
-    # absurd dual step: the eg runs fail and the sweep must continue
+    # absurd dual step: the eg runs fail and the sweep must continue; eg-m
+    # without momentum cannot even build its config
     configs = {"naive": None, "eg": EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
-                                             ng_stop=None)}
+                                             ng_stop=None), "eg-m": EgConfig()}
     rows = sweep(specs, configs, tmp_path / "sweep")
-    assert len(rows) == 4
+    assert len(rows) == 6
     naive_rows = [r for r in rows if r["method"] == "naive"]
     assert all(r["error"] == "" for r in naive_rows)
+    # a cell that built its config carries its hash, failed run or not
+    for spec, row in zip(specs, (r for r in rows if r["method"] == "eg")):
+        eg = ExperimentConfig(market=spec, method="eg", method_config=configs["eg"], out_dir="-")
+        assert row["error"].startswith("InvalidPrices")
+        assert row["config_hash"] == eg.hash(spec.build())
+    assert all(r["config_hash"] == "" and r["error"].startswith("InvalidArgument")
+               for r in rows if r["method"] == "eg-m")
     with open(tmp_path / "sweep" / "sweep.csv") as handle:
         stored = list(csv.DictReader(handle))
-    assert len(stored) == 4
+    assert len(stored) == 6
     assert stored[0]["method"] == "naive"
 
 
@@ -220,6 +228,7 @@ def test_sweep_cells_that_differ_only_in_k_keep_their_own_directories(tmp_path):
         cell = tmp_path / ("{method}_n{n}_m{m}_k{k}_a{alpha}_{dist}_s{seed}".format(**row))
         summary = json.loads((cell / "summary.json").read_text())
         assert float(row["ng"]) == summary["report"]["ng"]
+        assert row["config_hash"] == summary["config_hash"]
 
 
 def test_sweep_rejects_unknown_method_before_any_cell(tmp_path, capsys):
@@ -336,7 +345,12 @@ def test_failed_run_writes_the_epochs_it_finished(tmp_path):
     assert [int(row["epoch"]) for row in curve] == [1, 2]
     np.testing.assert_array_equal([float(row["ng"]) for row in curve],
                                   [rec.ng for rec in failure.value.history.records])
-    assert not (tmp_path / "eg" / "summary.json").exists()
+    # next to the curve, a summary tagged with the error
+    summary = json.loads((tmp_path / "eg" / "summary.json").read_text())
+    assert summary["config_hash"] == config.hash(config.market.build())
+    assert summary["error"] == f"NumericFailure: {failure.value}"
+    assert summary["curve"] == str(tmp_path / "eg" / "curve.csv")
+    assert "report" not in summary
     # the CLI still exits 3 and leaves the curve (header only: no epoch finished)
     market_path = tmp_path / "market.json"
     assert main(["generate", "--n", "16", "--m", "2", "--k", "3", "--seed", "1",
@@ -344,6 +358,8 @@ def test_failed_run_writes_the_epochs_it_finished(tmp_path):
     assert main(["run", "--market", str(market_path), "--method", "eg", "--rho", "1e4",
                  "--outdir", str(tmp_path / "cli")]) == 3
     assert (tmp_path / "cli" / "curve.csv").read_text().splitlines() == ["epoch,ng,voa,vop,loss"]
+    assert json.loads((tmp_path / "cli" / "summary.json").read_text())["error"].startswith(
+        "NumericFailure: epoch 1")
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from marketeq import oracle
+from marketeq import ces, oracle
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, NumericFailure, OracleFailure, UnsupportedRegime
 from marketeq.market import ContextDistribution, Market, generate_market
@@ -163,14 +163,16 @@ def _record_descents(monkeypatch):
 # an easy market shaped like perfbench's oracle-ref inputs
 _EASY = dict(n=6, m=3, k=5, dist=ContextDistribution.STANDARD_NORMAL, ces=CesSpec.general(0.5),
              seed=7)
-# SHA-256 of the prices and allocation the loose tolerances certify at epoch 100
-_EASY_SEGMENT_DIGEST = "19952df11615349aec077c58883427fbb242cd7536c4e3aa425310bb359c09f2"
+# SHA-256 of the prices and allocation the loose tolerances certify at epoch 600
+_EASY_SEGMENT_DIGEST = "609f2cf7e23818cb024a1bf91b1a445e47969f2cfc6d08b78b3db22f40c0efff"
 
 
 def test_numeric_returns_once_reference_precision_is_reached(monkeypatch):
     last_epochs = _record_descents(monkeypatch)
     res = numeric_equilibrium(generate_market(**_EASY))
     assert len(last_epochs) == 1 and last_epochs[0] < oracle._SEGMENT_EPOCHS
+    # a bound on the work that holds whatever the machine's speed
+    assert last_epochs[0] * oracle._EPOCH_ITERS <= 2000
     assert res.kkt_residual <= oracle.NUMERIC_REFERENCE_KKT
 
 
@@ -181,6 +183,36 @@ def test_numeric_segment_end_acceptance_is_unchanged(monkeypatch):
     assert last_epochs == [oracle._SEGMENT_EPOCHS]
     pair = res.candidate.prices.tobytes() + res.candidate.allocation.tobytes()
     assert hashlib.sha256(pair).hexdigest() == _EASY_SEGMENT_DIGEST
+
+
+def test_numeric_segment_end_certifies_the_demand_at_the_descent_prices(monkeypatch):
+    # with segments of 6 epochs, the descent's pair at epoch 6 misses KKT 1e-4,
+    # and each buyer's demand at the descent's prices certifies instead
+    monkeypatch.setattr(oracle, "NUMERIC_REFERENCE_KKT", 0.0)
+    monkeypatch.setattr(oracle, "_SEGMENT_EPOCHS", 6)
+    real = oracle._certify
+    attempts = []
+
+    def recording(market, x, p, *args, **kwargs):
+        attempts.append((x, p))
+        return real(market, x, p, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_certify", recording)
+    last_epochs = _record_descents(monkeypatch)
+    market = generate_market(**_EASY)
+    res = numeric_equilibrium(market)
+    assert last_epochs == [6] and len(attempts) == 7  # epochs 1-5, then two pairs at epoch 6
+    (x_descent, p), (x_demand, p_demand) = attempts[-2:]
+    assert p_demand is p
+    tolerances = (oracle.NUMERIC_NG_TOL, oracle.NUMERIC_KKT_TOL)
+    with pytest.raises(OracleFailure, match="KKT"):
+        real(market, x_descent, p, *tolerances, method="numeric")
+    np.testing.assert_array_equal(
+        x_demand, ces.demand_matrix(market.values, market.budgets, p, market.ces))
+    certified = real(market, x_demand, p, *tolerances, method="numeric")
+    np.testing.assert_array_equal(res.candidate.allocation, certified.candidate.allocation)
+    np.testing.assert_array_equal(res.candidate.prices, certified.candidate.prices)
+    assert res.kkt_residual <= oracle.NUMERIC_KKT_TOL
 
 
 def test_numeric_exhausted_budget_descends_once(monkeypatch):
