@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_integer, check_range
+from .errors import InvalidArgument, NumericFailure, check_integer, check_range
 from .market import Market, softplus, softplus_and_slope
-from .trainer import EpochRecord, TrainHistory, epoch_scores, multiplier_update, solution_pair
+from .trainer import multiplier_update, run_epochs
 
 _RAW_AT_ONE = math.log(math.e - 1.0)  # softplus(_RAW_AT_ONE) = 1
 _ZERO_UTILITY = "a buyer reached zero utility during descent"
@@ -109,24 +109,11 @@ def eg_momentum_solve(market: Market, config: EgConfig | None = None):
 
 def _solve(market: Market, config: EgConfig):
     """Descend from the naive start, scoring every epoch by its projected NG."""
-    history = TrainHistory()
-    epochs = descend(market, config, np.full((market.n, market.m), _RAW_AT_ONE))
-    try:
-        for epoch, raw, lam, loss, train_seconds in epochs:
-            t_eval = time.perf_counter()
-            x, p = solution_pair(softplus(np.ascontiguousarray(raw)), lam, market)
-            ng, voa, vop = epoch_scores(market, x, p)
-            history.append(EpochRecord(
-                epoch=epoch, loss=loss, ng=ng, voa=voa, vop=vop,
-                train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
-            ))
-            if config.ng_stop is not None and np.isfinite(ng) and ng < config.ng_stop:
-                break
-    except NumericFailure as err:
-        raise NumericFailure(f"epoch {len(history) + 1}: {err}", history=history) from err
-    if np.any(lam <= 0):
-        raise InvalidPrices("a multiplier ended nonpositive; the run cannot stand as prices")
-    return metrics.EquilibriumCandidate(x, p), history
+    epochs = ((epoch, softplus(np.ascontiguousarray(raw)), lam, loss, train_seconds)
+              for epoch, raw, lam, loss, train_seconds
+              in descend(market, config, np.full((market.n, market.m), _RAW_AT_ONE)))
+    _, candidate, history = run_epochs(market, epochs, config.epochs, True, config.ng_stop)
+    return candidate, history
 
 
 def descend(market: Market, config: EgConfig, raw: np.ndarray):

@@ -6,7 +6,11 @@ import numpy as np
 
 
 class MarketEqError(Exception):
-    """Base class for all marketeq errors."""
+    """Base class for all marketeq errors; a failed solver attaches its finished epochs."""
+
+    def __init__(self, message, history=None):
+        super().__init__(message)
+        self.history = history
 
 
 class InvalidArgument(MarketEqError):
@@ -37,11 +41,7 @@ class UnsupportedRegime(MarketEqError):
 
 
 class NumericFailure(MarketEqError):
-    """Non-finite value encountered mid-computation; carries diagnostics when available."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history
+    """Non-finite value encountered mid-computation."""
 
 
 class OracleFailure(MarketEqError):

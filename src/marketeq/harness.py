@@ -3,11 +3,11 @@
 One run produces, inside its output directory:
 
 * curve.csv     - per-epoch history (epoch, ng, voa, vop, loss); a solver
-                  that fails with a NumericFailure leaves the epochs it finished
+                  that fails leaves the epochs it finished
 * summary.json  - the metrics report, timings, and the config hash; after a
-                  NumericFailure, the config hash, the error and the time to it
+                  solver failure, the config hash, the error and the time to it
 * candidate.json - the dense (allocation, prices) pair when n*m is small
-* solution.npz  - the trained network + multipliers (network method only)
+* solution.npz  - the trained network + multipliers (a finished network run)
 
 Sweeps run one cell per (method, market spec) combination and aggregate into
 a single CSV, one row per cell with the spec's n, m, k, alpha, dist and seed
@@ -27,14 +27,14 @@ from pathlib import Path
 from . import metrics, trainer
 from .baselines import EgConfig, eg_momentum_solve, eg_solve, naive
 from .ces import CesSpec
-from .errors import InvalidArgument, MarketEqError, NumericFailure
+from .errors import InvalidArgument, MarketEqError
 from .market import ContextDistribution, Market, check_recipe, generate_market
 from .trainer import TrainConfig
 
 METHODS = ("naive", "eg", "eg-m", "fcnet")
 
-# dense candidate matrices are only materialized up to this many entries;
-# beyond it the checkpoint + lazy extraction path is the supported route
+# candidate.json is written up to this many entries; beyond it a network
+# run's record is solution.npz, which `evaluate --solution` certifies
 DENSE_CANDIDATE_LIMIT = 10**7
 
 SWEEP_COLUMNS = ("method", "n", "m", "k", "alpha", "dist", "seed",
@@ -148,16 +148,15 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
         elif config.method == "eg-m":
             candidate, history = eg_momentum_solve(market, config.method_config)
         else:
-            net, lam, history = trainer.train(market, config.method_config)
+            net, lam, candidate, history = trainer.train(market, config.method_config)
             solution_path = out / "solution.npz"
             trainer.save_solution(solution_path, net, lam)
             artifacts["solution"] = str(solution_path)
-            candidate = trainer.extract_solution(net, lam, market)
-    except NumericFailure as err:
+    except MarketEqError as err:
         curve_path = None
         if err.history is not None:
             curve_path = str(out / "curve.csv")
-            err.history.to_csv(curve_path)
+            trainer.write_curve(curve_path, err.history)
         _write_summary(out, {
             "config_hash": config.hash(market),
             "method": config.method,
@@ -175,7 +174,7 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
     curve_path = None
     if history is not None:
         curve_path = str(out / "curve.csv")
-        history.to_csv(curve_path)
+        trainer.write_curve(curve_path, history)
     if market.n * market.m <= DENSE_CANDIDATE_LIMIT:
         candidate_path = out / "candidate.json"
         candidate.save(candidate_path)

@@ -10,7 +10,7 @@ multiplies residuals from opposite halves,
     (rho / 2M) * sum_j sum_{i<=M} (x(b_i, g_j) - 1) * (x(b_{i+M}, g_j) - 1).
 
 Per-epoch cost is independent of the buyer count for fixed batch size; only
-the exact multiplier pass and the evaluation sweep touch all n buyers.
+the population passes (exact multipliers, scores, the candidate) touch all n.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import csv
 import math
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, NumericFailure, check_integer, check_range
+from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_integer, check_range
 from .market import Market
 from .net import AdamState, AllocationNet, adam_step
 
@@ -63,34 +63,21 @@ class TrainConfig:
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
-    loss: float  # mean minibatch Lagrangian estimate over the epoch
-    ng: float
+    loss: float  # fcnet: mean minibatch Lagrangian estimate over the epoch; EG: at its last step
+    ng: float  # scores of the epoch's pair; NaN when unscored or a multiplier is nonpositive
     voa: float
     vop: float
-    train_seconds: float  # inner loop (EG: plus dual step); excludes fcnet's multiplier pass, eval
-    eval_seconds: float
+    train_seconds: float  # inner loop (EG: plus dual step); excludes fcnet's population pass
+    eval_seconds: float  # the rest of the epoch's wall time: population pass, scores, checkpoint
 
 
-@dataclass
-class TrainHistory:
-    records: list = field(default_factory=list)
-
-    def append(self, record: EpochRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def to_csv(self, path) -> None:
-        """Curve file: one row per epoch, columns (epoch, ng, voa, vop, loss)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CURVE_COLUMNS)
-            for rec in self.records:
-                writer.writerow([rec.epoch, repr(rec.ng), repr(rec.voa), repr(rec.vop), repr(rec.loss)])
+def write_curve(path, history) -> None:
+    """Curve file of EpochRecords: one row per epoch, columns (epoch, ng, voa, vop, loss)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CURVE_COLUMNS)
+        for rec in history:
+            writer.writerow([rec.epoch, repr(rec.ng), repr(rec.voa), repr(rec.vop), repr(rec.loss)])
 
 
 def _norm_supply(market: Market) -> np.ndarray:
@@ -170,57 +157,82 @@ def multiplier_update(multipliers, allocation, rho: float, beta_t: float) -> np.
 
 
 def train(market: Market, config: TrainConfig):
-    """Run the full training loop; returns (net, multipliers, history).
+    """Run the full training loop; returns (net, multipliers, candidate, history).
 
     Deterministic given the config seed: network init, the uniform
     with-replacement draw of buyer indices and all reductions are fixed-order.
     """
     init_ss, sample_ss = np.random.SeedSequence(config.seed).spawn(2)
     net = AllocationNet.initialize(market.k, config.hidden_depth, config.hidden_width, init_ss)
+    lam, candidate, history = run_epochs(market, _train_epochs(net, market, config, sample_ss),
+                                         config.epochs, config.eval_each_epoch)
+    return net, lam, candidate, history
+
+
+def _train_epochs(net: AllocationNet, market: Market, config: TrainConfig, sample_ss):
+    """`net`'s epochs for `run_epochs`.  One population forward feeds an
+    epoch's exact dual step and scores; the last epoch's is the candidate."""
     adam = AdamState.for_net(net, lr=config.learning_rate)
     sampler = np.random.Generator(np.random.Philox(sample_ss))
     lam = np.ones(market.m)
-    history = TrainHistory()
-    half = config.batch_size_loss
     exact_pass = config.batch_size_multiplier is None or config.batch_size_multiplier >= market.n
+    for epoch in range(1, config.epochs + 1):
+        t_start = time.perf_counter()
+        loss_sum = 0.0
+        for _ in range(config.inner_iters):
+            idx = sampler.integers(0, market.n, size=2 * config.batch_size_loss)
+            terms, grad = lagrangian_step(net, lam, config.rho, idx, market)
+            loss_sum += sum(terms)
+            adam_step(adam, net, grad)
+        train_seconds = time.perf_counter() - t_start
 
+        beta_t = 1.0 / math.sqrt(epoch)
+        population = (net.forward_batch(market.buyers, market.goods)
+                      if exact_pass or config.eval_each_epoch or epoch == config.epochs else None)
+        if exact_pass:
+            lam = multiplier_update(lam, population, config.rho, beta_t)
+        else:
+            idx = sampler.integers(0, market.n, size=config.batch_size_multiplier)
+            lam = multiplier_update(lam, net.forward_batch(market.buyers[idx], market.goods),
+                                    config.rho, beta_t)
+        if config.checkpoint_dir is not None:
+            path = Path(config.checkpoint_dir)
+            path.mkdir(parents=True, exist_ok=True)
+            save_solution(path / f"net_epoch_{epoch:03d}.npz", net, lam)
+        yield epoch, population, lam, loss_sum / config.inner_iters, train_seconds
+        population = None  # the next epoch's pass must not find this one alive
+
+
+def run_epochs(market: Market, epochs, last_epoch: int, score: bool, ng_stop: float | None = None):
+    """The one epoch driver of fcnet and EG; returns (multipliers, candidate, history).
+
+    `epochs` yields (epoch, normalized population, or None in an unscored
+    epoch before `last_epoch`, multipliers, loss, train_seconds).  The rest
+    of an epoch's wall time is its `eval_seconds`.  The candidate is the pair
+    of the last epoch, or of the first whose NG falls below `ng_stop`.  A
+    NumericFailure or nonpositive final multipliers raise with the history."""
+    history = []
+    t_start = time.perf_counter()
     try:
-        for epoch in range(1, config.epochs + 1):
-            t_start = time.perf_counter()
-            loss_sum = 0.0
-            for _ in range(config.inner_iters):
-                idx = sampler.integers(0, market.n, size=2 * half)
-                terms, grad = lagrangian_step(net, lam, config.rho, idx, market)
-                loss_sum += sum(terms)
-                adam_step(adam, net, grad)
-            train_seconds = time.perf_counter() - t_start
-
-            t_eval = time.perf_counter()
-            beta_t = 1.0 / math.sqrt(epoch)
-            # one full-population forward per epoch feeds the exact multiplier
-            # pass and the evaluation sweep
-            population = (net.forward_batch(market.buyers, market.goods)
-                          if exact_pass or config.eval_each_epoch else None)
-            if exact_pass:
-                lam = multiplier_update(lam, population, config.rho, beta_t)
-            else:
-                idx = sampler.integers(0, market.n, size=config.batch_size_multiplier)
-                lam = multiplier_update(lam, net.forward_batch(market.buyers[idx], market.goods),
-                                        config.rho, beta_t)
-            ng, voa, vop = (epoch_scores(market, *solution_pair(population, lam, market))
-                            if config.eval_each_epoch else (math.nan,) * 3)
-            population = None
-            if config.checkpoint_dir is not None:
-                path = Path(config.checkpoint_dir)
-                path.mkdir(parents=True, exist_ok=True)
-                save_solution(path / f"net_epoch_{epoch:03d}.npz", net, lam)
-            history.append(EpochRecord(
-                epoch=epoch, loss=loss_sum / config.inner_iters, ng=ng, voa=voa, vop=vop,
-                train_seconds=train_seconds, eval_seconds=time.perf_counter() - t_eval,
-            ))
+        for epoch, population, lam, loss, train_seconds in epochs:
+            ng = voa = vop = math.nan
+            if score or epoch == last_epoch:
+                x, p = solution_pair(population, lam, market)
+            if score:
+                ng, voa, vop = epoch_scores(market, x, p)
+            t_end = time.perf_counter()
+            history.append(EpochRecord(epoch=epoch, loss=loss, ng=ng, voa=voa, vop=vop,
+                                       train_seconds=train_seconds,
+                                       eval_seconds=t_end - t_start - train_seconds))
+            t_start = t_end
+            if epoch == last_epoch or (ng_stop is not None and ng < ng_stop):
+                break
+            population = x = None  # the next epoch's pass must not find this one alive
     except NumericFailure as err:
-        raise NumericFailure(f"epoch {len(history) + 1}: {err}", history=history) from err
-    return net, lam, history
+        raise NumericFailure(f"epoch {len(history) + 1}: {err}", history) from err
+    if not np.all(lam > 0):
+        raise InvalidPrices("a multiplier ended nonpositive; it cannot stand as a price", history)
+    return lam, metrics.EquilibriumCandidate(x, p), history
 
 
 def epoch_scores(market: Market, x, p):
@@ -289,13 +301,14 @@ def extract_solution(net: AllocationNet, multipliers, market: Market) -> metrics
 
 __all__ = [
     "TrainConfig",
-    "TrainHistory",
     "EpochRecord",
+    "write_curve",
     "CURVE_COLUMNS",
     "lagrangian_step",
     "multiplier_update",
     "solution_pair",
     "train",
+    "run_epochs",
     "extract_solution",
     "save_solution",
     "load_solution",

@@ -230,7 +230,7 @@ def test_criterion_8_scaling_trend():
     for n in (2**12, 2**16):
         market = generate_market(n, 10, 5, ContextDistribution.STANDARD_NORMAL,
                                  CesSpec.general(0.5), 99)
-        _, _, fc_hist = train(market, fc_config)
+        _, _, _, fc_hist = train(market, fc_config)
         fc_secs[n] = float(np.median([r.train_seconds for r in fc_hist]))
         from marketeq.baselines import eg_solve
         _, eg_hist = eg_solve(market, eg_config)
@@ -271,9 +271,10 @@ def test_criterion_10_determinism(desk_runs, tmp_path):
         experiment = ExperimentConfig(market=DESK_MARKET, method=method,
                                       method_config=config, out_dir=str(rerun_dir))
         run_experiment(experiment)
-        first = (first_dir / "curve.csv").read_bytes()
-        second = (rerun_dir / "curve.csv").read_bytes()
-        identical = identical and first == second
-        detail.append(f"{method}: {'identical' if first == second else 'DIFFERS'}")
-    _report(10, "re-running the desk-scale experiments reproduces the history CSVs",
+        # every artifact but summary.json, which holds the timings
+        for name in sorted(path.name for path in first_dir.iterdir() if path.name != "summary.json"):
+            same = (first_dir / name).read_bytes() == (rerun_dir / name).read_bytes()
+            identical = identical and same
+            detail.append(f"{method} {name}: {'identical' if same else 'DIFFERS'}")
+    _report(10, "re-running the desk-scale experiments reproduces their artifacts",
             identical, started, "; ".join(detail))

@@ -129,15 +129,6 @@ def test_eg_nonpositive_multiplier_raises():
                                ng_stop=None))
 
 
-def test_eg_history_schema_matches_trainer():
-    mkt = generate_market(16, 2, 3, ContextDistribution.UNIFORM01, CesSpec.linear(), 5)
-    _, history = eg_solve(mkt, EgConfig(epochs=2, inner_iters=5, ng_stop=None))
-    rec = list(history)[0]
-    assert rec.epoch == 1
-    assert np.isfinite(rec.loss)
-    assert np.isfinite(rec.ng)
-
-
 @pytest.mark.parametrize("spec, error", [
     (CesSpec.cobb_douglas(), NumericFailure),  # zero utility outranks the boundary
     (CesSpec.general(-1.0), NumericFailure),

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from marketeq import cli, harness, trainer
 from marketeq.baselines import EgConfig
 from marketeq.cli import main
 from marketeq.ces import CesSpec
-from marketeq.errors import InvalidArgument, NumericFailure
+from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.harness import (
     ExperimentConfig,
     MarketSpec,
@@ -344,7 +345,7 @@ def test_failed_run_writes_the_epochs_it_finished(tmp_path):
         curve = list(csv.DictReader(handle))
     assert [int(row["epoch"]) for row in curve] == [1, 2]
     np.testing.assert_array_equal([float(row["ng"]) for row in curve],
-                                  [rec.ng for rec in failure.value.history.records])
+                                  [rec.ng for rec in failure.value.history])
     # next to the curve, a summary tagged with the error
     summary = json.loads((tmp_path / "eg" / "summary.json").read_text())
     assert summary["config_hash"] == config.hash(config.market.build())
@@ -360,6 +361,49 @@ def test_failed_run_writes_the_epochs_it_finished(tmp_path):
     assert (tmp_path / "cli" / "curve.csv").read_text().splitlines() == ["epoch,ng,voa,vop,loss"]
     assert json.loads((tmp_path / "cli" / "summary.json").read_text())["error"].startswith(
         "NumericFailure: epoch 1")
+    # one epoch only: it finishes, and its dual step leaves a multiplier negative
+    config = ExperimentConfig(market=MarketSpec(n=16, m=2, k=5, seed=1), method="eg",
+                              method_config=EgConfig(epochs=1, beta_schedule="constant",
+                                                     beta_scale=1e4, ng_stop=None),
+                              out_dir=str(tmp_path / "prices"))
+    with pytest.raises(InvalidPrices) as failure:
+        run_experiment(config)
+    with open(tmp_path / "prices" / "curve.csv") as handle:
+        assert [int(row["epoch"]) for row in csv.DictReader(handle)] == [1]
+    assert len(failure.value.history) == 1
+    summary = json.loads((tmp_path / "prices" / "summary.json").read_text())
+    assert summary["error"] == f"InvalidPrices: {failure.value}"
+    assert summary["curve"] == str(tmp_path / "prices" / "curve.csv")
+
+
+def test_fcnet_run_takes_its_candidate_from_the_last_population_pass(tmp_path, monkeypatch):
+    # the candidate is the last epoch's population, not one more forward: an
+    # exact run forms one population per epoch, a sampled unscored run one in all
+    spec = toy_spec(n=64, seed=7)
+    market = spec.build()
+    forward_batch = AllocationNet.forward_batch
+    full_passes = []
+
+    def counted(net, buyers, goods):
+        full_passes.append(len(buyers) == market.n)
+        return forward_batch(net, buyers, goods)
+
+    base = TrainConfig(batch_size_loss=16, hidden_width=16, hidden_depth=2, inner_iters=5,
+                       epochs=3, seed=0)
+    for name, method_config, passes in (
+            ("exact", base, base.epochs),
+            ("sampled", replace(base, batch_size_multiplier=8, eval_each_epoch=False), 1)):
+        full_passes.clear()
+        monkeypatch.setattr(AllocationNet, "forward_batch", counted)
+        config = ExperimentConfig(market=spec, method="fcnet",
+                                  method_config=method_config, out_dir=str(tmp_path / name))
+        run_experiment(config, market)
+        monkeypatch.undo()
+        assert sum(full_passes) == passes, name
+        stored = EquilibriumCandidate.load(tmp_path / name / "candidate.json")
+        own = trainer.extract_solution(*load_solution(tmp_path / name / "solution.npz"), market)
+        np.testing.assert_array_equal(stored.allocation, own.allocation)
+        np.testing.assert_array_equal(stored.prices, own.prices)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from marketeq.baselines import EgConfig, eg_solve
 from marketeq.ces import CesSpec
 from marketeq.errors import InvalidArgument, InvalidPrices, NumericFailure
 from marketeq.market import ContextDistribution, generate_market
@@ -20,6 +22,7 @@ from marketeq.trainer import (
     save_solution,
     solution_pair,
     train,
+    write_curve,
 )
 
 from helpers import (
@@ -153,15 +156,15 @@ def test_multiplier_update_full_batch_equals_exact():
     market = random_market(rng, 3, 2, CesSpec.cobb_douglas())
     config = TrainConfig(batch_size_loss=1, rho=0.5, hidden_width=8, hidden_depth=2,
                          inner_iters=2, epochs=2, seed=6)
-    _, exact, exact_history = train(market, config)
-    _, full, full_history = train(market, replace(config, batch_size_multiplier=market.n))
+    _, exact, _, exact_history = train(market, config)
+    _, full, _, full_history = train(market, replace(config, batch_size_multiplier=market.n))
     np.testing.assert_array_equal(full, exact)
     np.testing.assert_array_equal(*(
         [(r.epoch, r.loss, r.ng, r.voa, r.vop) for r in history]
         for history in (full_history, exact_history)))
     # below n the update averages the rows the sampler draws after the inner loop
     config = replace(config, batch_size_multiplier=2, epochs=1)
-    net, sampled, _ = train(market, config)
+    net, sampled, _, _ = train(market, config)
     sampler = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed).spawn(2)[1]))
     for _ in range(config.inner_iters):
         sampler.integers(0, market.n, size=2 * config.batch_size_loss)
@@ -172,9 +175,9 @@ def test_multiplier_update_full_batch_equals_exact():
     market = random_market(rng, 64, 2, CesSpec.general(0.5))
     config = TrainConfig(batch_size_loss=8, batch_size_multiplier=8, hidden_width=8,
                          hidden_depth=2, inner_iters=5, epochs=3, seed=0)
-    _, first, _ = train(market, config)
-    _, rerun, _ = train(market, config)
-    _, unevaluated, _ = train(market, replace(config, eval_each_epoch=False))
+    _, first, _, _ = train(market, config)
+    _, rerun, _, _ = train(market, config)
+    _, unevaluated, _, _ = train(market, replace(config, eval_each_epoch=False))
     np.testing.assert_array_equal(first, rerun)
     np.testing.assert_array_equal(first, unevaluated)
 
@@ -193,7 +196,7 @@ def test_train_takes_the_shared_lagrangian_step(monkeypatch):
         return lagrangian_step(*args)
 
     monkeypatch.setattr("marketeq.trainer.lagrangian_step", counted_step)
-    _, _, history = train(market, config)
+    _, _, _, history = train(market, config)
     assert len(calls) == config.epochs * config.inner_iters
     init_ss, sample_ss = np.random.SeedSequence(config.seed).spawn(2)
     net = AllocationNet.initialize(market.k, config.hidden_depth, config.hidden_width, init_ss)
@@ -205,7 +208,7 @@ def test_train_takes_the_shared_lagrangian_step(monkeypatch):
         terms, grad = lagrangian_step(net, np.ones(market.m), config.rho, idx, market)
         loss_sum += sum(terms)
         adam_step(adam, net, grad)
-    assert history.records[0].loss == loss_sum / config.inner_iters
+    assert history[0].loss == loss_sum / config.inner_iters
 
 
 def test_shared_population_forward_is_bitwise():
@@ -246,8 +249,7 @@ def test_train_single_pair_market():
     config = TrainConfig(batch_size_loss=8, hidden_width=16, hidden_depth=2, rho=1.0,
                          learning_rate=3e-3, inner_iters=50, epochs=40, seed=0,
                          eval_each_epoch=False)
-    net, lam, _ = train(market, config)
-    cand = extract_solution(net, lam, market)
+    _, lam, cand, _ = train(market, config)
     assert cand.allocation[0, 0] == pytest.approx(1.0, abs=2e-2)
     assert lam[0] == pytest.approx(1.0, abs=5e-2)
 
@@ -257,7 +259,7 @@ def test_train_small_cobb_douglas_ng():
                              CesSpec.cobb_douglas(), 77)
     config = TrainConfig(batch_size_loss=128, hidden_width=64, hidden_depth=3,
                          learning_rate=1e-3, inner_iters=100, epochs=15, seed=1)
-    net, lam, history = train(market, config)
+    _, _, _, history = train(market, config)
     final = list(history)[-1]
     assert final.ng <= 1e-2
     assert len(history) == 15
@@ -268,8 +270,8 @@ def test_train_deterministic_histories():
                              CesSpec.general(0.5), 10)
     config = TrainConfig(batch_size_loss=16, hidden_width=8, hidden_depth=2,
                          inner_iters=10, epochs=3, seed=9)
-    _, lam_a, hist_a = train(market, config)
-    _, lam_b, hist_b = train(market, config)
+    _, lam_a, _, hist_a = train(market, config)
+    _, lam_b, _, hist_b = train(market, config)
     assert np.array_equal(lam_a, lam_b)
     for ra, rb in zip(hist_a, hist_b):
         assert (ra.loss, ra.ng, ra.voa, ra.vop) == (rb.loss, rb.ng, rb.voa, rb.vop)
@@ -306,6 +308,31 @@ def test_train_epoch_end_failure_keeps_epoch_and_history(monkeypatch):
     with pytest.raises(NumericFailure, match=r"^epoch 2: non-finite pre-activation") as excinfo:
         train(market, config)
     assert len(excinfo.value.history) == 1
+
+
+def test_epoch_timers_leave_the_population_pass_and_the_scores_out_of_training(monkeypatch):
+    # criterion 8 reads train_seconds: fcnet's population pass and EG's scores
+    # belong to eval_seconds
+    market = generate_market(32, 2, 3, ContextDistribution.UNIFORM01, CesSpec.general(0.5), 3)
+    pause = 0.1
+    forward_batch = AllocationNet.forward_batch
+
+    def slow_forward(net, buyers, goods):
+        time.sleep(pause)
+        return forward_batch(net, buyers, goods)
+
+    def slow_scores(*args):
+        time.sleep(pause)
+        return epoch_scores(*args)
+
+    monkeypatch.setattr(AllocationNet, "forward_batch", slow_forward)
+    _, _, _, fcnet_history = train(market, TrainConfig(
+        batch_size_loss=8, hidden_width=8, hidden_depth=2, inner_iters=2, epochs=2, seed=0))
+    monkeypatch.undo()
+    monkeypatch.setattr("marketeq.trainer.epoch_scores", slow_scores)
+    _, eg_history = eg_solve(market, EgConfig(inner_iters=2, epochs=2, ng_stop=None))
+    for rec in fcnet_history + eg_history:
+        assert rec.eval_seconds >= pause > rec.train_seconds
 
 
 def test_extract_solution_contract():
@@ -346,12 +373,12 @@ def test_train_checkpoints_each_epoch(tmp_path):
     config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=2,
                          inner_iters=5, epochs=3, seed=0, eval_each_epoch=False,
                          checkpoint_dir=str(tmp_path / "ckpts"))
-    net, lam, _ = train(market, config)
+    net, lam, _, _ = train(market, config)
     files = sorted(p.name for p in (tmp_path / "ckpts").iterdir())
     assert files == ["net_epoch_001.npz", "net_epoch_002.npz", "net_epoch_003.npz"]
     # each snapshot is the solution a run stopped after that epoch returns
     for epoch, name in enumerate(files, start=1):
-        ref_net, ref_lam, _ = train(market, replace(config, epochs=epoch, checkpoint_dir=None))
+        ref_net, ref_lam, _, _ = train(market, replace(config, epochs=epoch, checkpoint_dir=None))
         snap_net, snap_lam = load_solution(tmp_path / "ckpts" / name)
         np.testing.assert_array_equal(snap_net.get_flat(), ref_net.get_flat())
         np.testing.assert_array_equal(snap_lam, ref_lam)
@@ -363,10 +390,10 @@ def test_history_curve_csv(tmp_path):
     market = generate_market(32, 2, 3, ContextDistribution.UNIFORM01, CesSpec.linear(), 3)
     config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=2,
                          inner_iters=5, epochs=2, seed=0)
-    _, _, history = train(market, config)
+    _, _, _, history = train(market, config)
     path = tmp_path / "curve.csv"
-    history.to_csv(path)
+    write_curve(path, history)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CURVE_COLUMNS)
     assert len(lines) == 3
-    assert history.records[0].epoch == 1 and history.records[0].train_seconds >= 0.0
+    assert history[0].epoch == 1 and history[0].train_seconds >= 0.0
