@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ces, metrics
 from .errors import InvalidArgument, NumericFailure, check_integer, check_range
-from .market import Market, softplus, softplus_and_slope
+from .market import Market, softplus_and_slope
 from .trainer import multiplier_update, run_epochs
 
 _RAW_AT_ONE = math.log(math.e - 1.0)  # softplus(_RAW_AT_ONE) = 1
@@ -109,27 +109,26 @@ def eg_momentum_solve(market: Market, config: EgConfig | None = None):
 
 def _solve(market: Market, config: EgConfig):
     """Descend from the naive start, scoring every epoch by its projected NG."""
-    epochs = ((epoch, softplus(np.ascontiguousarray(raw)), lam, loss, train_seconds)
-              for epoch, raw, lam, loss, train_seconds
-              in descend(market, config, np.full((market.n, market.m), _RAW_AT_ONE)))
-    _, candidate, history = run_epochs(market, epochs, config.epochs, True, config.ng_stop)
+    _, candidate, history = run_epochs(market, descend(market, config), config.epochs, True,
+                                       config.ng_stop)
     return candidate, history
 
 
-def descend(market: Market, config: EgConfig, raw: np.ndarray):
-    """The EG descent loop from the raw parameters `raw`.  Each epoch runs
-    `inner_iters` gradient steps on the penalized Lagrangian and one dual step
-    on the multipliers, then yields (epoch, raw, multipliers, loss,
-    train_seconds) for epochs 1..config.epochs.  The yielded `raw` is a
-    column-major copy of the input that the loop owns and updates in place;
-    the caller's array is never written.  Every n-by-m array of the loop is
-    buyer-contiguous, as the market's cached values already are (they are
-    read, not copied), so each element-wise pass, per-buyer reduction over
-    goods and per-good mean runs along n-long vectors.  Those arrays are
-    allocated once per call, and every gradient step runs in them: the
-    softplus and CES kernels write into the loop's buffers.  `ng_stop` is
-    left to the caller; a buyer reaching zero utility or diverging
-    parameters raise NumericFailure."""
+def descend(market: Market, config: EgConfig, start: np.ndarray | None = None):
+    """The EG descent loop from the normalized allocation `start` (None: the
+    naive all-ones allocation).  Each epoch runs `inner_iters` gradient steps
+    on the penalized Lagrangian and one dual step on the multipliers, then
+    yields (epoch, normalized allocation, multipliers, loss, train_seconds)
+    for epochs 1..config.epochs, the tuple `trainer.run_epochs` consumes.
+    The softplus parameters behind the allocation never leave the loop: each
+    yielded allocation is a fresh C-ordered array, and `start` is never
+    written.  Every n-by-m array of the loop is buyer-contiguous, as the
+    market's cached values already are (they are read, not copied), so each
+    element-wise pass, per-buyer reduction over goods and per-good mean runs
+    along n-long vectors.  Those arrays are allocated once per call, and
+    every gradient step runs in them: the softplus and CES kernels write into
+    the loop's buffers.  `ng_stop` is left to the caller; a buyer reaching
+    zero utility or diverging parameters raise NumericFailure."""
     eta = config.step_size if config.step_size is not None else step_size_for(market)
     inner = config.inner_iters if config.inner_iters is not None else (
         1000 if market.n > 1000 else 100)
@@ -139,7 +138,12 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
     budgets = market.budgets
     values = market.values
     spec = market.ces
-    raw = np.array(raw, dtype=float, order="F")
+    if start is None:
+        raw = np.full((market.n, market.m), _RAW_AT_ONE, order="F")
+    else:  # softplus inverted; above 30 the allocation itself, within 1e-13
+        with np.errstate(over="ignore"):
+            raw = np.where(start > 30.0, start, np.log(np.expm1(np.minimum(start, 30.0))))
+        raw = np.asfortranarray(raw, dtype=float)
     velocity = np.zeros_like(raw)
     lam = np.ones(market.m)
     finite = np.empty_like(raw, dtype=bool)
@@ -180,8 +184,11 @@ def descend(market: Market, config: EgConfig, raw: np.ndarray):
         loss = float(
             -(budgets @ log_u) / market.n + lam @ resid + config.rho / 2.0 * resid @ resid
         )
-        lam = multiplier_update(lam, softplus(raw), config.rho, config.beta(epoch))
-        yield epoch, raw, lam, loss, time.perf_counter() - t_start
+        # the dual step reads the column-major allocation, so its per-good
+        # means add up in the loop's order
+        x_hat, _ = softplus_and_slope(raw, out=softplus_buffers)
+        lam = multiplier_update(lam, x_hat, config.rho, config.beta(epoch))
+        yield epoch, x_hat.copy(order="C"), lam, loss, time.perf_counter() - t_start
 
 
 __all__ = ["EgConfig", "naive", "eg_solve", "eg_momentum_solve", "descend", "step_size_for"]

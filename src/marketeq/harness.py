@@ -37,6 +37,10 @@ METHODS = ("naive", "eg", "eg-m", "fcnet")
 # run's record is solution.npz, which `evaluate --solution` certifies
 DENSE_CANDIDATE_LIMIT = 10**7
 
+# every file a run may write into its out dir; a run first removes them, so
+# that no artifact of an earlier run in the same directory is left beside it
+_RUN_FILES = ("curve.csv", "summary.json", "candidate.json", "solution.npz")
+
 SWEEP_COLUMNS = ("method", "n", "m", "k", "alpha", "dist", "seed",
                  "ng", "voa", "vop", "seconds", "config_hash", "error")
 
@@ -136,6 +140,8 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
     market = market if market is not None else config.market.build()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _RUN_FILES:
+        (out / name).unlink(missing_ok=True)
     history = None
     artifacts: dict = {}
 

@@ -12,7 +12,7 @@ NG >= 0 always, with equality exactly at market equilibrium.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,6 @@ FEASIBILITY_RTOL = 1e-9
 
 # KKT's active set: x_ij > KKT_ACTIVE_RTOL * B_i / p_j
 KKT_ACTIVE_RTOL = 1e-8
-
-# CSV column order is part of the external interface; keep stable.
-CSV_COLUMNS = ("lnw", "lfw", "ng", "voa", "vop", "wsw", "price_residual", "kkt_max_residual")
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,7 @@ class MetricsReport:
     degenerate_lnw: bool = False
 
     def to_json(self) -> dict:
-        return {col: getattr(self, col) for col in CSV_COLUMNS} | {
-            "degenerate_lnw": self.degenerate_lnw
-        }
+        return asdict(self)
 
 
 def _check_allocation(market: Market, x) -> np.ndarray:
@@ -300,7 +295,6 @@ def evaluate(market: Market, x, p, kkt: bool = True) -> MetricsReport:
 
 
 __all__ = [
-    "CSV_COLUMNS",
     "FEASIBILITY_RTOL",
     "KKT_ACTIVE_RTOL",
     "EquilibriumCandidate",

@@ -31,6 +31,15 @@ ADAM_EPS = 1e-8
 _BATCH_ROWS = 4096
 
 
+def _dims(context_dim: int, hidden_depth: int, hidden_width: int) -> list:
+    """Layer widths of an architecture: the pair input, the hidden layers and
+    the scalar output."""
+    check_integer("context_dim", context_dim, 1)
+    check_integer("hidden_depth", hidden_depth, 1)
+    check_integer("hidden_width", hidden_width, 1)
+    return [2 * context_dim] + [hidden_width] * hidden_depth + [1]
+
+
 def _layer_views(flat: np.ndarray, dims):
     """Per-layer [W; b] views of a flat buffer laid out like get_flat(): each
     layer's (fan_in, fan_out) weights row by row, then its fan_out biases, which
@@ -102,7 +111,7 @@ class AllocationNet:
     biases: list = field(repr=False)
 
     def __post_init__(self):
-        self._dims = [2 * self.context_dim] + [self.hidden_width] * self.hidden_depth + [1]
+        self._dims = _dims(self.context_dim, self.hidden_depth, self.hidden_width)
         shapes = list(zip(self._dims[:-1], self._dims[1:]))
         if ([np.shape(w) for w in self.weights] != shapes
                 or [np.shape(b) for b in self.biases] != [(fan_out,) for _, fan_out in shapes]):
@@ -132,18 +141,29 @@ class AllocationNet:
     def initialize(cls, context_dim: int, hidden_depth: int = 5, hidden_width: int = 256,
                    seed: int | np.random.SeedSequence = 0) -> "AllocationNet":
         """He-style init: N(0, 2/fan_in) weights, zero biases."""
-        check_integer("context_dim", context_dim, 1)
-        check_integer("hidden_depth", hidden_depth, 1)
-        check_integer("hidden_width", hidden_width, 1)
+        dims = _dims(context_dim, hidden_depth, hidden_width)
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         gen = np.random.Generator(np.random.Philox(seed))
-        dims = [2 * context_dim] + [hidden_width] * hidden_depth + [1]
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(gen.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
             biases.append(np.zeros(fan_out))
         return cls(context_dim, hidden_depth, hidden_width, weights, biases)
+
+    @classmethod
+    def from_flat(cls, context_dim: int, hidden_depth: int, hidden_width: int,
+                  flat) -> "AllocationNet":
+        """The network of this architecture whose `get_flat()` equals `flat`.
+        The parameter count is checked before anything is allocated."""
+        dims = _dims(context_dim, hidden_depth, hidden_width)
+        count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (count,):
+            raise InvalidArgument(f"expected {count} parameters, got {flat.shape}")
+        layers = _layer_views(flat, dims)
+        return cls(context_dim, hidden_depth, hidden_width,
+                   [wb[:-1] for wb in layers], [wb[-1] for wb in layers])
 
     @property
     def input_dim(self) -> int:
@@ -251,17 +271,11 @@ class AllocationNet:
                 delta = np.multiply(out, mask, out=out)
         return flat
 
-    # ---- flat parameter view (solution files, finite differences) ----------
+    # ---- flat parameter view (solution files) -------------------------------
 
     def get_flat(self) -> np.ndarray:
         """A copy of all parameters, layer by layer (weights, then biases)."""
         return self._params.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise InvalidArgument(f"expected {self.n_params} parameters, got {flat.shape}")
-        self._params[...] = flat
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ces, metrics
-from .baselines import _RAW_AT_ONE, EgConfig, descend
+from .baselines import EgConfig, descend
 from .errors import (
     InvalidArgument,
     NumericFailure,
@@ -23,7 +23,7 @@ from .errors import (
     ProjectionUndefined,
     UnsupportedRegime,
 )
-from .market import Market, softplus
+from .market import Market
 from .trainer import solution_pair
 
 MAX_NUMERIC_BUYERS = 200
@@ -117,8 +117,8 @@ def numeric_equilibrium(market: Market) -> OracleResult:
     last_error = None
     for _ in range(3):  # divergence retries at halved step size
         try:
-            for epoch, raw, lam, _, _ in descend(market, config, _warm_start(market)):
-                x, p = solution_pair(softplus(np.ascontiguousarray(raw)), lam, market)
+            for epoch, x_hat, lam, _, _ in descend(market, config, _warm_start(market)):
+                x, p = solution_pair(x_hat, lam, market)
                 if np.any(p <= 0):
                     continue
                 segment_end = epoch % _SEGMENT_EPOCHS == 0
@@ -136,20 +136,18 @@ def numeric_equilibrium(market: Market) -> OracleResult:
     raise OracleFailure(f"numeric oracle failed to certify: {last_error}")
 
 
-def _warm_start(market: Market) -> np.ndarray:
-    """Raw parameters the oracle's descent starts from: the naive allocation
-    (softplus(raw) = 1) for linear markets, else each buyer's fixed-price demand
+def _warm_start(market: Market) -> np.ndarray | None:
+    """The normalized allocation the oracle's descent starts from: None (the
+    naive allocation) for linear markets, else each buyer's fixed-price demand
     at the naive prices, floored so that a coordinate parked near zero can
     still climb back if the duals move."""
     if market.ces.regime is ces.Regime.LINEAR:
-        return np.full((market.n, market.m), _RAW_AT_ONE)
+        return None
     y_norm = market.supplies / market.n
     p0 = market.total_budget / (market.m * market.supplies)
     x_hat = ces.demand_matrix(market.values, market.budgets, p0, market.ces) / y_norm
     floor = 1e-4 * market.budgets[:, None] / (market.m * p0[None, :] * y_norm)
-    x_hat = np.maximum(x_hat, floor)
-    with np.errstate(over="ignore"):
-        return np.where(x_hat > 30.0, x_hat, np.log(np.expm1(np.minimum(x_hat, 30.0))))
+    return np.maximum(x_hat, floor)
 
 
 def _trial_allocations(market: Market, x: np.ndarray, p: np.ndarray, segment_end: bool):

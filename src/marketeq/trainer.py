@@ -267,8 +267,9 @@ def load_solution(path):
     """Inverse of save_solution; returns (net, multipliers).
 
     Raises InvalidArgument unless the file is a marketeq solution: every
-    header field an integer scalar, and finite numeric parameters and
-    multipliers."""
+    header field an integer scalar, finite numeric parameters and
+    multipliers, and as many parameters as the header's architecture holds,
+    which is checked before the network is built."""
     try:
         with np.load(path) as blob:
             arrays = dict(blob)
@@ -286,8 +287,7 @@ def load_solution(path):
     for key in ("params", "multipliers"):
         if arrays[key].dtype.kind not in "iuf" or not np.all(np.isfinite(arrays[key])):
             raise InvalidArgument(f"{path} holds non-numeric or non-finite {key}")
-    net = AllocationNet.initialize(*(int(arrays[key]) for key in _HEADER_KEYS[1:]))
-    net.set_flat(arrays["params"])
+    net = AllocationNet.from_flat(*(int(arrays[key]) for key in _HEADER_KEYS[1:]), arrays["params"])
     return net, arrays["multipliers"]
 
 

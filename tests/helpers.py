@@ -2,13 +2,14 @@
 and the references the package is checked against."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 
 from marketeq import ces, oracle
 from marketeq.ces import CesSpec, Regime
 from marketeq.market import ContextDistribution, Market, generate_market, softplus
-from marketeq.metrics import CSV_COLUMNS
+from marketeq.net import AllocationNet
 
 
 def inv_softplus(v):
@@ -128,10 +129,14 @@ def plain_forward(net, buyers, goods):
 
 
 def assert_same_report(report, other):
-    """The two `MetricsReport`s agree in the repr of every `CSV_COLUMNS`
-    field, as their CSV rows do."""
-    assert ([repr(float(getattr(report, col))) for col in CSV_COLUMNS]
-            == [repr(float(getattr(other, col))) for col in CSV_COLUMNS])
+    """The two `MetricsReport`s agree in the repr of every field."""
+    assert [repr(float(v)) for v in astuple(report)] == [repr(float(v)) for v in astuple(other)]
+
+
+def with_params(net, flat):
+    """A network of `net`'s architecture holding the parameters `flat`, in
+    `get_flat()` order (for finite differences)."""
+    return AllocationNet.from_flat(net.context_dim, net.hidden_depth, net.hidden_width, flat)
 
 
 def single_pair_equilibrium(market):

@@ -20,7 +20,8 @@ from marketeq.net import AllocationNet
 from marketeq.oracle import cobb_douglas_equilibrium, numeric_equilibrium
 from marketeq.trainer import TrainConfig, lagrangian_step, train
 
-from helpers import exact_lagrangian_terms, market_from_values, single_pair_equilibrium, utility
+from helpers import (exact_lagrangian_terms, market_from_values, single_pair_equilibrium,
+                     utility, with_params)
 
 DESK_MARKET = MarketSpec(n=4096, m=5, k=5, dist="normal", alpha=0.5, seed=20260808)
 DESK_FCNET = TrainConfig(batch_size_loss=256, hidden_width=128, hidden_depth=3,
@@ -138,12 +139,9 @@ def test_criterion_3_gradient_correctness():
     for pick in picks:
         bumped = params.copy()
         bumped[pick] += h
-        net.set_flat(bumped)
-        up = sum(lagrangian_step(net, lam, rho, idx, market)[0])
+        up = sum(lagrangian_step(with_params(net, bumped), lam, rho, idx, market)[0])
         bumped[pick] -= 2 * h
-        net.set_flat(bumped)
-        down = sum(lagrangian_step(net, lam, rho, idx, market)[0])
-        net.set_flat(params)
+        down = sum(lagrangian_step(with_params(net, bumped), lam, rho, idx, market)[0])
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(flat_grad[pick] - fd) / max(1e-6, abs(flat_grad[pick]), abs(fd)))
     _report(3, "reverse-mode gradient of the composed loss matches finite differences",

@@ -146,19 +146,27 @@ def test_eg_boundary_error_precedence(spec, error):
 LAYOUT_CONFIG = EgConfig(step_size=1.0, momentum=0.9, inner_iters=20, epochs=3, ng_stop=None)
 
 
-def _epochs(mkt, raw):
-    return [(epoch, r.copy(), lam, loss)
-            for epoch, r, lam, loss, _ in descend(mkt, LAYOUT_CONFIG, raw)]
+def _epochs(mkt, start):
+    return [(epoch, x_hat, lam, loss)
+            for epoch, x_hat, lam, loss, _ in descend(mkt, LAYOUT_CONFIG, start)]
 
 
 def test_descend_owns_a_column_major_copy():
+    # the softplus parameters stay inside the loop: each epoch yields a fresh
+    # C-ordered allocation, also where one good makes its column-major buffer
+    # C-contiguous too, and the start is only read
     rng = np.random.default_rng(31)
-    mkt = random_market(rng, 40, 10, CesSpec.general(0.5))
-    raw = _RAW_AT_ONE + rng.uniform(-0.1, 0.1, size=(mkt.n, mkt.m))
-    before = raw.copy()
-    for _, r, _, _, _ in descend(mkt, LAYOUT_CONFIG, raw):
-        assert r.flags.f_contiguous and not np.shares_memory(r, raw)
-    assert np.array_equal(raw, before)
+    for m in (10, 1):
+        mkt = random_market(rng, 40, m, CesSpec.general(0.5))
+        start = rng.uniform(0.9, 1.1, size=(mkt.n, mkt.m))
+        before = start.copy()
+        yields = []
+        for _, x_hat, _, _, _ in descend(mkt, LAYOUT_CONFIG, start):
+            assert x_hat.flags.c_contiguous and x_hat.flags.owndata
+            assert not any(np.shares_memory(x_hat, other) for other in [start, *yields])
+            yields.append(x_hat)
+        assert len(yields) == LAYOUT_CONFIG.epochs
+        assert np.array_equal(start, before)
 
 
 @pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.linear(), CesSpec.cobb_douglas()],
@@ -166,10 +174,10 @@ def test_descend_owns_a_column_major_copy():
 def test_descend_epochs_do_not_depend_on_input_layout(spec):
     rng = np.random.default_rng(32)
     mkt = random_market(rng, 40, 10, spec)
-    raw = _RAW_AT_ONE + rng.uniform(-0.1, 0.1, size=(mkt.n, mkt.m))
-    from_c, from_f = _epochs(mkt, raw), _epochs(mkt, np.asfortranarray(raw))
-    for (epoch, r_c, lam_c, loss_c), (_, r_f, lam_f, loss_f) in zip(from_c, from_f):
-        assert np.array_equal(r_c, r_f) and np.array_equal(lam_c, lam_f), epoch
+    start = rng.uniform(0.9, 1.1, size=(mkt.n, mkt.m))
+    from_c, from_f = _epochs(mkt, start), _epochs(mkt, np.asfortranarray(start))
+    for (epoch, x_c, lam_c, loss_c), (_, x_f, lam_f, loss_f) in zip(from_c, from_f):
+        assert np.array_equal(x_c, x_f) and np.array_equal(lam_c, lam_f), epoch
         assert loss_c == loss_f, epoch
 
 
@@ -207,7 +215,7 @@ def _check_against_row_by_row_reference(mkt):
     y_norm = mkt.supplies / mkt.n
     raw = np.full((mkt.n, mkt.m), _RAW_AT_ONE)
     velocity, lam = np.zeros_like(raw), np.ones(mkt.m)
-    for epoch, got_raw, got_lam, _, _ in descend(mkt, config, raw):
+    for epoch, got_x, got_lam, _, _ in descend(mkt, config):
         for _ in range(config.inner_iters):
             x_hat, slope = softplus_and_slope(raw)
             resid = _row_mean(x_hat) - 1.0
@@ -215,26 +223,31 @@ def _check_against_row_by_row_reference(mkt):
             grad = (lam + config.rho * resid - mkt.budgets[:, None] * grad * y_norm) / mkt.n * slope
             velocity = config.momentum * velocity + grad
             raw = raw - config.step_size * velocity
-        lam = lam + config.beta(epoch) * config.rho * (_row_mean(softplus(raw)) - 1.0)
+        x_hat = softplus(raw)
+        lam = lam + config.beta(epoch) * config.rho * (_row_mean(x_hat) - 1.0)
         assert np.array_equal(got_lam, lam), epoch
-        assert np.array_equal(got_raw, raw), epoch
+        assert np.array_equal(got_x, x_hat), epoch
 
 
 @pytest.mark.parametrize("spec", [CesSpec.general(0.5), CesSpec.cobb_douglas()],
                          ids=lambda s: s.alpha_label)
 def test_descend_iterations_allocate_no_full_arrays(spec):
     # the loop's n-by-m buffers are allocated before its first epoch; what a
-    # later epoch allocates (the kernels' per-buyer vectors, and the epoch's
-    # dual step) peaks well below the eight or so n-by-m arrays that fresh
-    # per-iteration buffers would hold
+    # later epoch allocates (the kernels' per-buyer vectors, and the copy of
+    # the allocation it yields) stays under 2.5 n-by-m arrays for a consumer
+    # that drops each yield before asking for the next
     mkt = generate_market(4096, 5, 5, ContextDistribution.STANDARD_NORMAL, spec, 7)
     config = EgConfig(momentum=0.9, inner_iters=20, epochs=3, ng_stop=None)
-    epochs = descend(mkt, config, np.full((mkt.n, mkt.m), _RAW_AT_ONE))
+    epochs = descend(mkt, config)
     next(epochs)
+    seen = []
     tracemalloc.start()
     try:
-        assert [epoch for epoch, *_ in epochs] == [2, 3]
+        for item in epochs:
+            seen.append(item[0])
+            del item  # held, this yield would sit beside the next one
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * mkt.n * mkt.m * 8, peak / (mkt.n * mkt.m * 8)
+    assert seen == [2, 3]
+    assert peak < 2.5 * mkt.n * mkt.m * 8, peak / (mkt.n * mkt.m * 8)

@@ -44,6 +44,23 @@ def test_run_naive_writes_artifacts(tmp_path):
     assert (tmp_path / "naive" / "candidate.json").exists()
 
 
+def test_rerun_in_the_same_directory_leaves_no_earlier_artifacts(tmp_path):
+    # fcnet's curve and solution must not outlive it beside a naive run's
+    # summary; files the runs do not own stay
+    out = tmp_path / "run"
+    fcnet = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=1, inner_iters=2,
+                        epochs=1, seed=0)
+    run_experiment(ExperimentConfig(market=toy_spec(), method="fcnet", method_config=fcnet,
+                                    out_dir=str(out)))
+    (out / "notes.txt").write_text("kept\n")
+    assert {"curve.csv", "solution.npz"} <= {path.name for path in out.iterdir()}
+    run_experiment(ExperimentConfig(market=toy_spec(), method="naive", method_config=None,
+                                    out_dir=str(out)))
+    assert sorted(path.name for path in out.iterdir()) == [
+        "candidate.json", "notes.txt", "summary.json"]
+    assert json.loads((out / "summary.json").read_text())["curve"] is None
+
+
 def test_run_certifies_kkt_beyond_100k_entries(tmp_path):
     # KKT is certified at every size: n * m = 131072 entries here
     config = ExperimentConfig(market=toy_spec(n=2**15, m=4), method="naive",
@@ -479,6 +496,11 @@ def _write_string_multipliers(path):
     np.savez(path, **_solution_arrays(multipliers=np.array(["1.0", "2.0"])))
 
 
+def _write_oversized_architecture(path):
+    # three parameters under a header whose random init alone would take 48 TiB
+    np.savez(path, **_solution_arrays(hidden_width=2**40, params=np.ones(3)))
+
+
 def _write_foreign_npz(path):
     np.savez(path, weights=np.ones(3))
 
@@ -489,7 +511,8 @@ def _write_text(path):
 
 @pytest.mark.parametrize("write", [_write_epoch_snapshot_without_multipliers,
                                    _write_foreign_npz, _write_text, _write_vector_context_dim,
-                                   _write_word_version, _write_string_multipliers])
+                                   _write_word_version, _write_string_multipliers,
+                                   _write_oversized_architecture])
 def test_non_solution_files_are_invalid_arguments(tmp_path, capsys, write):
     path = tmp_path / "solution.npz"
     write(path)

@@ -11,7 +11,7 @@ from marketeq.market import softplus
 from marketeq.net import AdamState, AllocationNet, adam_step
 from marketeq.trainer import load_solution, save_solution
 
-from helpers import peak_bytes, plain_forward, plain_layers
+from helpers import peak_bytes, plain_forward, plain_layers, with_params
 
 
 def small_net(seed=0, depth=2, width=8, k=3):
@@ -129,12 +129,9 @@ def test_backward_matches_finite_differences():
     for idx in picks:
         bumped = params.copy()
         bumped[idx] += h
-        net.set_flat(bumped)
-        up = loss(net.forward_batch(buyers, goods))
+        up = loss(with_params(net, bumped).forward_batch(buyers, goods))
         bumped[idx] -= 2 * h
-        net.set_flat(bumped)
-        down = loss(net.forward_batch(buyers, goods))
-        net.set_flat(params)
+        down = loss(with_params(net, bumped).forward_batch(buyers, goods))
         fd = (up - down) / (2 * h)
         err = abs(flat_grad[idx] - fd) / max(1e-6, abs(flat_grad[idx]), abs(fd))
         assert err <= 1e-4
@@ -327,7 +324,7 @@ def _assert_views(net):
 def test_parameters_stay_views(tmp_path):
     net = small_net(seed=16)
     _assert_views(net)
-    net.set_flat(np.arange(net.n_params, dtype=float))
+    net = with_params(net, np.arange(net.n_params, dtype=float))
     _assert_views(net)
     assert net.weights[0][0, 1] == 1.0
     save_solution(tmp_path / "net.npz", net, [1.0])

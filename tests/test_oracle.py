@@ -150,9 +150,9 @@ def _record_descents(monkeypatch):
     last_epochs = []
     real = oracle.descend
 
-    def recording(market, config, raw):
+    def recording(market, config, start):
         last_epochs.append(0)
-        for item in real(market, config, raw):
+        for item in real(market, config, start):
             last_epochs[-1] = item[0]
             yield item
 
@@ -231,7 +231,7 @@ def test_numeric_exhausted_budget_descends_once(monkeypatch):
 def test_numeric_divergence_retries_at_half_the_step(monkeypatch):
     step_sizes = []
 
-    def diverging(market, config, raw):
+    def diverging(market, config, start):
         step_sizes.append(config.step_size)
         raise NumericFailure("forced")
         yield  # a generator, like descend
