@@ -1,8 +1,8 @@
 """Command line interface: generate, run, sweep, evaluate.
 
-Exit codes: 0 success, 2 invalid arguments, 3 solver failure, 4 certification
-failure.  The default output directory comes from MARKETEQ_OUTDIR (falling
-back to ./marketeq_out).
+Exit codes: 0 success, 2 invalid arguments, 3 solver failure (running out of
+memory among them), 4 certification failure.  The default output directory
+comes from MARKETEQ_OUTDIR (falling back to ./marketeq_out).
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MarketEqError, FileNotFoundError) as err:
         print(f"solver failure: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as err:  # numpy raises a private subclass: print the public name
+        print(f"solver failure: MemoryError: {err}", file=sys.stderr)
         return EXIT_SOLVER
 
 

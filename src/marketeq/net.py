@@ -8,7 +8,11 @@ out by hand; no autograd framework behind this module.
 Activations are feature-major: a layer's input is a (fan_in + 1, rows) buffer
 whose last row is ones, so each layer is one product by its [W; b] block of
 the flat parameters, with relu applied in place, and backward's one product
-per layer writes the weight and bias gradients together.
+per layer writes the weight and bias gradients together.  The training step
+keeps one set of layer buffers on the net, and its cache lives until its
+backward or the next cached forward.  Backward writes each layer's delta into
+the rows of the activation it has just read, so a step holds no buffers beyond
+its forward's; the trainer releases them before a population pass.
 """
 
 from __future__ import annotations
@@ -31,13 +35,20 @@ ADAM_EPS = 1e-8
 _BATCH_ROWS = 4096
 
 
-def _dims(context_dim: int, hidden_depth: int, hidden_width: int) -> list:
-    """Layer widths of an architecture: the pair input, the hidden layers and
-    the scalar output."""
+def _sizes(context_dim, hidden_depth, hidden_width) -> tuple:
+    """The three sizes of an architecture as ints, each checked to be an
+    integer of at least 1."""
     check_integer("context_dim", context_dim, 1)
     check_integer("hidden_depth", hidden_depth, 1)
     check_integer("hidden_width", hidden_width, 1)
-    return [2 * context_dim] + [hidden_width] * hidden_depth + [1]
+    return int(context_dim), int(hidden_depth), int(hidden_width)
+
+
+def _dims(context_dim: int, hidden_depth: int, hidden_width: int) -> list:
+    """Layer widths of an architecture: the pair input, the hidden layers and
+    the scalar output."""
+    k, depth, width = _sizes(context_dim, hidden_depth, hidden_width)
+    return [2 * k] + [width] * depth + [1]
 
 
 def _layer_views(flat: np.ndarray, dims):
@@ -70,26 +81,20 @@ def _fill_pairs(pairs: np.ndarray, buyers: np.ndarray, goods: np.ndarray):
 
 class _Buffers:
     """Feature-major buffers of one forward pass over at most `cols` pair
-    columns: each hidden layer's output (last row ones), the output layer's
-    pre-activation and a finiteness mask.  With `turns`, for a forward that no
-    backward reads, the hidden layers take turns in two buffers."""
+    columns: the pair inputs and each hidden layer's output (each with a last
+    row of ones), the output layer's pre-activation and a bool mask (finiteness in the
+    forward, relu's in backward).  With `turns`, for a forward that no
+    backward reads, the hidden layers take turns in two buffers.  `live` is
+    the cache of the training step's latest forward until its backward."""
 
     def __init__(self, dims, cols: int, turns: bool = False):
+        self.cols = cols
+        self.inputs = _with_ones(dims[0], cols)
         hidden = [_with_ones(d, cols) for d in dims[1:-1][: 2 if turns else None]]
         self.acts = [hidden[li % len(hidden)] for li in range(len(dims) - 2)]
         self.z = np.empty((dims[-1], cols))
         self.finite = np.empty((max(dims[1:]), cols), dtype=bool)
-
-
-class _StepWorkspace(_Buffers):
-    """Buffers of the training step for one row count: the forward's, the pair
-    inputs, and backward's two delta buffers."""
-
-    def __init__(self, dims, rows: int):
-        super().__init__(dims, rows)
-        self.rows = rows
-        self.inputs = _with_ones(dims[0], rows)
-        self.delta = (np.empty((max(dims[1:-1]), rows)), np.empty((max(dims[1:-1]), rows)))
+        self.live = None
 
 
 @dataclass
@@ -156,18 +161,16 @@ class AllocationNet:
                   flat) -> "AllocationNet":
         """The network of this architecture whose `get_flat()` equals `flat`.
         The parameter count is checked before anything is allocated."""
-        dims = _dims(context_dim, hidden_depth, hidden_width)
-        count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        k, depth, width = _sizes(context_dim, hidden_depth, hidden_width)
+        # counted in closed form: a depth-long list of widths may not fit in memory
+        count = (2 * k + 1) * width + (depth - 1) * (width + 1) * width + (width + 1)
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (count,):
             raise InvalidArgument(f"expected {count} parameters, got {flat.shape}")
+        dims = _dims(k, depth, width)
         layers = _layer_views(flat, dims)
         return cls(context_dim, hidden_depth, hidden_width,
                    [wb[:-1] for wb in layers], [wb[-1] for wb in layers])
-
-    @property
-    def input_dim(self) -> int:
-        return 2 * self.context_dim
 
     @property
     def n_params(self) -> int:
@@ -201,40 +204,47 @@ class AllocationNet:
         align = 8 // math.gcd(m, 8)  # fewest buyers whose pairs fill whole 8-column blocks
         per = min(n, max(_BATCH_ROWS // m // align * align, 1))
         out = np.empty((n, m))
-        inputs = _with_ones(self.input_dim, per * m)
-        pairs = inputs.reshape(-1, per, m)
         buffers = _Buffers(self._dims, per * m, turns=True)
+        pairs = buffers.inputs.reshape(-1, per, m)
         for start in range(0, n, per):
             rows = buyers[start: start + per]
             _fill_pairs(pairs[:, : rows.shape[0]], rows, goods)
-            z, _ = self._forward_cached(inputs[:, : rows.shape[0] * m], buffers)
+            z, _ = self._forward_cached(buffers, rows.shape[0] * m)
             out[start: start + per] = softplus(z[0]).reshape(-1, m)
         return out
 
     def forward_step(self, buyers: np.ndarray, goods: np.ndarray):
         """Allocation matrix (M, m) plus the cache `backward` needs, for one
         training step.  The pair inputs and every layer buffer live in the
-        net's workspace for this row count, so the cache stays valid until the
-        next cached forward pass with the same number of rows."""
+        net's workspace for this row count, kept between steps.  The cache
+        lives until its `backward`, the next `forward_step` or
+        `release_workspace`, whichever comes first; `backward` refuses it after."""
         buyers, goods = self._check_contexts(buyers, goods)
-        workspace = self._step_workspace(buyers.shape[0] * goods.shape[0])
+        rows = buyers.shape[0] * goods.shape[0]
+        if self._workspace is None or self._workspace.cols != rows:
+            self._workspace = _Buffers(self._dims, rows)
+        workspace = self._workspace
+        workspace.live = None  # the earlier cache's buffers are overwritten from here
         _fill_pairs(workspace.inputs.reshape(-1, buyers.shape[0], goods.shape[0]), buyers, goods)
-        z, acts = self._forward_cached(workspace.inputs, workspace)
+        z, acts = self._forward_cached(workspace, rows)
         y, slope = softplus_and_slope(z[0])
-        return y.reshape(buyers.shape[0], goods.shape[0]), (acts, slope)
+        cache = workspace.live = (acts, slope)
+        return y.reshape(buyers.shape[0], goods.shape[0]), cache
 
-    def _step_workspace(self, rows: int) -> _StepWorkspace:
-        if self._workspace is None or self._workspace.rows != rows:
-            self._workspace = _StepWorkspace(self._dims, rows)
-        return self._workspace
+    def release_workspace(self) -> None:
+        """Free the training step's buffers, and with them any live cache; the
+        next `forward_step` allocates them again.  The trainer calls this
+        before each population pass, so a run holds one set of layer buffers
+        at a time."""
+        self._workspace = None
 
-    def _forward_cached(self, inputs: np.ndarray, buffers: _Buffers):
-        """Run the feature-major (2k + 1, cols) `inputs`, last row ones, through
-        every layer, each writing the first cols columns of its buffer: one
-        product by [W; b], then relu in place.  Returns the output layer's
-        (1, cols) pre-activation and the activations backward reads, inputs first."""
-        cols = inputs.shape[1]
-        acts, last = [inputs], len(self._layers) - 1
+    def _forward_cached(self, buffers: _Buffers, cols: int):
+        """Run the first cols pair columns of `buffers.inputs` (feature-major,
+        last row ones) through every layer, each writing the first cols
+        columns of its buffer: one product by [W; b], then relu in place.
+        Returns the output layer's (1, cols) pre-activation and the
+        activations backward reads, inputs first."""
+        acts, last = [buffers.inputs[:, :cols]], len(self._layers) - 1
         for li, wb in enumerate(self._layers):
             z = buffers.z[:, :cols] if li == last else buffers.acts[li][:-1, :cols]
             np.matmul(wb.T, acts[-1], out=z)
@@ -248,10 +258,17 @@ class AllocationNet:
     # ---- backward ----------------------------------------------------------
 
     def backward(self, cache, grad_output: np.ndarray) -> np.ndarray:
-        """Parameter gradient of sum(grad_output * output) for a cached forward
-        pass, as one fresh flat array laid out like `get_flat()`."""
+        """Parameter gradient of sum(grad_output * output) for the cache of
+        the latest `forward_step`, as one fresh flat array laid out like
+        `get_flat()`.  It consumes the cache: each layer's delta goes into the
+        rows of the activation it has just read.  A cache that a backward has
+        used, or that a later `forward_step` or `release_workspace` made
+        stale, is an InvalidArgument."""
+        workspace = self._workspace
+        if workspace is None or workspace.live is not cache:
+            raise InvalidArgument("backward takes the cache of the latest forward_step, once")
+        workspace.live = None
         acts, slope = cache
-        workspace = self._step_workspace(acts[0].shape[1])
         flat = np.empty(self.n_params)
         grads = _layer_views(flat, self._dims)
         # d softplus(z) / dz = sigmoid(z), kept by the forward pass
@@ -261,13 +278,13 @@ class AllocationNet:
             np.matmul(acts[li], delta.T, out=grads[li])
             if li > 0:
                 w = self.weights[li]
-                out = workspace.delta[li % 2][: w.shape[0]]
+                # relu output is above zero exactly where its input was
+                mask = np.greater(acts[li][:-1], 0, out=workspace.finite[: w.shape[0]])
+                out = acts[li][:-1]  # read for the last time above: the delta goes here
                 if w.shape[1] == 1:  # a one-wide layer's w @ delta is an outer product
                     np.multiply(w, delta, out=out)
                 else:
                     np.matmul(w, delta, out=out)
-                # relu output is above zero exactly where its input was
-                mask = np.greater(acts[li][:-1], 0, out=workspace.finite[: w.shape[0]])
                 delta = np.multiply(out, mask, out=out)
         return flat
 
@@ -287,7 +304,13 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-4
-    _buffers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _buffers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # adam_step's two work buffers come with the moments, before any step
+        # workspace: made at the first step, they would outlive the workspace
+        # above it in the heap and keep that memory from the population pass
+        self._buffers = np.empty((2,) + np.shape(self.m))
 
     @classmethod
     def for_net(cls, net: AllocationNet, lr: float = 1e-4) -> "AdamState":
@@ -299,7 +322,7 @@ def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
     gradient `flat` (laid out like `get_flat()`); updates in place."""
     if flat.shape != state.m.shape:
         raise InvalidArgument("gradient shape does not match optimizer state")
-    if state._buffers is None or state._buffers.shape != (2,) + flat.shape:
+    if state._buffers.shape != (2,) + flat.shape:
         state._buffers = np.empty((2,) + flat.shape)
     update, denom = state._buffers
     state.step += 1

@@ -171,7 +171,9 @@ def train(market: Market, config: TrainConfig):
 
 def _train_epochs(net: AllocationNet, market: Market, config: TrainConfig, sample_ss):
     """`net`'s epochs for `run_epochs`.  One population forward feeds an
-    epoch's exact dual step and scores; the last epoch's is the candidate."""
+    epoch's exact dual step and scores; the last epoch's is the candidate.
+    The step workspace is released before it, so one set of layer buffers
+    is live at a time."""
     adam = AdamState.for_net(net, lr=config.learning_rate)
     sampler = np.random.Generator(np.random.Philox(sample_ss))
     lam = np.ones(market.m)
@@ -185,6 +187,10 @@ def _train_epochs(net: AllocationNet, market: Market, config: TrainConfig, sampl
             loss_sum += sum(terms)
             adam_step(adam, net, grad)
         train_seconds = time.perf_counter() - t_start
+        # the last step's gradient and cache are dead: freed, their memory
+        # serves the population pass, which then peaks alone
+        grad = None
+        net.release_workspace()
 
         beta_t = 1.0 / math.sqrt(epoch)
         population = (net.forward_batch(market.buyers, market.goods)

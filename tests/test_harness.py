@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +453,30 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "invalid arguments" in capsys.readouterr().err
 
 
+def test_cli_reports_running_out_of_memory_as_a_solver_failure(tmp_path, capsys):
+    # 10^13 buyers' contexts need 4 * 10^14 bytes, an allocation refused at once
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"version": 1, "n": 10**13, "m": 2, "k": 5, "dist": "normal",
+                                "regime": "general", "alpha": 0.5, "seed": 0}))
+    for argv in (["generate", "--n", str(10**13), "--out", str(tmp_path / "market.json")],
+                 ["evaluate", "--market", str(huge), "--candidate", str(tmp_path / "none.json")]):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: MemoryError: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "market.json").exists()
+
+
+def test_python_m_marketeq_runs_the_cli(tmp_path):
+    out = tmp_path / "market.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "marketeq", "generate", "--n", "4", "--m", "2",
+                           "--k", "3", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert Market.load(out).n == 4
+
+
 def test_cli_rejects_bad_ng_thresholds(tmp_path, capsys, monkeypatch):
     market_path = tmp_path / "market.json"
     assert main(["generate", "--n", "8", "--m", "2", "--k", "3", "--out", str(market_path)]) == 0
@@ -501,6 +529,12 @@ def _write_oversized_architecture(path):
     np.savez(path, **_solution_arrays(hidden_width=2**40, params=np.ones(3)))
 
 
+def _write_deep_architecture(path):
+    # three parameters under a header whose list of layer widths alone would
+    # take 2^48 bytes, past the user address space
+    np.savez(path, **_solution_arrays(hidden_depth=2**45, hidden_width=8, params=np.ones(3)))
+
+
 def _write_foreign_npz(path):
     np.savez(path, weights=np.ones(3))
 
@@ -512,7 +546,7 @@ def _write_text(path):
 @pytest.mark.parametrize("write", [_write_epoch_snapshot_without_multipliers,
                                    _write_foreign_npz, _write_text, _write_vector_context_dim,
                                    _write_word_version, _write_string_multipliers,
-                                   _write_oversized_architecture])
+                                   _write_oversized_architecture, _write_deep_architecture])
 def test_non_solution_files_are_invalid_arguments(tmp_path, capsys, write):
     path = tmp_path / "solution.npz"
     write(path)

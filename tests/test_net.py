@@ -261,8 +261,9 @@ def test_workspace_step_matches_plain_passes():
 
 def test_training_step_memory_is_bounded():
     # the first step allocates its workspace: each hidden activation once (the
-    # bias row of ones included), backward's two deltas and one bool mask, so
-    # less than six arrays of rows x width, with no separate pre-activations
+    # bias row of ones included) and one bool mask; backward writes its deltas
+    # into the activation rows it has read, so less than four arrays of
+    # rows x width, with no separate pre-activations or delta buffers
     width, rows = 128, 512 * 5
     net = AllocationNet.initialize(5, hidden_depth=3, hidden_width=width, seed=0)
     rng = np.random.default_rng(9)
@@ -274,7 +275,7 @@ def test_training_step_memory_is_bounded():
         net.backward(cache, grad_output)
 
     peak = peak_bytes(step)
-    assert peak < 6 * rows * width * 8, peak / (rows * width * 8)
+    assert peak < 4 * rows * width * 8, peak / (rows * width * 8)
 
 
 @pytest.mark.parametrize("buyers_shape, goods_shape", [
@@ -299,10 +300,41 @@ def test_backward_returns_fresh_flat_gradients():
     buyers, goods = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
     _, cache = net.forward_step(buyers, goods)
     first = net.backward(cache, np.ones(8))
+    # backward consumes its cache: the second gradient takes a fresh forward
+    _, cache = net.forward_step(buyers, goods)
     second = net.backward(cache, 2.0 * np.ones(8))
     assert type(first) is np.ndarray and first.shape == (net.n_params,)
     assert not np.shares_memory(first, second)
     np.testing.assert_array_equal(second, 2.0 * first)
+
+
+def test_backward_refuses_a_used_or_stale_cache():
+    net = small_net(seed=18)
+    rng = np.random.default_rng(10)
+    buyers, goods = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+    grad_output = np.ones(8)
+    _, cache = net.forward_step(buyers, goods)
+    net.backward(cache, grad_output)
+    with pytest.raises(InvalidArgument):
+        net.backward(cache, grad_output)  # used
+    for rows in (4, 3):  # a later forward in the same workspace, and in a new one
+        _, stale = net.forward_step(buyers, goods)
+        _, cache = net.forward_step(buyers[:rows], goods)
+        with pytest.raises(InvalidArgument):
+            net.backward(stale, grad_output)
+        net.backward(cache, np.ones(rows * 2))  # the latest cache still works
+    _, stale = net.forward_step(buyers, goods)
+    net.release_workspace()
+    with pytest.raises(InvalidArgument):
+        net.backward(stale, grad_output)
+    # a refused cache leaves the latest one usable
+    _, cache = net.forward_step(buyers, goods)
+    with pytest.raises(InvalidArgument):
+        net.backward(stale, grad_output)
+    fresh = small_net(seed=18)
+    _, fresh_cache = fresh.forward_step(buyers, goods)
+    np.testing.assert_array_equal(net.backward(cache, grad_output),
+                                  fresh.backward(fresh_cache, grad_output))
 
 
 def test_get_flat_returns_a_copy():

@@ -29,6 +29,7 @@ from helpers import (
     exact_lagrangian_terms,
     inv_softplus,
     market_from_values,
+    peak_bytes,
     plain_forward,
     random_market,
 )
@@ -275,6 +276,22 @@ def test_train_deterministic_histories():
     assert np.array_equal(lam_a, lam_b)
     for ra, rb in zip(hist_a, hist_b):
         assert (ra.loss, ra.ng, ra.voa, ra.vop) == (rb.loss, rb.ng, rb.voa, rb.vop)
+
+
+def test_train_holds_one_set_of_network_buffers():
+    # desk shape: the step workspace (three 129-row activations of 2 x 256 x 5
+    # pair columns, backward's deltas written into them) is released before
+    # the population pass (two 129-row activations of 4080 columns), so a run
+    # peaks at one of the two, below five arrays of rows x width; holding
+    # both reads about 9.5
+    market = generate_market(4096, 5, 5, ContextDistribution.STANDARD_NORMAL,
+                             CesSpec.general(0.5), 1)
+    market.values, market.budgets  # built once, before the measurement
+    config = TrainConfig(batch_size_loss=256, hidden_width=128, hidden_depth=3,
+                         learning_rate=3e-4, inner_iters=3, epochs=1, seed=1)
+    rows = 2 * config.batch_size_loss * market.m
+    peak = peak_bytes(train, market, config)
+    assert peak < 5 * rows * config.hidden_width * 8, peak / (rows * config.hidden_width * 8)
 
 
 def test_train_aborts_with_history_on_blowup():
