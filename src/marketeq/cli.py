@@ -8,15 +8,15 @@ comes from MARKETEQ_OUTDIR (falling back to ./marketeq_out).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .baselines import EgConfig
 from .errors import InvalidArgument, MarketEqError, OracleFailure, check_range
 from .harness import (
-    METHODS,
+    METHOD_TABLE,
     ExperimentConfig,
     MarketSpec,
     evaluate_candidate_file,
@@ -25,7 +25,6 @@ from .harness import (
 )
 from .market import Market
 from .metrics import MetricsReport
-from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,7 +48,7 @@ def _add_market_args(parser):
 
 def _add_method_args(parser, with_method=True):
     if with_method:
-        parser.add_argument("--method", choices=METHODS, required=True)
+        parser.add_argument("--method", choices=METHOD_TABLE, required=True)
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--inner-iters", type=int, default=None)
     parser.add_argument("--batch-size", dest="batch_size_loss", type=int, default=None,
@@ -60,24 +59,19 @@ def _add_method_args(parser, with_method=True):
     parser.add_argument("--depth", dest="hidden_depth", type=int, default=None)
     parser.add_argument("--step-size", type=float, default=None)
     parser.add_argument("--ng-stop", type=float, default=None)
-    parser.add_argument("--method-seed", type=int, default=0,
+    parser.add_argument("--method-seed", dest="seed", metavar="METHOD_SEED", type=int, default=0,
                         help="fcnet initialization and sampling seed (EG is deterministic)")
 
 
-# the config fields each method takes from its flags (each flag's dest is its field)
-_FCNET_FIELDS = ("batch_size_loss", "rho", "inner_iters", "epochs", "learning_rate",
-                 "hidden_width", "hidden_depth")
-_EG_FIELDS = ("step_size", "inner_iters", "epochs", "rho", "ng_stop")
-
-
 def _method_config(args, method):
-    if method == "naive":
+    """The row's default with each field whose flag was given (a flag's dest is
+    its field); None for naive, and for an unknown name, which `sweep` rejects."""
+    default = METHOD_TABLE[method][0] if method in METHOD_TABLE else None
+    if default is None:
         return None
-    fields = _FCNET_FIELDS if method == "fcnet" else _EG_FIELDS
-    kwargs = {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
-    if method == "fcnet":
-        return TrainConfig(seed=args.method_seed, **kwargs)
-    return EgConfig(momentum=0.9 if method == "eg-m" else 0.0, **kwargs)
+    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(default)
+             if getattr(args, field.name, None) is not None}
+    return dataclasses.replace(default, **flags)
 
 
 def _market_spec(args) -> MarketSpec:
@@ -126,7 +120,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     specs = [
-        MarketSpec(n=n, m=m, k=args.k, dist=dist, alpha=alpha, seed=args.seed)
+        MarketSpec(n=n, m=m, k=args.k, dist=dist, alpha=alpha, seed=args.market_seed)
         for n in args.n_list
         for m in args.m_list
         for alpha in args.alpha_list
@@ -185,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--alpha-list", type=_csv_list(str), default=["0.5"])
     sw.add_argument("--dist-list", type=_csv_list(str), default=["normal"])
     sw.add_argument("--k", type=int, default=5)
-    sw.add_argument("--seed", type=int, default=0)
+    # its own dest: `seed` is the method seed's, a config field
+    sw.add_argument("--seed", dest="market_seed", metavar="SEED", type=int, default=0)
     sw.add_argument("--outdir", default=_default_outdir())
     _add_method_args(sw, with_method=False)
     sw.set_defaults(fn=cmd_sweep)

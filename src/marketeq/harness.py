@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import metrics, trainer
@@ -31,7 +31,24 @@ from .errors import InvalidArgument, MarketEqError
 from .market import ContextDistribution, Market, check_recipe, generate_market
 from .trainer import TrainConfig
 
-METHODS = ("naive", "eg", "eg-m", "fcnet")
+
+def _solve_fcnet(market: Market, config: TrainConfig, out: Path):
+    net, lam, candidate, history = trainer.train(market, config)
+    solution_path = out / "solution.npz"
+    trainer.save_solution(solution_path, net, lam)
+    return candidate, history, {"solution": str(solution_path)}
+
+
+# one row per method: its default config (None: it takes none) and its solver
+# (market, config, out dir) -> (candidate, history or None, artifacts), which
+# looks its solve function up by name at call time, as a tracer's wrapper needs
+METHOD_TABLE = {
+    "naive": (None, lambda market, config, out: (naive(market), None, {})),
+    "eg": (EgConfig(), lambda market, config, out: (*eg_solve(market, config), {})),
+    "eg-m": (EgConfig(momentum=0.9),
+             lambda market, config, out: (*eg_momentum_solve(market, config), {})),
+    "fcnet": (TrainConfig(), _solve_fcnet),
+}
 
 # candidate.json is written up to this many entries; beyond it a network
 # run's record is solution.npz, which `evaluate --solution` certifies
@@ -87,25 +104,25 @@ class ExperimentConfig:
     out_dir: str
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidArgument(f"method must be one of {METHODS}")
-        if self.method == "fcnet" and not isinstance(self.method_config, TrainConfig):
-            raise InvalidArgument("fcnet runs need a TrainConfig")
-        if self.method in ("eg", "eg-m") and not isinstance(self.method_config, EgConfig):
-            raise InvalidArgument("eg runs need an EgConfig")
-        if self.method == "eg" and self.method_config.momentum != 0.0:
-            raise InvalidArgument("eg runs take momentum 0; use eg-m")
-        if self.method == "eg-m" and self.method_config.momentum == 0.0:
-            raise InvalidArgument("eg-m runs need momentum > 0")
+        if self.method not in METHOD_TABLE:
+            raise InvalidArgument(f"method must be one of {tuple(METHOD_TABLE)}")
+        # a config of the default's type (for EG, its momentum sign), so the hash names the run
+        default, config = METHOD_TABLE[self.method][0], self.method_config
+        if type(config) is not type(default) or (
+                isinstance(config, EgConfig) and (config.momentum == 0) != (default.momentum == 0)):
+            raise InvalidArgument(f"{self.method} takes a config like {default!r}, got {config!r}")
 
     def hash(self, market: Market | None = None) -> str:
         """Short digest of the configuration.  Given the market the run used,
         it also covers that market's contexts and supplies, which the
         MarketSpec alone does not pin down (a supply override, say)."""
+        config = self.method_config
+        if isinstance(config, TrainConfig):  # like out_dir, where a run writes is not what it is
+            config = replace(config, checkpoint_dir=None)
         blob = {
             "market": asdict(self.market),
             "method": self.method,
-            "method_config": None if self.method_config is None else asdict(self.method_config),
+            "method_config": None if config is None else asdict(config),
         }
         if market is not None:
             blob["market_sha256"] = market.digest()
@@ -142,22 +159,11 @@ def run_experiment(config: ExperimentConfig, market: Market | None = None) -> Ru
     out.mkdir(parents=True, exist_ok=True)
     for name in _RUN_FILES:
         (out / name).unlink(missing_ok=True)
-    history = None
-    artifacts: dict = {}
 
     t0 = time.perf_counter()
     try:
-        if config.method == "naive":
-            candidate = naive(market)
-        elif config.method == "eg":
-            candidate, history = eg_solve(market, config.method_config)
-        elif config.method == "eg-m":
-            candidate, history = eg_momentum_solve(market, config.method_config)
-        else:
-            net, lam, candidate, history = trainer.train(market, config.method_config)
-            solution_path = out / "solution.npz"
-            trainer.save_solution(solution_path, net, lam)
-            artifacts["solution"] = str(solution_path)
+        candidate, history, artifacts = METHOD_TABLE[config.method][1](
+            market, config.method_config, out)
     except MarketEqError as err:
         curve_path = None
         if err.history is not None:
@@ -222,9 +228,9 @@ def sweep(market_specs, method_configs, out_dir) -> list[dict]:
     Failures are recorded in the row's error column and the sweep continues;
     an unknown method is rejected before any cell runs.
     """
-    unknown = [method for method in method_configs if method not in METHODS]
+    unknown = [method for method in method_configs if method not in METHOD_TABLE]
     if unknown:
-        raise InvalidArgument(f"unknown methods {unknown}; choose from {METHODS}")
+        raise InvalidArgument(f"unknown methods {unknown}; choose from {tuple(METHOD_TABLE)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -261,7 +267,7 @@ def sweep(market_specs, method_configs, out_dir) -> list[dict]:
 
 
 __all__ = [
-    "METHODS",
+    "METHOD_TABLE",
     "SWEEP_COLUMNS",
     "DENSE_CANDIDATE_LIMIT",
     "MarketSpec",

@@ -322,8 +322,6 @@ def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
     gradient `flat` (laid out like `get_flat()`); updates in place."""
     if flat.shape != state.m.shape:
         raise InvalidArgument("gradient shape does not match optimizer state")
-    if state._buffers.shape != (2,) + flat.shape:
-        state._buffers = np.empty((2,) + flat.shape)
     update, denom = state._buffers
     state.step += 1
     # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g

@@ -126,6 +126,10 @@ def test_experiment_config_validation(tmp_path):
                          out_dir=str(tmp_path))
     ExperimentConfig(market=toy_spec(), method="eg-m", method_config=EgConfig(momentum=0.9),
                      out_dir=str(tmp_path))
+    # naive takes no config: one would change the hash of an unchanged run
+    with pytest.raises(InvalidArgument):
+        ExperimentConfig(market=toy_spec(), method="naive", method_config=EgConfig(),
+                         out_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("make, field, value", [
@@ -166,6 +170,17 @@ def test_config_hash_stable_and_sensitive():
     c = ExperimentConfig(market=toy_spec(seed=6), method="naive", method_config=None, out_dir="x")
     assert a.hash() == b.hash()  # output dir is not part of the identity
     assert a.hash() != c.hash()
+
+
+def test_config_hash_leaves_out_the_checkpoint_dir(tmp_path):
+    def fcnet(checkpoint_dir):
+        return ExperimentConfig(market=toy_spec(), method="fcnet",
+                                method_config=TrainConfig(checkpoint_dir=checkpoint_dir),
+                                out_dir="x")
+
+    # where the epochs' solution files go is no more the run's identity than
+    # its output dir; the hash of a config without one is as it always was
+    assert fcnet(str(tmp_path / "ck")).hash() == fcnet(None).hash() == "12c16c622ee09319"
 
 
 def test_market_spec_canonical_alpha():
