@@ -66,3 +66,15 @@ def check_integer(name: str, value, low: int) -> None:
     if type(value) is not int and not isinstance(value, np.integer):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
     check_range(name, value, low)
+
+
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def check_size(name: str, *shape) -> None:
+    """Raise InvalidArgument unless numpy can index an array of this shape and
+    8-byte items, at most `_MAX_BYTES` (past it numpy raises a ValueError, not
+    a MemoryError).  The one check of an array's size."""
+    if math.prod(map(int, shape)) * 8 > _MAX_BYTES:
+        raise InvalidArgument(
+            f"{name} ({' x '.join(map(str, map(int, shape)))} numbers) would take 2^63 bytes or more")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ces import CesSpec, Regime, _row_chunks
-from .errors import DegenerateBudget, InvalidArgument, check_integer
+from .errors import DegenerateBudget, InvalidArgument, check_integer, check_size
 
 
 class ContextDistribution(enum.Enum):
@@ -83,12 +83,13 @@ def _sample_contexts(seed_seq: np.random.SeedSequence, count: int, k: int, dist:
     return ndtri(u, out=u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Market:
     """Immutable problem instance; share freely across threads.
 
     The derived budgets, values and default supplies are cached read-only
-    arrays; an explicit `supply_override` is kept as given.
+    arrays; an explicit `supply_override` is kept as given.  `==` and `hash`
+    are identity; `digest()` names the market's values.
     """
 
     n: int
@@ -215,9 +216,12 @@ def read_json(path):
 
 def check_recipe(n: int, m: int, k: int, seed: int | None) -> None:
     """Reject a count below 1 and a negative seed, or either not an integer
-    (`check_integer`); `seed` is None for a market given by its contexts."""
+    (`check_integer`), and counts whose arrays numpy could not index
+    (`check_size`); `seed` is None for a market given by its contexts."""
     for name, value, low in (("n", n, 1), ("m", m, 1), ("k", k, 1)):
         check_integer(name, value, low)
+    for name, shape in (("buyers", (n, k)), ("goods", (m, k)), ("values", (n, m))):
+        check_size(name, *shape)
     if seed is not None:
         check_integer("seed", seed, 0)
 

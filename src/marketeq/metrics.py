@@ -33,9 +33,10 @@ FEASIBILITY_RTOL = 1e-9
 KKT_ACTIVE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumCandidate:
-    """An allocation matrix and a price vector, the object every solver emits."""
+    """An allocation matrix and a price vector, the object every solver emits;
+    `==` is identity."""
 
     allocation: np.ndarray  # (n, m), nonnegative
     prices: np.ndarray  # (m,)

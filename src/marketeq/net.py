@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericFailure, check_integer
+from .errors import InvalidArgument, NumericFailure, check_integer, check_size
 from .market import softplus, softplus_and_slope
 
 # Adam's moment decay rates and denominator guard, fixed for every run
@@ -35,20 +35,18 @@ ADAM_EPS = 1e-8
 _BATCH_ROWS = 4096
 
 
-def _sizes(context_dim, hidden_depth, hidden_width) -> tuple:
-    """The three sizes of an architecture as ints, each checked to be an
-    integer of at least 1."""
+def check_architecture(context_dim, hidden_depth, hidden_width) -> int:
+    """The parameter count of an architecture, each of whose three sizes is
+    checked to be an integer of at least 1.  Counted in closed form, as a
+    depth-long list of widths may not fit in memory, and checked to fit in
+    one float64 array.  The one check of an architecture."""
     check_integer("context_dim", context_dim, 1)
     check_integer("hidden_depth", hidden_depth, 1)
     check_integer("hidden_width", hidden_width, 1)
-    return int(context_dim), int(hidden_depth), int(hidden_width)
-
-
-def _dims(context_dim: int, hidden_depth: int, hidden_width: int) -> list:
-    """Layer widths of an architecture: the pair input, the hidden layers and
-    the scalar output."""
-    k, depth, width = _sizes(context_dim, hidden_depth, hidden_width)
-    return [2 * k] + [width] * depth + [1]
+    k, depth, width = int(context_dim), int(hidden_depth), int(hidden_width)
+    count = (2 * k + 1) * width + (depth - 1) * (width + 1) * width + (width + 1)
+    check_size("the network's parameters", count)
+    return count
 
 
 def _layer_views(flat: np.ndarray, dims):
@@ -97,38 +95,35 @@ class _Buffers:
         self.live = None
 
 
-@dataclass
+@dataclass(eq=False)
 class AllocationNet:
-    """Weights and biases of the allocation network.
+    """The allocation network: its architecture and its flat parameters.
 
-    `weights[i]` has shape (fan_in, fan_out); layer order is input -> hidden
-    (depth of them, relu) -> scalar output (softplus).  All parameters live in
-    one flat buffer in `get_flat()` order, and `weights`/`biases` are views of
-    it; write them in place.  Treat instances as owned by one trainer:
-    `forward_batch` is safe to share read-only, but the training step's cached
-    forward and `backward` use a workspace kept on the net.
+    Layers run input -> hidden (depth of them, relu) -> scalar output
+    (softplus).  The constructor copies `params`, laid out like `get_flat()`,
+    into a float64 buffer of the net's own; `weights[i]` (fan_in, fan_out)
+    and `biases[i]` are views of it, written in place.  Treat instances as
+    owned by one trainer: `forward_batch` is safe to share read-only, but the
+    training step's cached forward and `backward` use a workspace kept on the
+    net.  `==` is identity.
     """
 
     context_dim: int
     hidden_depth: int
     hidden_width: int
-    weights: list = field(repr=False)
-    biases: list = field(repr=False)
+    params: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self._dims = _dims(self.context_dim, self.hidden_depth, self.hidden_width)
-        shapes = list(zip(self._dims[:-1], self._dims[1:]))
-        if ([np.shape(w) for w in self.weights] != shapes
-                or [np.shape(b) for b in self.biases] != [(fan_out,) for _, fan_out in shapes]):
-            raise InvalidArgument("weights and biases do not match the declared architecture")
-        self._params = np.concatenate(
-            [np.asarray(arr, dtype=float).ravel() for pair in zip(self.weights, self.biases)
-             for arr in pair])
+        count = check_architecture(self.context_dim, self.hidden_depth, self.hidden_width)
+        self.params = np.array(self.params, dtype=float)
+        if self.params.shape != (count,):
+            raise InvalidArgument(f"expected {count} parameters, got {self.params.shape}")
+        self._dims = [2 * self.context_dim] + [self.hidden_width] * self.hidden_depth + [1]
         self._bind_views()
         self._workspace = None
 
     def _bind_views(self):
-        self._layers = _layer_views(self._params, self._dims)
+        self._layers = _layer_views(self.params, self._dims)
         self.weights = [wb[:-1] for wb in self._layers]
         self.biases = [wb[-1] for wb in self._layers]
 
@@ -146,35 +141,18 @@ class AllocationNet:
     def initialize(cls, context_dim: int, hidden_depth: int = 5, hidden_width: int = 256,
                    seed: int | np.random.SeedSequence = 0) -> "AllocationNet":
         """He-style init: N(0, 2/fan_in) weights, zero biases."""
-        dims = _dims(context_dim, hidden_depth, hidden_width)
+        net = cls(context_dim, hidden_depth, hidden_width,
+                  np.zeros(check_architecture(context_dim, hidden_depth, hidden_width)))
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         gen = np.random.Generator(np.random.Philox(seed))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(gen.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
-            biases.append(np.zeros(fan_out))
-        return cls(context_dim, hidden_depth, hidden_width, weights, biases)
-
-    @classmethod
-    def from_flat(cls, context_dim: int, hidden_depth: int, hidden_width: int,
-                  flat) -> "AllocationNet":
-        """The network of this architecture whose `get_flat()` equals `flat`.
-        The parameter count is checked before anything is allocated."""
-        k, depth, width = _sizes(context_dim, hidden_depth, hidden_width)
-        # counted in closed form: a depth-long list of widths may not fit in memory
-        count = (2 * k + 1) * width + (depth - 1) * (width + 1) * width + (width + 1)
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (count,):
-            raise InvalidArgument(f"expected {count} parameters, got {flat.shape}")
-        dims = _dims(k, depth, width)
-        layers = _layer_views(flat, dims)
-        return cls(context_dim, hidden_depth, hidden_width,
-                   [wb[:-1] for wb in layers], [wb[-1] for wb in layers])
+        for w in net.weights:
+            w[...] = gen.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+        return net
 
     @property
     def n_params(self) -> int:
-        return self._params.size
+        return self.params.size
 
     # ---- forward -----------------------------------------------------------
 
@@ -292,10 +270,10 @@ class AllocationNet:
 
     def get_flat(self) -> np.ndarray:
         """A copy of all parameters, layer by layer (weights, then biases)."""
-        return self._params.copy()
+        return self.params.copy()
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Flat first/second moment accumulators, step count and learning rate;
     the decay rates and guard are the module's ADAM_* constants."""
@@ -304,7 +282,7 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-4
-    _buffers: np.ndarray = field(init=False, repr=False, compare=False)
+    _buffers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # adam_step's two work buffers come with the moments, before any step
@@ -338,7 +316,7 @@ def adam_step(state: AdamState, net: AllocationNet, flat: np.ndarray) -> None:
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom
-    net._params -= update
+    net.params -= update
 
 
-__all__ = ["AllocationNet", "AdamState", "adam_step"]
+__all__ = ["AllocationNet", "AdamState", "adam_step", "check_architecture"]

@@ -36,7 +36,7 @@ _SEGMENT_EPOCHS = 600  # the loose tolerances are accepted once per segment
 _MAX_SEGMENTS = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # `==` is identity: the candidate holds arrays
 class OracleResult:
     candidate: metrics.EquilibriumCandidate
     certified_ng: float

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ces, metrics
-from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_integer, check_range
+from .errors import InvalidArgument, InvalidPrices, NumericFailure, check_integer, check_range, check_size
 from .market import Market
-from .net import AdamState, AllocationNet, adam_step
+from .net import AdamState, AllocationNet, adam_step, check_architecture
 
 CURVE_COLUMNS = ("epoch", "ng", "voa", "vop", "loss")
 SOLUTION_VERSION = 1
@@ -51,8 +51,11 @@ class TrainConfig:
     checkpoint_dir: str | None = None  # when set, each epoch writes solution file net_epoch_###.npz
 
     def __post_init__(self):
-        for name in ("batch_size_loss", "inner_iters", "epochs", "hidden_width", "hidden_depth"):
+        for name in ("batch_size_loss", "inner_iters", "epochs"):
             check_integer(name, getattr(self, name), 1)
+        # each step draws 2M buyer indices; the net of context_dim 1 is the smallest
+        check_size("the sample of 2 * batch_size_loss buyer indices", 2, self.batch_size_loss)
+        check_architecture(1, self.hidden_depth, self.hidden_width)
         check_range("rho", self.rho, 0.0, open_low=True)
         check_range("learning_rate", self.learning_rate, 0.0, open_low=True)
         if self.batch_size_multiplier is not None:
@@ -275,7 +278,7 @@ def load_solution(path):
     Raises InvalidArgument unless the file is a marketeq solution: every
     header field an integer scalar, finite numeric parameters and
     multipliers, and as many parameters as the header's architecture holds,
-    which is checked before the network is built."""
+    which the network's constructor checks before it allocates anything."""
     try:
         with np.load(path) as blob:
             arrays = dict(blob)
@@ -293,7 +296,7 @@ def load_solution(path):
     for key in ("params", "multipliers"):
         if arrays[key].dtype.kind not in "iuf" or not np.all(np.isfinite(arrays[key])):
             raise InvalidArgument(f"{path} holds non-numeric or non-finite {key}")
-    net = AllocationNet.from_flat(*(int(arrays[key]) for key in _HEADER_KEYS[1:]), arrays["params"])
+    net = AllocationNet(*(int(arrays[key]) for key in _HEADER_KEYS[1:]), arrays["params"])
     return net, arrays["multipliers"]
 
 

@@ -136,7 +136,7 @@ def assert_same_report(report, other):
 def with_params(net, flat):
     """A network of `net`'s architecture holding the parameters `flat`, in
     `get_flat()` order (for finite differences)."""
-    return AllocationNet.from_flat(net.context_dim, net.hidden_depth, net.hidden_width, flat)
+    return AllocationNet(net.context_dim, net.hidden_depth, net.hidden_width, flat)
 
 
 def single_pair_equilibrium(market):

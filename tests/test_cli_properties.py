@@ -5,7 +5,9 @@ given, it exits 0, or exits 2 or 3 with one line on stderr and no traceback.
 The cases are derandomized, so every run draws the same ones.  A drawn size
 is small (at most 64), or so large that the first array it sizes passes 2^47
 bytes, the user address space: such an allocation fails at once under any
-overcommit policy, and nothing is really allocated.
+overcommit policy, and nothing is really allocated.  Sizes from 2^60 to 2^64
+make arrays past 2^63 bytes, which numpy cannot index: the command must
+refuse them as invalid arguments before it asks for memory.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ from marketeq.net import AllocationNet
 
 CASES = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
-HUGE = st.integers(2**45, 2**52)
+HUGE = st.one_of(st.integers(2**45, 2**52), st.integers(2**60, 2**64))
 NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3))
 # anything a field might hold in place of what it should
 JUNK = st.one_of(st.none(), st.booleans(), NUMBERS, HUGE, st.sampled_from(["", "8", "bogus"]))
@@ -134,8 +136,7 @@ _SIZES = st.one_of(st.integers(-1, 64), HUGE)
 @CASES
 @given(arrays=_corrupted(_solutions(), {
     "version": st.integers(0, 2), "context_dim": _SIZES, "hidden_width": _SIZES,
-    # a deep header never gets as far as building a network: its count is wrong
-    "hidden_depth": st.one_of(st.integers(-1, 64), st.just(2**45)),
+    "hidden_depth": _SIZES,
     "params": st.lists(NUMBERS, max_size=40).map(np.array), "multipliers": st.lists(NUMBERS)}))
 def test_cli_evaluate_takes_any_solution_header(files, arrays):
     path = files / "drawn_solution.npz"
@@ -146,11 +147,10 @@ def test_cli_evaluate_takes_any_solution_header(files, arrays):
 _COUNT = st.integers(-1, 3)
 _REAL = st.one_of(st.sampled_from(["nan", "inf", "-1", "0"]), st.floats(1e-6, 10.0).map(repr))
 # each method flag with values in and out of range; a size flag also takes a
-# size past the address space, a loop count never does
+# huge size, a loop count never does
 METHOD_FLAGS = st.fixed_dictionaries({}, optional={
-    "--epochs": _COUNT, "--inner-iters": _COUNT,
-    "--batch-size": st.one_of(_COUNT, st.just(2**45)),
-    "--width": st.one_of(_COUNT, st.just(2**45)), "--depth": _COUNT,
+    "--epochs": _COUNT, "--inner-iters": _COUNT, "--batch-size": st.one_of(_COUNT, HUGE),
+    "--width": st.one_of(_COUNT, HUGE), "--depth": st.one_of(_COUNT, HUGE),
     "--rho": _REAL, "--learning-rate": _REAL, "--step-size": _REAL, "--ng-stop": _REAL,
     "--method-seed": _COUNT,
 })

@@ -631,6 +631,8 @@ def test_malformed_input_files_are_invalid_arguments(tmp_path, capsys, case):
 _RUN = ["run", "--market", "{market}", "--outdir", "{out}", "--method"]
 _SWEEP = ["sweep", "--n-list", "8", "--m-list", "2", "--k", "3", "--outdir", "{out}", "--methods"]
 # (command line, numeric flag, an out-of-range value); each flag is also given nan and inf
+# and a size flag 2^60: an array of that many numbers passes 2^63 bytes, which numpy cannot index
+_SIZE_FLAGS = ("--n", "--m", "--k", "--n-list", "--m-list", "--batch-size", "--width", "--depth")
 _NUMERIC_FLAGS = [
     (["generate", "--out", "{out}"], "--n", "0"),
     (["generate", "--out", "{out}"], "--m", "0"),
@@ -690,7 +692,7 @@ def test_cli_rejects_bad_numeric_flags_before_any_work(tmp_path, monkeypatch, ar
         monkeypatch.setattr(module, name, no_work)
     out = tmp_path / "out"
     fill = dict(market=market_path, candidate=candidate, out=out)
-    for bad in ("nan", "inf", out_of_range):
+    for bad in ("nan", "inf", out_of_range) + ((str(2**60),) if flag in _SIZE_FLAGS else ()):
         command = [part.format(**fill) for part in argv] + [flag, bad]
         try:
             code = main(command)

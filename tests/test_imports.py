@@ -1,12 +1,21 @@
 """Every top-level import in `src/` and `tests/` is used, every name a
-package module exports exists, and every name a package module defines (and
+package module exports exists, every name a package module defines (and
 every public method and property of its classes) is read, traced by the
-benchmark or documented."""
+benchmark or documented, and every class that holds arrays compares by
+identity."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from marketeq.ces import CesSpec
+from marketeq.market import ContextDistribution, generate_market
+from marketeq.metrics import EquilibriumCandidate
+from marketeq.net import AdamState, AllocationNet
+from marketeq.oracle import OracleResult
 from test_perfbench_spans import _entry_points
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -215,3 +224,25 @@ def test_only_the_cli_catches_invalid_arguments():
                 for path in sorted(ROOT.joinpath("src", "marketeq").glob("*.py"))
                 for function, _ in except_clauses_naming(path.read_text(), "InvalidArgument")]
     assert handlers == ["cli.main"]
+
+
+def _candidate():
+    return EquilibriumCandidate(np.ones((2, 2)), np.ones(2))
+
+
+_ARRAY_HOLDERS = {
+    "AllocationNet": lambda: AllocationNet.initialize(3, 1, 4),
+    "AdamState": lambda: AdamState.for_net(AllocationNet.initialize(3, 1, 4)),
+    "Market": lambda: generate_market(4, 2, 3, ContextDistribution.STANDARD_NORMAL,
+                                      CesSpec.general(0.5), 0),
+    "EquilibriumCandidate": _candidate,
+    "OracleResult": lambda: OracleResult(_candidate(), 0.0, 0.0, "numeric"),
+}
+
+
+@pytest.mark.parametrize("build", _ARRAY_HOLDERS.values(), ids=_ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(build):
+    # a generated `==` would compare the arrays and raise on their truth value
+    first, second = build(), build()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2

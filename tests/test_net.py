@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 
 import numpy as np
@@ -9,7 +10,7 @@ from marketeq import net as net_module
 from marketeq.errors import InvalidArgument, NumericFailure
 from marketeq.market import softplus
 from marketeq.net import AdamState, AllocationNet, adam_step
-from marketeq.trainer import load_solution, save_solution
+from marketeq.trainer import TrainConfig, load_solution, save_solution
 
 from helpers import peak_bytes, plain_forward, plain_layers, with_params
 
@@ -104,11 +105,11 @@ def test_dimension_checks():
     net = small_net()
     with pytest.raises(InvalidArgument):
         net.forward_batch(np.ones((1, 2)), np.ones((1, 3)))
-    # every hidden layer has the declared width
-    weights = [w.copy() for w in net.weights]
-    weights[1] = np.ones((8, 7))
-    with pytest.raises(InvalidArgument):
-        AllocationNet(3, 2, 8, weights, [b.copy() for b in net.biases])
+    # the parameters are one vector, as long as the declared architecture's count
+    flat = net.get_flat()
+    for wrong in (flat[:-1], np.append(flat, 1.0), flat.reshape(1, -1), flat.reshape(-1, 1)):
+        with pytest.raises(InvalidArgument):
+            AllocationNet(3, 2, 8, wrong)
 
 
 def test_backward_matches_finite_differences():
@@ -205,6 +206,28 @@ def test_initialize_sizes_are_integers():
     # numpy integers are counts too, and build the same net
     net = AllocationNet.initialize(np.int64(3), np.int32(2), np.int64(8), seed=1)
     np.testing.assert_array_equal(net.get_flat(), small_net(seed=1).get_flat())
+
+
+def test_initialization_digest():
+    # Philox draws, layer by layer, with no BLAS: the same bits on every platform
+    seed = np.random.SeedSequence(1).spawn(2)[0]
+    params = AllocationNet.initialize(5, 3, 128, seed).get_flat()
+    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "8a7691e5650739f1"
+
+
+def test_constructor_owns_its_parameters():
+    flat = np.arange(small_net().n_params)  # integers, copied into float64
+    net = AllocationNet(3, 2, 8, flat)
+    flat[0] = 99
+    assert net.params.dtype == np.float64 and net.get_flat()[0] == 0.0
+
+
+def test_architectures_no_array_could_hold_are_refused():
+    # 2^60 wide: its parameters would take more than 2^63 bytes
+    with pytest.raises(InvalidArgument):
+        AllocationNet.initialize(3, 2, 2**60)
+    with pytest.raises(InvalidArgument):
+        TrainConfig(hidden_width=2**60)
 
 
 def test_parameter_count():
@@ -346,7 +369,7 @@ def test_get_flat_returns_a_copy():
 
 
 def _assert_views(net):
-    flat = net._params
+    flat = net.params
     assert all(np.shares_memory(a, flat) for a in net.weights + net.biases)
     assert net.get_flat().size == net.n_params == flat.size
     net.weights[0][0, 0] = 123.0
@@ -364,7 +387,7 @@ def test_parameters_stay_views(tmp_path):
     _assert_views(loaded)
     copied = copy.deepcopy(net)
     _assert_views(copied)
-    assert not np.shares_memory(copied._params, net._params)
+    assert not np.shares_memory(copied.params, net.params)
     _assert_views(pickle.loads(pickle.dumps(net)))
 
 

@@ -319,7 +319,7 @@ def test_train_epoch_end_failure_keeps_epoch_and_history(monkeypatch):
         adam_step(state, net, flat)
         steps.append(1)
         if len(steps) == 2 * config.inner_iters:  # the last step of epoch 2
-            net._params[0] = np.inf
+            net.params[0] = np.inf
 
     monkeypatch.setattr("marketeq.trainer.adam_step", poisoned_step)
     with pytest.raises(NumericFailure, match=r"^epoch 2: non-finite pre-activation") as excinfo:
