@@ -49,29 +49,41 @@ def _add_market_args(parser):
 def _add_method_args(parser, with_method=True):
     if with_method:
         parser.add_argument("--method", choices=METHOD_TABLE, required=True)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--inner-iters", type=int, default=None)
-    parser.add_argument("--batch-size", dest="batch_size_loss", type=int, default=None,
-                        help="fcnet half-batch M1")
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--learning-rate", type=float, default=None)
-    parser.add_argument("--width", dest="hidden_width", type=int, default=None)
-    parser.add_argument("--depth", dest="hidden_depth", type=int, default=None)
-    parser.add_argument("--step-size", type=float, default=None)
-    parser.add_argument("--ng-stop", type=float, default=None)
-    parser.add_argument("--method-seed", dest="seed", metavar="METHOD_SEED", type=int, default=0,
-                        help="fcnet initialization and sampling seed (EG is deterministic)")
+    flags = [
+        parser.add_argument("--epochs", type=int),
+        parser.add_argument("--inner-iters", type=int),
+        parser.add_argument("--batch-size", dest="batch_size_loss", type=int,
+                            help="fcnet half-batch M1"),
+        parser.add_argument("--rho", type=float),
+        parser.add_argument("--learning-rate", type=float),
+        parser.add_argument("--width", dest="hidden_width", type=int),
+        parser.add_argument("--depth", dest="hidden_depth", type=int),
+        parser.add_argument("--step-size", type=float),
+        parser.add_argument("--ng-stop", type=float),
+        parser.add_argument("--method-seed", dest="seed", metavar="METHOD_SEED", type=int,
+                            help="fcnet initialization and sampling seed (default 0; EG takes none)"),
+    ]
+    # each method flag as typed, by its dest: the config field it sets
+    parser.set_defaults(method_flags={flag.dest: flag.option_strings[0] for flag in flags})
 
 
-def _method_config(args, method):
-    """The row's default with each field whose flag was given (a flag's dest is
-    its field); None for naive, and for an unknown name, which `sweep` rejects."""
-    default = METHOD_TABLE[method][0] if method in METHOD_TABLE else None
-    if default is None:
-        return None
-    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(default)
-             if getattr(args, field.name, None) is not None}
-    return dataclasses.replace(default, **flags)
+def _method_configs(args, methods) -> dict:
+    """Each method's config: its row's default with each method flag given,
+    or None for naive and for an unknown name, which `sweep` rejects.  A flag
+    given that none of the methods has a config field for is refused first."""
+    given = {dest: getattr(args, dest) for dest in args.method_flags
+             if getattr(args, dest) is not None}
+    own = {}  # each method's default and the given flags it has a field for
+    for method in methods:
+        default = METHOD_TABLE[method][0] if method in METHOD_TABLE else None
+        fields = {field.name for field in dataclasses.fields(default)} if default else set()
+        own[method] = default, {dest: value for dest, value in given.items() if dest in fields}
+    foreign = [args.method_flags[dest] for dest in given
+               if not any(dest in flags for _, flags in own.values())]
+    if foreign:
+        raise InvalidArgument(f"{' or '.join(methods)} takes no {' or '.join(foreign)}")
+    return {method: None if default is None else dataclasses.replace(default, **flags)
+            for method, (default, flags) in own.items()}
 
 
 def _market_spec(args) -> MarketSpec:
@@ -90,13 +102,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    method_config = _method_configs(args, [args.method])[args.method]
     market = Market.load(args.market)
     spec = MarketSpec(n=market.n, m=market.m, k=market.k,
                       dist=market.dist.value if market.dist else None,
                       alpha=market.ces.alpha_label, seed=market.seed)
     config = ExperimentConfig(market=spec, method=args.method,
-                              method_config=_method_config(args, args.method),
-                              out_dir=args.outdir)
+                              method_config=method_config, out_dir=args.outdir)
     record = run_experiment(config, market)
     print(f"[{args.method}] hash={record.config_hash} "
           f"train={record.train_seconds:.2f}s eval={record.eval_seconds:.2f}s")
@@ -127,7 +139,7 @@ def cmd_sweep(args) -> int:
         for dist in args.dist_list
     ]
     # every config is checked before the first cell runs
-    configs = {method: _method_config(args, method) for method in args.methods}
+    configs = _method_configs(args, args.methods)
     rows = sweep(specs, configs, args.outdir)
     failed = sum(1 for row in rows if row["error"])
     print(f"sweep: {len(rows)} cells, {failed} failed -> {Path(args.outdir) / 'sweep.csv'}")

@@ -109,8 +109,7 @@ def numeric_equilibrium(market: Market) -> OracleResult:
         step_size=eta_scale * market.n,  # gradients carry a 1/n factor
         momentum=0.9,
         rho=2.0,
-        beta_schedule="constant",
-        beta_scale=1.0,
+        constant_beta=1.0,
         epochs=_MAX_SEGMENTS * _SEGMENT_EPOCHS,
         inner_iters=_EPOCH_ITERS,
     )

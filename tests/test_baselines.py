@@ -93,8 +93,7 @@ def test_eg_descent_property():
     fractions = []
     for trial in range(3):
         mkt = random_market(rng, 20, 3, CesSpec.general(0.5))
-        config = EgConfig(inner_iters=1, epochs=150, beta_schedule="constant",
-                          beta_scale=0.0, ng_stop=None)
+        config = EgConfig(inner_iters=1, epochs=150, constant_beta=0.0, ng_stop=None)
         _, history = eg_solve(mkt, config)
         losses = np.array([rec.loss for rec in history])
         drops = np.diff(losses) <= 1e-12
@@ -111,13 +110,22 @@ def test_eg_early_stop():
 
 
 def test_eg_rejects_momentum_mismatch():
-    mkt = market_from_values([[1.0]], [1.0], CesSpec.linear())
-    with pytest.raises(InvalidArgument):
-        eg_solve(mkt, EgConfig(momentum=0.5))
-    with pytest.raises(InvalidArgument):
-        eg_momentum_solve(mkt, EgConfig(epochs=2))
+    # the momentum sign of the eg / eg-m names is ExperimentConfig's rule
+    # (test_harness::test_experiment_config_validation); the solve runs any momentum
     with pytest.raises(InvalidArgument):
         EgConfig(inner_iters=0)
+
+
+def test_eg_solve_runs_any_momentum():
+    # eg-m is eg_solve with momentum: the same candidate and epochs, bit for bit
+    mkt = generate_market(40, 3, 5, ContextDistribution.STANDARD_NORMAL, CesSpec.general(0.5), 35)
+    config = EgConfig(momentum=0.9, inner_iters=20, epochs=4, ng_stop=None)
+    (cand, history), (cand_m, history_m) = eg_solve(mkt, config), eg_momentum_solve(mkt, config)
+    assert np.array_equal(cand.allocation, cand_m.allocation)
+    assert np.array_equal(cand.prices, cand_m.prices)
+    untimed = [replace(rec, train_seconds=0.0, eval_seconds=0.0) for rec in history]
+    assert untimed == [replace(rec, train_seconds=0.0, eval_seconds=0.0) for rec in history_m]
+    assert len(untimed) == config.epochs
 
 
 def test_eg_nonpositive_multiplier_raises():
@@ -125,8 +133,7 @@ def test_eg_nonpositive_multiplier_raises():
     # and an oversized dual step then drives the multiplier negative
     mkt = market_from_values([[1.0, 1e-3], [1.0, 1e-3]], [1.0, 1.0], CesSpec.cobb_douglas())
     with pytest.raises(InvalidPrices):
-        eg_solve(mkt, EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
-                               ng_stop=None))
+        eg_solve(mkt, EgConfig(epochs=1, constant_beta=1e4, ng_stop=None))
 
 
 @pytest.mark.parametrize("spec, error", [
@@ -251,3 +258,21 @@ def test_descend_iterations_allocate_no_full_arrays(spec):
         tracemalloc.stop()
     assert seen == [2, 3]
     assert peak < 2.5 * mkt.n * mkt.m * 8, peak / (mkt.n * mkt.m * 8)
+
+
+def test_plain_descent_holds_no_velocity():
+    # without momentum the loop keeps no velocity array: its first epoch peaks
+    # at least 0.9 n-by-m arrays below the heavy-ball loop's on the same market
+    mkt = generate_market(4096, 5, 5, ContextDistribution.STANDARD_NORMAL, CesSpec.general(0.5), 7)
+    mkt.values  # cached before either run is traced
+    peaks = []
+    for momentum in (0.0, 0.9):
+        epochs = descend(mkt, EgConfig(momentum=momentum, inner_iters=20, epochs=1, ng_stop=None))
+        tracemalloc.start()
+        try:
+            next(epochs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plain, heavy_ball = (peak / (mkt.n * mkt.m * 8) for peak in peaks)
+    assert plain <= heavy_ball - 0.9, (plain, heavy_ball)

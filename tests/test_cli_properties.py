@@ -1,6 +1,7 @@
 """Property tests of the command line's input handling: whatever market
 document, candidate document, solution header or method flags `marketeq` is
 given, it exits 0, or exits 2 or 3 with one line on stderr and no traceback.
+A method flag that sets no field of the method's config exits 2.
 
 The cases are derandomized, so every run draws the same ones.  A drawn size
 is small (at most 64), or so large that the first array it sizes passes 2^47
@@ -12,6 +13,7 @@ refuse them as invalid arguments before it asks for memory.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 
@@ -33,9 +35,10 @@ JUNK = st.one_of(st.none(), st.booleans(), NUMBERS, HUGE, st.sampled_from(["", "
 _DROP = object()
 
 
-def _cli(argv) -> int:
-    """Run the CLI in process; a nonzero exit must be 2 or 3 with one line on
-    stderr (an uncaught exception fails the test with its traceback)."""
+def _cli(argv):
+    """Run the CLI in process and return its exit code and stderr; a nonzero
+    exit must be 2 or 3 with one line on stderr (an uncaught exception fails
+    the test with its traceback)."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(part) for part in argv])
@@ -45,7 +48,7 @@ def _cli(argv) -> int:
     if code:
         prefix = "invalid arguments: " if code == 2 else "solver failure: "
         assert message.startswith(prefix) and message.count("\n") == 1, (argv, message)
-    return code
+    return code, message
 
 
 @pytest.fixture(scope="module")
@@ -146,41 +149,78 @@ def test_cli_evaluate_takes_any_solution_header(files, arrays):
 
 _COUNT = st.integers(-1, 3)
 _REAL = st.one_of(st.sampled_from(["nan", "inf", "-1", "0"]), st.floats(1e-6, 10.0).map(repr))
-# each method flag with values in and out of range; a size flag also takes a
-# huge size, a loop count never does
-METHOD_FLAGS = st.fixed_dictionaries({}, optional={
-    "--epochs": _COUNT, "--inner-iters": _COUNT, "--batch-size": st.one_of(_COUNT, HUGE),
-    "--width": st.one_of(_COUNT, HUGE), "--depth": st.one_of(_COUNT, HUGE),
-    "--rho": _REAL, "--learning-rate": _REAL, "--step-size": _REAL, "--ng-stop": _REAL,
-    "--method-seed": _COUNT,
-})
+# each method flag, the config field it sets, and its values in and out of
+# range; a size flag also takes a huge size, a loop count never does
+METHOD_FLAGS = {
+    "--epochs": ("epochs", _COUNT), "--inner-iters": ("inner_iters", _COUNT),
+    "--batch-size": ("batch_size_loss", st.one_of(_COUNT, HUGE)),
+    "--width": ("hidden_width", st.one_of(_COUNT, HUGE)),
+    "--depth": ("hidden_depth", st.one_of(_COUNT, HUGE)),
+    "--rho": ("rho", _REAL), "--learning-rate": ("learning_rate", _REAL),
+    "--step-size": ("step_size", _REAL), "--ng-stop": ("ng_stop", _REAL),
+    "--method-seed": ("seed", _COUNT),
+}
 # small runs by default, so that only a drawn flag can make one large
-_SMALL_RUN = ["--epochs", "1", "--inner-iters", "2", "--width", "4", "--depth", "1",
-              "--batch-size", "4"]
+_SMALL_RUN = {"--epochs": "1", "--inner-iters": "2", "--width": "4", "--depth": "1",
+              "--batch-size": "4"}
+
+
+def _own_flags(methods):
+    """The method flags that set a field of the config of some method in `methods`."""
+    defaults = [METHOD_TABLE[method][0] for method in methods if method in METHOD_TABLE]
+    fields = {field.name for default in defaults if default is not None
+              for field in dataclasses.fields(default)}
+    return [flag for flag, (field, _) in METHOD_FLAGS.items() if field in fields]
+
+
+def _flag_values(flags):
+    """Any subset of `flags`, each with a drawn value."""
+    return st.fixed_dictionaries({}, optional={flag: METHOD_FLAGS[flag][1] for flag in flags})
 
 
 def _flag_argv(flags):
     return [part for flag, value in flags.items() for part in (flag, value)]
 
 
+def _small_run(methods):
+    own = _own_flags(methods)
+    return _flag_argv({flag: value for flag, value in _SMALL_RUN.items() if flag in own})
+
+
 @pytest.mark.parametrize("method", list(METHOD_TABLE))
 @CASES
-@given(flags=METHOD_FLAGS)
-def test_cli_run_takes_any_method_flags(files, method, flags):
+@given(data=st.data())
+def test_cli_run_takes_any_method_flags(files, method, data):
+    flags = data.draw(_flag_values(_own_flags([method])))
     _cli(["run", "--market", files / "market.json", "--method", method,
-          "--outdir", files / "out", *_SMALL_RUN, *_flag_argv(flags)])
+          "--outdir", files / "out", *_small_run([method]), *_flag_argv(flags)])
+
+
+@pytest.mark.parametrize("method", list(METHOD_TABLE))
+@CASES
+@given(data=st.data())
+def test_cli_run_refuses_flags_of_other_methods(files, method, data):
+    own = _own_flags([method])
+    foreign = data.draw(st.sampled_from([flag for flag in METHOD_FLAGS if flag not in own]))
+    flags = {**data.draw(_flag_values(own)), foreign: data.draw(METHOD_FLAGS[foreign][1])}
+    code, message = _cli(["run", "--market", files / "market.json", "--method", method,
+                          "--outdir", files / "refused", *_flag_argv(flags)])
+    assert code == 2 and foreign in message, (flags, message)
+    assert not (files / "refused").exists()
 
 
 @pytest.mark.parametrize("method", list(METHOD_TABLE))
 @settings(CASES, max_examples=10)
 @given(others=st.lists(st.sampled_from([*METHOD_TABLE, "bogus"]), max_size=2, unique=True),
-       flags=METHOD_FLAGS, seed=st.integers(0, 3))
-def test_cli_sweep_takes_any_method_flags(files, method, others, flags, seed):
+       data=st.data(), seed=st.integers(0, 3))
+def test_cli_sweep_takes_any_method_flags(files, method, others, data, seed):
     out = files / "sweep"
     (out / "sweep.csv").unlink(missing_ok=True)
-    methods = ",".join(dict.fromkeys([method, *others]))
-    code = _cli(["sweep", "--methods", methods, "--n-list", "8", "--m-list", "2", "--k", "3",
-                 "--seed", seed, "--outdir", out, *_SMALL_RUN, *_flag_argv(flags)])
+    methods = list(dict.fromkeys([method, *others]))
+    flags = data.draw(_flag_values(_own_flags(methods)))
+    code, _ = _cli(["sweep", "--methods", ",".join(methods), "--n-list", "8", "--m-list", "2",
+                    "--k", "3", "--seed", seed, "--outdir", out, *_small_run(methods),
+                    *_flag_argv(flags)])
     if code == 0:
         # the market seed is --seed's, whatever --method-seed says
         with open(out / "sweep.csv") as handle:

@@ -147,9 +147,9 @@ def test_experiment_config_validation(tmp_path):
     (EgConfig, "rho", 0.0),
     (EgConfig, "rho", math.nan),
     (EgConfig, "rho", math.inf),
-    (EgConfig, "beta_scale", -1.0),
-    (EgConfig, "beta_scale", math.nan),
-    (EgConfig, "beta_scale", math.inf),
+    (EgConfig, "constant_beta", -1.0),
+    (EgConfig, "constant_beta", math.nan),
+    (EgConfig, "constant_beta", math.inf),
     (TrainConfig, "epochs", 2.5),
     (TrainConfig, "seed", 1.5),
     (TrainConfig, "batch_size_loss", 4.5),
@@ -231,8 +231,8 @@ def test_sweep_records_cells_and_errors(tmp_path):
     specs = [toy_spec(n=16, m=2), toy_spec(n=16, m=3)]
     # absurd dual step: the eg runs fail and the sweep must continue; eg-m
     # without momentum cannot even build its config
-    configs = {"naive": None, "eg": EgConfig(epochs=1, beta_schedule="constant", beta_scale=1e4,
-                                             ng_stop=None), "eg-m": EgConfig()}
+    configs = {"naive": None, "eg": EgConfig(epochs=1, constant_beta=1e4, ng_stop=None),
+               "eg-m": EgConfig()}
     rows = sweep(specs, configs, tmp_path / "sweep")
     assert len(rows) == 6
     naive_rows = [r for r in rows if r["method"] == "naive"]
@@ -372,8 +372,7 @@ def test_cli_evaluate_max_ng_exit_code(tmp_path):
 def test_failed_run_writes_the_epochs_it_finished(tmp_path):
     # absurd dual step: eg finishes two epochs, then a buyer reaches zero utility
     config = ExperimentConfig(market=MarketSpec(n=16, m=2, k=3, seed=1), method="eg",
-                              method_config=EgConfig(epochs=5, beta_schedule="constant",
-                                                     beta_scale=1e4, ng_stop=None),
+                              method_config=EgConfig(epochs=5, constant_beta=1e4, ng_stop=None),
                               out_dir=str(tmp_path / "eg"))
     with pytest.raises(NumericFailure) as failure:
         run_experiment(config)
@@ -399,8 +398,7 @@ def test_failed_run_writes_the_epochs_it_finished(tmp_path):
         "NumericFailure: epoch 1")
     # one epoch only: it finishes, and its dual step leaves a multiplier negative
     config = ExperimentConfig(market=MarketSpec(n=16, m=2, k=5, seed=1), method="eg",
-                              method_config=EgConfig(epochs=1, beta_schedule="constant",
-                                                     beta_scale=1e4, ng_stop=None),
+                              method_config=EgConfig(epochs=1, constant_beta=1e4, ng_stop=None),
                               out_dir=str(tmp_path / "prices"))
     with pytest.raises(InvalidPrices) as failure:
         run_experiment(config)
@@ -700,3 +698,15 @@ def test_cli_rejects_bad_numeric_flags_before_any_work(tmp_path, monkeypatch, ar
             code = stop.code
         assert code == 2, command
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("methods, flag", [("naive,eg", "--width"), ("naive,fcnet", "--ng-stop"),
+                                           ("eg,eg-m", "--method-seed")])
+def test_cli_sweep_refuses_a_flag_no_method_takes(tmp_path, capsys, methods, flag):
+    # a flag some method takes goes to that method's cells; one none takes is refused
+    out = tmp_path / "sweep"
+    argv = [part.format(out=out) for part in _SWEEP] + [methods, flag, "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments: ") and err.count("\n") == 1 and flag in err
+    assert not out.exists()
