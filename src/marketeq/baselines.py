@@ -88,7 +88,7 @@ def eg_solve(market: Market, config: EgConfig | None = None):
     """Full-batch EG descent from the naive start, plain or heavy-ball by
     `config.momentum`, every epoch scored by its projected NG; returns (candidate, history)."""
     config = config or EgConfig()
-    _, candidate, history = run_epochs(market, descend(market, config), config.epochs, True,
+    _, candidate, history = run_epochs(market, descend(market, config), config.epochs,
                                        config.ng_stop)
     return candidate, history
 

@@ -1,8 +1,9 @@
 """Command line interface: generate, run, sweep, evaluate.
 
-Exit codes: 0 success, 2 invalid arguments, 3 solver failure (running out of
-memory among them), 4 certification failure.  The default output directory
-comes from MARKETEQ_OUTDIR (falling back to ./marketeq_out).
+Exit codes: 0 success, 2 invalid arguments, 3 solver failure, file not found
+or out of memory (the stderr line names which), 4 certification failure.  The
+default output directory comes from MARKETEQ_OUTDIR (falling back to
+./marketeq_out).
 """
 
 from __future__ import annotations
@@ -210,11 +211,14 @@ def main(argv=None) -> int:
     except InvalidArgument as err:
         print(f"invalid arguments: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (MarketEqError, FileNotFoundError) as err:
+    except MarketEqError as err:
         print(f"solver failure: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    except MemoryError as err:  # numpy raises a private subclass: print the public name
-        print(f"solver failure: MemoryError: {err}", file=sys.stderr)
+    except FileNotFoundError as err:
+        print(f"file not found: {err}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import metrics, trainer
@@ -116,13 +116,10 @@ class ExperimentConfig:
         """Short digest of the configuration.  Given the market the run used,
         it also covers that market's contexts and supplies, which the
         MarketSpec alone does not pin down (a supply override, say)."""
-        config = self.method_config
-        if isinstance(config, TrainConfig):  # like out_dir, where a run writes is not what it is
-            config = replace(config, checkpoint_dir=None)
         blob = {
             "market": asdict(self.market),
             "method": self.method,
-            "method_config": None if config is None else asdict(config),
+            "method_config": None if self.method_config is None else asdict(self.method_config),
         }
         if market is not None:
             blob["market_sha256"] = market.digest()

@@ -20,7 +20,6 @@ import math
 import time
 import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +38,10 @@ class TrainConfig:
     """Hyperparameters for `train`."""
 
     batch_size_loss: int = 512  # M1, buyers per half-batch
-    batch_size_multiplier: int | None = None  # None -> exact full-population pass
+    # the one knob for the population passes: None or >= n, each epoch's exact
+    # dual step runs on one, which also scores the epoch; below n, a sampled
+    # step, and only the last epoch forms one, for the candidate and its scores
+    batch_size_multiplier: int | None = None
     rho: float = 0.2
     inner_iters: int = 100  # K optimizer steps per epoch
     epochs: int = 30
@@ -47,8 +49,6 @@ class TrainConfig:
     hidden_depth: int = 5
     hidden_width: int = 256
     seed: int = 0
-    eval_each_epoch: bool = True
-    checkpoint_dir: str | None = None  # when set, each epoch writes solution file net_epoch_###.npz
 
     def __post_init__(self):
         for name in ("batch_size_loss", "inner_iters", "epochs"):
@@ -67,11 +67,11 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     loss: float  # fcnet: mean minibatch Lagrangian estimate over the epoch; EG: at its last step
-    ng: float  # scores of the epoch's pair; NaN when unscored or a multiplier is nonpositive
+    ng: float  # scores of the epoch's pair; NaN without its population or with a multiplier <= 0
     voa: float
     vop: float
     train_seconds: float  # inner loop (EG: plus dual step); excludes fcnet's population pass
-    eval_seconds: float  # the rest of the epoch's wall time: population pass, scores, checkpoint
+    eval_seconds: float  # the rest of the epoch's wall time: population pass and scores
 
 
 def write_curve(path, history) -> None:
@@ -168,15 +168,15 @@ def train(market: Market, config: TrainConfig):
     init_ss, sample_ss = np.random.SeedSequence(config.seed).spawn(2)
     net = AllocationNet.initialize(market.k, config.hidden_depth, config.hidden_width, init_ss)
     lam, candidate, history = run_epochs(market, _train_epochs(net, market, config, sample_ss),
-                                         config.epochs, config.eval_each_epoch)
+                                         config.epochs)
     return net, lam, candidate, history
 
 
 def _train_epochs(net: AllocationNet, market: Market, config: TrainConfig, sample_ss):
     """`net`'s epochs for `run_epochs`.  One population forward feeds an
     epoch's exact dual step and scores; the last epoch's is the candidate.
-    The step workspace is released before it, so one set of layer buffers
-    is live at a time."""
+    A sampled dual step forms it in the last epoch only.  The step workspace
+    is released before it, so one set of layer buffers is live at a time."""
     adam = AdamState.for_net(net, lr=config.learning_rate)
     sampler = np.random.Generator(np.random.Philox(sample_ss))
     lam = np.ones(market.m)
@@ -197,27 +197,24 @@ def _train_epochs(net: AllocationNet, market: Market, config: TrainConfig, sampl
 
         beta_t = 1.0 / math.sqrt(epoch)
         population = (net.forward_batch(market.buyers, market.goods)
-                      if exact_pass or config.eval_each_epoch or epoch == config.epochs else None)
+                      if exact_pass or epoch == config.epochs else None)
         if exact_pass:
             lam = multiplier_update(lam, population, config.rho, beta_t)
         else:
             idx = sampler.integers(0, market.n, size=config.batch_size_multiplier)
             lam = multiplier_update(lam, net.forward_batch(market.buyers[idx], market.goods),
                                     config.rho, beta_t)
-        if config.checkpoint_dir is not None:
-            path = Path(config.checkpoint_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            save_solution(path / f"net_epoch_{epoch:03d}.npz", net, lam)
         yield epoch, population, lam, loss_sum / config.inner_iters, train_seconds
         population = None  # the next epoch's pass must not find this one alive
 
 
-def run_epochs(market: Market, epochs, last_epoch: int, score: bool, ng_stop: float | None = None):
+def run_epochs(market: Market, epochs, last_epoch: int, ng_stop: float | None = None):
     """The one epoch driver of fcnet and EG; returns (multipliers, candidate, history).
 
-    `epochs` yields (epoch, normalized population, or None in an unscored
-    epoch before `last_epoch`, multipliers, loss, train_seconds).  The rest
-    of an epoch's wall time is its `eval_seconds`.  The candidate is the pair
+    `epochs` yields (epoch, normalized population, multipliers, loss,
+    train_seconds); the population may be None before `last_epoch`.  An
+    epoch is scored exactly when it comes with its population.  The rest of
+    an epoch's wall time is its `eval_seconds`.  The candidate is the pair
     of the last epoch, or of the first whose NG falls below `ng_stop`.  A
     NumericFailure or nonpositive final multipliers raise with the history."""
     history = []
@@ -225,9 +222,8 @@ def run_epochs(market: Market, epochs, last_epoch: int, score: bool, ng_stop: fl
     try:
         for epoch, population, lam, loss, train_seconds in epochs:
             ng = voa = vop = math.nan
-            if score or epoch == last_epoch:
+            if population is not None:
                 x, p = solution_pair(population, lam, market)
-            if score:
                 ng, voa, vop = epoch_scores(market, x, p)
             t_end = time.perf_counter()
             history.append(EpochRecord(epoch=epoch, loss=loss, ng=ng, voa=voa, vop=vop,

@@ -172,15 +172,13 @@ def test_multiplier_update_full_batch_equals_exact():
     rows = market.buyers[sampler.integers(0, market.n, size=2)]
     resid = net.forward_batch(rows, market.goods).mean(axis=0) - 1.0
     np.testing.assert_array_equal(sampled, np.ones(2) + 1.0 * 0.5 * resid)
-    # a sampled run reproduces its multipliers, with or without evaluation
+    # a sampled run reproduces its multipliers
     market = random_market(rng, 64, 2, CesSpec.general(0.5))
     config = TrainConfig(batch_size_loss=8, batch_size_multiplier=8, hidden_width=8,
                          hidden_depth=2, inner_iters=5, epochs=3, seed=0)
     _, first, _, _ = train(market, config)
     _, rerun, _, _ = train(market, config)
-    _, unevaluated, _, _ = train(market, replace(config, eval_each_epoch=False))
     np.testing.assert_array_equal(first, rerun)
-    np.testing.assert_array_equal(first, unevaluated)
 
 
 def test_train_takes_the_shared_lagrangian_step(monkeypatch):
@@ -248,8 +246,7 @@ def test_lagrangian_boundary_error_precedence(spec, error):
 def test_train_single_pair_market():
     market = market_from_values([[1.0]], [1.0], CesSpec.linear())
     config = TrainConfig(batch_size_loss=8, hidden_width=16, hidden_depth=2, rho=1.0,
-                         learning_rate=3e-3, inner_iters=50, epochs=40, seed=0,
-                         eval_each_epoch=False)
+                         learning_rate=3e-3, inner_iters=50, epochs=40, seed=0)
     _, lam, cand, _ = train(market, config)
     assert cand.allocation[0, 0] == pytest.approx(1.0, abs=2e-2)
     assert lam[0] == pytest.approx(1.0, abs=5e-2)
@@ -298,8 +295,7 @@ def test_train_aborts_with_history_on_blowup():
     market = generate_market(32, 2, 3, ContextDistribution.STANDARD_NORMAL,
                              CesSpec.general(0.5), 11)
     config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=5,
-                         learning_rate=1e40, inner_iters=50, epochs=10, seed=2,
-                         eval_each_epoch=False)
+                         learning_rate=1e40, inner_iters=50, epochs=10, seed=2)
     with pytest.raises(NumericFailure) as excinfo:
         with np.errstate(over="ignore", invalid="ignore"):
             train(market, config)
@@ -383,24 +379,6 @@ def test_solution_checkpoint_roundtrip_and_version(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(InvalidArgument):
         load_solution(path)
-
-
-def test_train_checkpoints_each_epoch(tmp_path):
-    market = generate_market(32, 2, 3, ContextDistribution.UNIFORM01, CesSpec.linear(), 3)
-    config = TrainConfig(batch_size_loss=8, hidden_width=8, hidden_depth=2,
-                         inner_iters=5, epochs=3, seed=0, eval_each_epoch=False,
-                         checkpoint_dir=str(tmp_path / "ckpts"))
-    net, lam, _, _ = train(market, config)
-    files = sorted(p.name for p in (tmp_path / "ckpts").iterdir())
-    assert files == ["net_epoch_001.npz", "net_epoch_002.npz", "net_epoch_003.npz"]
-    # each snapshot is the solution a run stopped after that epoch returns
-    for epoch, name in enumerate(files, start=1):
-        ref_net, ref_lam, _, _ = train(market, replace(config, epochs=epoch, checkpoint_dir=None))
-        snap_net, snap_lam = load_solution(tmp_path / "ckpts" / name)
-        np.testing.assert_array_equal(snap_net.get_flat(), ref_net.get_flat())
-        np.testing.assert_array_equal(snap_lam, ref_lam)
-    np.testing.assert_array_equal(snap_net.get_flat(), net.get_flat())
-    np.testing.assert_array_equal(snap_lam, lam)
 
 
 def test_history_curve_csv(tmp_path):
